@@ -37,6 +37,7 @@ from .gcomp import (
     VarianceEstimate,
     apply_correction,
     estimate_mu,
+    estimate_variance,
     influence_aipw,
     influence_score,
     var_from_influence,
@@ -58,6 +59,7 @@ from .inference import (
     TestResult,
     analyze_trial,
     effect_diff_variance,
+    run_test,
     score_test_diff,
     score_test_ratio,
     unadjusted_analysis,

@@ -23,13 +23,15 @@ import sys
 import yaml
 
 from . import __version__
-from .dataset import ColumnSchema, ModelSpec, load_csv
+from .dataset import ColumnSchema, load_csv
 from .errors import FitError, GScoreError, IntervalUndefinedError
 from .inference import Hypothesis, analyze_trial
 from .simulation import (
     calibrate_intercepts,
     covariate_spec_from_config,
     methods_from_config,
+    model_spec_from_config,
+    reject_unknown_keys,
     run_oc,
     scenario_from_config,
 )
@@ -42,27 +44,17 @@ EXIT_FIT = 3
 EXIT_INTERVAL = 4
 
 
-class _ConfigError(ValueError):
-    pass
-
-
 def _load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
     except OSError as err:
-        raise _ConfigError(f"cannot read {path}: {err}") from None
+        raise ValueError(f"cannot read {path}: {err}") from None
     except yaml.YAMLError as err:
-        raise _ConfigError(f"cannot parse {path}: {err}") from None
+        raise ValueError(f"cannot parse {path}: {err}") from None
     if not isinstance(doc, (dict, list)):
-        raise _ConfigError(f"{path}: expected a structured document")
+        raise ValueError(f"{path}: expected a structured document")
     return doc
-
-
-def _reject_unknown(d: dict, allowed, what: str):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise _ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _json_ready(obj):
@@ -83,20 +75,19 @@ _ANALYZE_KEYS = ("data", "schema", "model", "measure", "null_value", "level",
                  "sidedness", "estimator", "correction", "pi")
 _SCHEMA_KEYS = ("outcome", "arm", "covariates", "stratum", "arm_map",
                 "delimiter")
-_MODEL_KEYS = ("family", "covariates", "heterogeneous")
 
 
 def _parse_analyze_config(doc: dict, base_dir: str):
-    _reject_unknown(doc, _ANALYZE_KEYS, "config")
+    reject_unknown_keys(doc, _ANALYZE_KEYS, "config")
     for key in ("data", "schema", "model"):
         if key not in doc:
-            raise _ConfigError(f"config is missing the {key!r} key")
+            raise ValueError(f"config is missing the {key!r} key")
     data_path = doc["data"]
     if not os.path.isabs(data_path):
         data_path = os.path.normpath(os.path.join(base_dir, data_path))
 
     sd = doc["schema"]
-    _reject_unknown(sd, _SCHEMA_KEYS, "schema")
+    reject_unknown_keys(sd, _SCHEMA_KEYS, "schema")
     schema = ColumnSchema(
         outcome=sd["outcome"], arm=sd["arm"],
         covariates=tuple(sd.get("covariates", ())),
@@ -104,11 +95,7 @@ def _parse_analyze_config(doc: dict, base_dir: str):
         arm_map=sd.get("arm_map"),
         delimiter=sd.get("delimiter", ","))
 
-    md = doc["model"]
-    _reject_unknown(md, _MODEL_KEYS, "model")
-    model = ModelSpec(family=md["family"],
-                      covariates=tuple(md.get("covariates", ())),
-                      heterogeneous=bool(md.get("heterogeneous", False)))
+    model = model_spec_from_config(doc["model"])
 
     h = Hypothesis(measure=doc.get("measure", "difference"),
                    null_value=float(doc.get(
@@ -208,11 +195,22 @@ def cmd_analyze(args) -> int:
 # simulate
 # ------------------------------------------------------------------ #
 
-_CSV_COLS = ("name", "measure", "test", "estimator", "correction", "model",
-             "null_value", "sidedness", "reps", "n_failed", "n_used",
-             "rejection_rate", "mc_se_rejection", "coverage",
-             "mc_se_coverage", "mean_estimate", "true_value", "seed",
-             "level", "n")
+# Per-method columns, then the run-level ones that the CSV repeats on
+# every row and the JSON report holds once at top level.
+_METHOD_COLS = ("name", "measure", "test", "estimator", "correction", "model",
+                "null_value", "sidedness", "reps", "n_failed", "n_used",
+                "rejection_rate", "mc_se_rejection", "coverage",
+                "mc_se_coverage", "mean_estimate")
+_CSV_COLS = _METHOD_COLS + ("true_value", "seed", "level", "n")
+
+
+def _csv_row(result, m) -> list:
+    """Method summary ``m``'s values in _CSV_COLS order."""
+    truth = result.true_ratio if m.measure == "ratio" else result.true_diff
+    return [m.name, m.measure, m.test, m.estimator, m.correction, m.model,
+            m.null_value, m.sidedness, m.n_total, m.n_failed, m.n_used,
+            m.rejection_rate, m.mc_se_rejection, m.coverage, m.mc_se_coverage,
+            m.mean_estimate, truth, result.seed, result.level, result.n]
 
 
 def cmd_simulate(args) -> int:
@@ -221,19 +219,11 @@ def cmd_simulate(args) -> int:
     result = run_oc(scenario, methods, args.reps, seed=args.seed,
                     level=args.level, workers=args.workers)
 
+    rows = [_csv_row(result, m) for m in result.methods]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLS)
-        for row in result.methods:
-            truth = (result.true_ratio if row.measure == "ratio"
-                     else result.true_diff)
-            writer.writerow([
-                row.name, row.measure, row.test, row.estimator,
-                row.correction, row.model, row.null_value, row.sidedness,
-                row.n_total, row.n_failed, row.n_used, row.rejection_rate,
-                row.mc_se_rejection, row.coverage, row.mc_se_coverage,
-                row.mean_estimate, truth, result.seed, result.level,
-                result.n])
+        writer.writerows(rows)
 
     report_path = os.path.splitext(args.out)[0] + ".json"
     report = {
@@ -246,19 +236,7 @@ def cmd_simulate(args) -> int:
         "true_mu": list(result.true_mu),
         "true_difference": result.true_diff,
         "true_ratio": result.true_ratio,
-        "methods": [
-            {col: getattr(row, attr) for col, attr in (
-                ("name", "name"), ("measure", "measure"), ("test", "test"),
-                ("estimator", "estimator"), ("correction", "correction"),
-                ("model", "model"), ("null_value", "null_value"),
-                ("sidedness", "sidedness"), ("reps", "n_total"),
-                ("n_failed", "n_failed"), ("n_used", "n_used"),
-                ("rejection_rate", "rejection_rate"),
-                ("mc_se_rejection", "mc_se_rejection"),
-                ("coverage", "coverage"),
-                ("mc_se_coverage", "mc_se_coverage"),
-                ("mean_estimate", "mean_estimate"))}
-            for row in result.methods],
+        "methods": [dict(zip(_METHOD_COLS, r)) for r in rows],
     }
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(_json_ready(report), fh, indent=2)
@@ -290,7 +268,7 @@ def _parse_covariate_token(tok: str):
 def cmd_calibrate(args) -> int:
     covs = tuple(_parse_covariate_token(t) for t in args.covariates)
     if len(args.beta_w) != len(covs):
-        raise _ConfigError("--beta-w and --covariates must have equal length")
+        raise ValueError("--beta-w and --covariates must have equal length")
     b1, b2 = calibrate_intercepts(args.targets, args.beta_w, covs,
                                   precision=args.precision)
     print(f"beta_A = ({b1:.6f}, {b2:.6f})")
@@ -366,8 +344,7 @@ def main(argv=None) -> int:
     except FitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FIT
-    except (_ConfigError, GScoreError, ValueError, KeyError, TypeError,
-            OSError) as err:
+    except (GScoreError, ValueError, KeyError, TypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,9 +11,10 @@ equivalent but numerically distinct:
       covariances of outcomes and predictions
 
 I and II are sample covariances (n-1 divisor) of per-subject influence
-rows divided by n; III is assembled cell by cell.  A decomposition
-splits estimator I into coefficient-noise, covariate-variation, and
-misspecification cross terms.
+rows divided by n; III is assembled cell by cell.  ``estimate_variance``
+is the one place that picks an estimator by name and applies the
+small-sample correction.  A decomposition splits estimator I into
+coefficient-noise, covariate-variation, and misspecification cross terms.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .dataset import DesignMatrix, counterfactual_design
 from .errors import DataError, RankDeficiencyError
 from .glm import FittedGLM
 
-_CORRECTIONS = ("HC0", "HC1")
+ESTIMATORS = ("I", "II", "III")
+CORRECTIONS = ("HC0", "HC1")
 
 
 # ------------------------------------------------------------------ #
@@ -254,11 +256,27 @@ def variance_decomposition(fit: FittedGLM, design: DesignMatrix,
 
 def apply_correction(v: VarianceEstimate, p: int, kind: str) -> VarianceEstimate:
     """Degrees-of-freedom rescaling: HC0 is the identity, HC1 is n/(n-p)."""
-    if kind not in _CORRECTIONS:
+    if kind not in CORRECTIONS:
         raise ValueError(f"unknown correction {kind!r}; expected one of "
-                         f"{_CORRECTIONS}")
+                         f"{CORRECTIONS}")
     if kind == "HC0":
         return replace(v, correction="HC0")
     if v.n <= p:
         raise ValueError(f"HC1 needs n > p, got n={v.n}, p={p}")
     return replace(v, sigma=v.sigma * (v.n / (v.n - p)), correction="HC1")
+
+
+def estimate_variance(fit: FittedGLM, design: DesignMatrix,
+                      estimator: str = "I", correction: str = "HC0",
+                      pi=None) -> VarianceEstimate:
+    """Covariance of (mu_1, mu_2) by one of ESTIMATORS, then one of
+    CORRECTIONS; ``pi`` as in ``influence_aipw``, used by II and III."""
+    if estimator == "I":
+        v = var_from_influence(influence_score(fit, design))
+    elif estimator == "II":
+        v = var_from_influence(influence_aipw(fit, design, pi))
+    elif estimator == "III":
+        v = var_ye(fit, design, pi)
+    else:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}")
+    return apply_correction(v, design.p, correction)

@@ -41,12 +41,11 @@ _SEPARATION_NORM = 30.0
 
 @dataclass(frozen=True)
 class Family:
-    """Canonical family: mean function m, its derivative, and the link."""
+    """Canonical family: mean function m and its derivative."""
 
     name: str
     mean: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    link: Callable[[np.ndarray], np.ndarray]
 
     def mean_response(self, beta: np.ndarray, X: np.ndarray) -> np.ndarray:
         """m(beta' X_i) for every row of X."""
@@ -85,14 +84,12 @@ BERNOULLI_LOGIT = Family(
     "bernoulli-logit",
     mean=expit,
     deriv=lambda eta: expit(eta) * (1.0 - expit(eta)),
-    link=logit,
 )
-POISSON_LOG = Family("poisson-log", mean=np.exp, deriv=np.exp, link=np.log)
+POISSON_LOG = Family("poisson-log", mean=np.exp, deriv=np.exp)
 GAUSSIAN_IDENTITY = Family(
     "gaussian-identity",
     mean=np.asarray,
     deriv=lambda eta: np.ones_like(np.asarray(eta, dtype=float)),
-    link=np.asarray,
 )
 
 _FAMILIES = {f.name: f for f in (BERNOULLI_LOGIT, POISSON_LOG, GAUSSIAN_IDENTITY)}

@@ -15,6 +15,10 @@ Score intervals exist only when n exceeds the chi-square critical value
 otherwise an IntervalUndefinedError carries the still-valid test result
 and diagnostics.  One-sided p-values come from the signed square root of
 the chi-square statistic.
+
+``run_test`` is the one dispatch from a (measure, test) pair to its
+function; ``analyze_trial`` composes fit, standardization, the variance
+from ``gcomp.estimate_variance`` and the requested tests.
 """
 
 from __future__ import annotations
@@ -22,26 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.special import chdtrc, gammaincinv, ndtr, ndtri
 
 from . import glm
 from .dataset import ModelSpec, TrialDataset, build_design
 from .errors import DataError, IntervalUndefinedError
-from .gcomp import (
-    MuEstimate,
-    VarianceEstimate,
-    apply_correction,
-    estimate_mu,
-    influence_aipw,
-    influence_score,
-    var_from_influence,
-    var_ye,
-)
+from .gcomp import ESTIMATORS  # noqa: F401  (re-exported)
+from .gcomp import MuEstimate, VarianceEstimate, estimate_mu, estimate_variance
 
 MEASURES = ("difference", "ratio")
 SIDEDNESS = ("two-sided", "greater", "less")
 TESTS = ("wald", "score")
-ESTIMATORS = ("I", "II", "III")
 
 
 @dataclass(frozen=True)
@@ -103,12 +98,21 @@ class TestResult:
         }
 
 
+# Distribution functions come from scipy.special, bit for bit what the
+# scipy.stats calls return, without the cost of importing scipy.stats:
+# chi-square-1 quantile 2 gammaincinv(1/2, q), normal tails ndtr/ndtri.
+
+def _chi2_sf(x: float) -> float:
+    """Upper tail of chi-square-1; 1 below the support, as chi2.sf gives."""
+    return float(chdtrc(1, max(x, 0.0)))
+
+
 def _one_sided_p(z: float, sidedness: str, two_sided: float) -> float:
     if sidedness == "two-sided":
         return two_sided
     if sidedness == "greater":
-        return float(norm.sf(z))
-    return float(norm.cdf(z))
+        return float(ndtr(-z))
+    return float(ndtr(z))
 
 
 def effect_diff_variance(v: VarianceEstimate) -> float:
@@ -131,8 +135,8 @@ def wald_test_diff(mu: MuEstimate, v: VarianceEstimate,
     dev = diff - h.null_value
     stat = 0.0 if dev == 0.0 else (np.inf if sd2 == 0.0 else dev ** 2 / sd2)
     z = np.sign(dev) * np.sqrt(stat)
-    p = _one_sided_p(z, h.sidedness, float(chi2.sf(stat, 1)))
-    zq = norm.ppf(0.5 + h.level / 2)
+    p = _one_sided_p(z, h.sidedness, _chi2_sf(stat))
+    zq = ndtri(0.5 + h.level / 2)
     return TestResult(
         method="wald", measure="difference", estimate=diff,
         statistic=float(stat), distribution="chi-square-1", p_value=p,
@@ -157,8 +161,8 @@ def score_test_diff(mu: MuEstimate, v: VarianceEstimate,
     denom = sd2 + dev ** 2 / n
     stat = 0.0 if dev == 0.0 else dev ** 2 / denom
     z = np.sign(dev) * np.sqrt(stat)
-    p = _one_sided_p(z, h.sidedness, float(chi2.sf(stat, 1)))
-    c = float(chi2.ppf(h.level, 1))
+    p = _one_sided_p(z, h.sidedness, _chi2_sf(stat))
+    c = float(2.0 * gammaincinv(0.5, h.level))
     partial = TestResult(
         method="score", measure="difference", estimate=diff,
         statistic=float(stat), distribution="chi-square-1", p_value=p,
@@ -192,8 +196,8 @@ def wald_test_ratio(mu: MuEstimate, v: VarianceEstimate,
     ls = np.sqrt(ls2)
     dev = np.log(ratio) - np.log(h.null_value)
     z = 0.0 if dev == 0.0 else (np.sign(dev) * np.inf if ls == 0.0 else dev / ls)
-    p = _one_sided_p(z, h.sidedness, float(2.0 * norm.sf(abs(z))))
-    zq = norm.ppf(0.5 + h.level / 2)
+    p = _one_sided_p(z, h.sidedness, float(2.0 * ndtr(-abs(z))))
+    zq = ndtri(0.5 + h.level / 2)
     return TestResult(
         method="wald", measure="ratio", estimate=float(ratio),
         statistic=float(z), distribution="standard-normal", p_value=p,
@@ -226,13 +230,13 @@ def score_test_ratio(mu: MuEstimate, v: VarianceEstimate,
              + dev ** 2 / n)
     stat = 0.0 if dev == 0.0 else dev ** 2 / denom
     z = np.sign(dev) * np.sqrt(stat)
-    p = _one_sided_p(z, h.sidedness, float(chi2.sf(stat, 1)))
+    p = _one_sided_p(z, h.sidedness, _chi2_sf(stat))
     partial = TestResult(
         method="score", measure="ratio", estimate=float(ratio),
         statistic=float(stat), distribution="chi-square-1", p_value=p,
         ci=None, null_value=d0, level=h.level, sidedness=h.sidedness,
         variance_tag=(v.estimator, v.correction), n=n)
-    c = float(chi2.ppf(h.level, 1))
+    c = float(2.0 * gammaincinv(0.5, h.level))
     den = 1.0 - c * (s[0, 0] / mu.mu1 ** 2 + 1.0 / n)
     if den <= 0.0:
         raise IntervalUndefinedError(
@@ -270,6 +274,14 @@ _TEST_FUNCS = {
 }
 
 
+def run_test(mu: MuEstimate, v: VarianceEstimate, h: Hypothesis,
+             test: str) -> TestResult:
+    """Run the named test ("wald" or "score") for ``h``'s effect measure."""
+    if test not in TESTS:
+        raise ValueError(f"test method must be one of {TESTS}")
+    return _TEST_FUNCS[(h.measure, test)](mu, v, h)
+
+
 @dataclass(frozen=True)
 class AnalysisResult:
     """Everything one model spec + variance choice yields on a dataset."""
@@ -292,24 +304,14 @@ def analyze_trial(data: TrialDataset, spec: ModelSpec, h: Hypothesis, *,
     result (statistic and p-value, no interval) is kept and the reason
     recorded in ``undefined_intervals``.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}")
     design = build_design(data, spec)
     fit = glm.fit(design, data.outcome)
     mu = estimate_mu(fit, design)
-    if estimator == "I":
-        v = var_from_influence(influence_score(fit, design))
-    elif estimator == "II":
-        v = var_from_influence(influence_aipw(fit, design, pi))
-    else:
-        v = var_ye(fit, design, pi)
-    v = apply_correction(v, design.p, correction)
+    v = estimate_variance(fit, design, estimator, correction, pi)
     tests, undefined = {}, {}
     for m in methods:
-        if m not in TESTS:
-            raise ValueError(f"test method must be one of {TESTS}")
         try:
-            tests[m] = _TEST_FUNCS[(h.measure, m)](mu, v, h)
+            tests[m] = run_test(mu, v, h, m)
         except IntervalUndefinedError as err:
             tests[m] = err.result
             undefined[m] = str(err)

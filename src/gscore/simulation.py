@@ -24,19 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .dataset import ModelSpec, TrialDataset
+from .dataset import ModelSpec, TrialDataset, build_design
 from .errors import GScoreError
-from .gcomp import (
-    apply_correction,
-    estimate_mu,
-    influence_aipw,
-    influence_score,
-    var_from_influence,
-    var_ye,
-)
+from .gcomp import CORRECTIONS, ESTIMATORS, estimate_mu, estimate_variance
 from .glm import fit as fit_glm
-from .inference import _TEST_FUNCS, Hypothesis
-from .dataset import build_design
+from .inference import MEASURES, SIDEDNESS, TESTS, Hypothesis, run_test
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(80)
 _GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(2.0 * np.pi)
@@ -142,6 +134,20 @@ class MethodSpec:
     sidedness: str = "greater"
     null_value: float | None = None
     pi: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        for value, allowed, what in (
+                (self.test, TESTS, "test"), (self.measure, MEASURES, "measure"),
+                (self.estimator, ESTIMATORS, "estimator"),
+                (self.correction, CORRECTIONS, "correction"),
+                (self.sidedness, SIDEDNESS, "sidedness")):
+            if value not in allowed:
+                raise ValueError(f"method {self.name!r}: {what} must be one "
+                                 f"of {allowed}, got {value!r}")
+        if not isinstance(self.model, ModelSpec) \
+                and self.model != "unadjusted":
+            raise ValueError(f"method {self.name!r}: model must be a "
+                             f"ModelSpec or 'unadjusted', got {self.model!r}")
 
     def resolved_null(self) -> float:
         if self.null_value is not None:
@@ -357,28 +363,27 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _variance(fitted, design, method: MethodSpec):
-    if method.estimator == "I":
-        v = var_from_influence(influence_score(fitted, design))
-    elif method.estimator == "II":
-        v = var_from_influence(influence_aipw(fitted, design, method.pi))
-    elif method.estimator == "III":
-        v = var_ye(fitted, design, method.pi)
-    else:
-        raise ValueError(f"unknown estimator {method.estimator!r}")
-    return apply_correction(v, design.p, method.correction)
+def _plan(s: Scenario, methods, level: float):
+    """Per method (method, model spec, hypothesis, rejection threshold),
+    fixed across replications, so built and checked before any trial."""
+    plan = []
+    for m in methods:
+        spec = m.model if isinstance(m.model, ModelSpec) \
+            else ModelSpec(family="bernoulli-logit")
+        q = len(spec.covariates)
+        p = 2 + (2 * q if spec.heterogeneous else q)
+        if m.correction == "HC1" and p >= s.n:
+            raise ValueError(f"method {m.name!r}: HC1 needs n > p, got "
+                             f"n={s.n}, p={p}")
+        h = Hypothesis(measure=m.measure, null_value=m.resolved_null(),
+                       level=level, sidedness=m.sidedness)
+        thr = (1.0 - level) / 2.0 if m.sidedness != "two-sided" \
+            else 1.0 - level
+        plan.append((m, spec, h, thr))
+    return tuple(plan)
 
 
-def _model_spec(method: MethodSpec) -> ModelSpec:
-    if isinstance(method.model, ModelSpec):
-        return method.model
-    if method.model == "unadjusted":
-        return ModelSpec(family="bernoulli-logit")
-    raise ValueError(f"model must be a ModelSpec or 'unadjusted', "
-                     f"got {method.model!r}")
-
-
-def _analyze_rep(data: TrialDataset, methods, level: float):
+def _analyze_rep(data: TrialDataset, plan):
     """Per-method (estimate, reject, cover_lo, cover_hi, failed) records.
 
     Coverage is recorded as interval endpoints so the caller can compare
@@ -387,21 +392,16 @@ def _analyze_rep(data: TrialDataset, methods, level: float):
     """
     fits = {}
     out = []
-    for m in methods:
+    for m, spec, h, thr in plan:
         try:
-            spec = _model_spec(m)
-            key = (spec.family, spec.covariates, spec.heterogeneous)
-            if key not in fits:
+            if spec not in fits:
                 design = build_design(data, spec)
-                fits[key] = (design, fit_glm(design, data.outcome))
-            design, fitted = fits[key]
+                fits[spec] = (design, fit_glm(design, data.outcome))
+            design, fitted = fits[spec]
             mu = estimate_mu(fitted, design)
-            v = _variance(fitted, design, m)
-            h = Hypothesis(measure=m.measure, null_value=m.resolved_null(),
-                           level=level, sidedness=m.sidedness)
-            result = _TEST_FUNCS[(m.measure, m.test)](mu, v, h)
-            thr = (1.0 - level) / 2.0 if m.sidedness != "two-sided" \
-                else 1.0 - level
+            v = estimate_variance(fitted, design, m.estimator, m.correction,
+                                  m.pi)
+            result = run_test(mu, v, h, m.test)
             out.append((result.estimate, result.p_value <= thr,
                         result.ci[0], result.ci[1], False))
         except GScoreError:
@@ -409,13 +409,9 @@ def _analyze_rep(data: TrialDataset, methods, level: float):
     return out
 
 
-def _run_chunk(s: Scenario, methods, level: float, seed: int, rep_range):
-    records = []
-    for rep in rep_range:
-        rng = _rep_rng(seed, rep)
-        data = generate_trial(s, rng)
-        records.append(_analyze_rep(data, methods, level))
-    return records
+def _run_chunk(s: Scenario, plan, seed: int, rep_range):
+    return [_analyze_rep(generate_trial(s, _rep_rng(seed, rep)), plan)
+            for rep in rep_range]
 
 
 def run_oc(s: Scenario, methods, reps: int, *, seed: int,
@@ -432,24 +428,22 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
     methods = tuple(methods)
     if len({m.name for m in methods}) != len(methods):
         raise ValueError("method names must be unique")
+    plan = _plan(s, methods, level)
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     t1, t2 = true_marginal_means(s)
     truth = {"difference": t2 - t1, "ratio": t2 / t1}
 
-    all_records: list = [None] * reps
     if workers > 1 and reps > 1:
         chunk = 250  # fixed so the reduction never depends on worker count
         ranges = [range(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rr, recs in zip(ranges, pool.map(
-                    _run_chunk, itertools.repeat(s), itertools.repeat(methods),
-                    itertools.repeat(level), itertools.repeat(seed), ranges)):
-                for rep, rec in zip(rr, recs):
-                    all_records[rep] = rec
+            # map yields chunks in submission order: replication order
+            all_records = [rec for recs in pool.map(
+                _run_chunk, itertools.repeat(s), itertools.repeat(plan),
+                itertools.repeat(seed), ranges) for rec in recs]
     else:
-        for rep in range(reps):
-            all_records[rep] = _run_chunk(s, methods, level, seed, [rep])[0]
+        all_records = _run_chunk(s, plan, seed, range(reps))
 
     summaries = []
     for j, m in enumerate(methods):
@@ -488,7 +482,8 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
 # ------------------------------------------------------------------ #
 
 
-def _reject_unknown(d: dict, allowed, what: str):
+def reject_unknown_keys(d: dict, allowed, what: str) -> None:
+    """Raise ValueError naming every key of ``d`` not in ``allowed``."""
     unknown = set(d) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
@@ -501,7 +496,7 @@ def covariate_spec_from_config(obj) -> CovariateSpec:
     if isinstance(obj, dict):
         if set(obj) == {"bernoulli"}:
             return CovariateSpec(kind="bernoulli", p=float(obj["bernoulli"]))
-        _reject_unknown(obj, ("kind", "p"), "covariate")
+        reject_unknown_keys(obj, ("kind", "p"), "covariate")
         p = obj.get("p")
         return CovariateSpec(kind=obj.get("kind", ""),
                              p=float(p) if p is not None else None)
@@ -509,13 +504,13 @@ def covariate_spec_from_config(obj) -> CovariateSpec:
 
 
 def scenario_from_config(d: dict) -> Scenario:
-    _reject_unknown(d, ("n", "covariates", "beta_W", "beta_A", "allocation",
-                        "scheme", "block_size", "stratify", "family"),
-                    "scenario")
+    reject_unknown_keys(d, ("n", "covariates", "beta_W", "beta_A",
+                            "allocation", "scheme", "block_size", "stratify",
+                            "family"), "scenario")
     strat = None
     if d.get("stratify") is not None:
         sd = d["stratify"]
-        _reject_unknown(sd, ("covariate", "threshold"), "stratify")
+        reject_unknown_keys(sd, ("covariate", "threshold"), "stratify")
         strat = StratificationRule(covariate=int(sd["covariate"]),
                                    threshold=float(sd["threshold"]))
     return Scenario(
@@ -532,17 +527,21 @@ def scenario_from_config(d: dict) -> Scenario:
     )
 
 
+def model_spec_from_config(d: dict) -> ModelSpec:
+    """{"family": ..., "covariates": [...], "heterogeneous": bool}"""
+    reject_unknown_keys(d, ("family", "covariates", "heterogeneous"), "model")
+    return ModelSpec(family=d["family"],
+                     covariates=tuple(d.get("covariates", ())),
+                     heterogeneous=bool(d.get("heterogeneous", False)))
+
+
 def method_spec_from_config(d: dict) -> MethodSpec:
-    _reject_unknown(d, ("name", "test", "model", "measure", "estimator",
-                        "correction", "sidedness", "null_value", "pi"),
-                    "method")
+    reject_unknown_keys(d, ("name", "test", "model", "measure", "estimator",
+                            "correction", "sidedness", "null_value", "pi"),
+                        "method")
     model = d.get("model", "unadjusted")
     if isinstance(model, dict):
-        _reject_unknown(model, ("family", "covariates", "heterogeneous"),
-                        "model")
-        model = ModelSpec(family=model["family"],
-                          covariates=tuple(model.get("covariates", ())),
-                          heterogeneous=bool(model.get("heterogeneous", False)))
+        model = model_spec_from_config(model)
     pi = d.get("pi")
     return MethodSpec(
         name=str(d["name"]), test=d["test"], model=model,
@@ -557,6 +556,6 @@ def method_spec_from_config(d: dict) -> MethodSpec:
 
 def methods_from_config(d) -> tuple[MethodSpec, ...]:
     if isinstance(d, dict):
-        _reject_unknown(d, ("methods",), "methods document")
+        reject_unknown_keys(d, ("methods",), "methods document")
         d = d["methods"]
     return tuple(method_spec_from_config(m) for m in d)

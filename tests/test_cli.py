@@ -19,6 +19,14 @@ from gscore.cli import main
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def run_python(*args):
+    """A fresh interpreter that imports gscore from this checkout."""
+    path = os.pathsep.join(filter(None, (os.path.join(PKG_ROOT, "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def write_yaml(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(doc, fh)
@@ -228,6 +236,29 @@ class TestSimulate:
         stdout = capsys.readouterr().out
         assert "true mu" in stdout
 
+    def test_report_methods_are_the_csv_method_columns(self, tmp_path,
+                                                       capsys):
+        """Each JSON methods entry is its CSV row's first 16 columns, in
+        order; the run-level columns after them sit at the top level."""
+        scen = write_yaml(tmp_path / "scen.yaml", scenario_doc())
+        meth = write_yaml(tmp_path / "meth.yaml", {"methods": [
+            *methods_doc()["methods"],
+            {"name": "bad", "test": "score", "measure": "ratio",
+             "model": {"family": "bernoulli-logit", "covariates": ["W9"]}}]})
+        out = tmp_path / "oc.csv"
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "20", "--seed", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        with open(tmp_path / "oc.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert len(report["methods"]) == len(rows) == 3
+        for entry, row in zip(report["methods"], rows):
+            assert list(entry) == header[:16]
+            assert [str(v) for v in entry.values()] == row[:16]
+        assert header[16:] == ["true_value", "seed", "level", "n"]
+
     def test_output_is_deterministic(self, tmp_path, capsys):
         """Same scenario, methods, reps, and seed give byte-identical
         CSV tables on repeated runs."""
@@ -324,8 +355,12 @@ class TestEntryPoint:
         assert "gscore" in capsys.readouterr().out
 
     def test_module_is_runnable(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gscore.cli", "--version"],
-            capture_output=True, text=True)
+        proc = run_python("-m", "gscore.cli", "--version")
         assert proc.returncode == 0
         assert "gscore" in proc.stdout
+
+    def test_import_leaves_scipy_stats_out(self):
+        proc = run_python("-c", "import sys, gscore.cli; "
+                          "print('scipy.stats' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -24,6 +24,7 @@ from gscore import (
     apply_correction,
     build_design,
     estimate_mu,
+    estimate_variance,
     fit,
     influence_aipw,
     influence_score,
@@ -213,6 +214,27 @@ class TestVarianceEstimators:
         fit_res = fit(design, data.outcome)
         with pytest.raises(DataError):
             var_ye(fit_res, design)
+
+
+class TestEstimateVariance:
+    """The single estimator dispatch, ending in the correction."""
+
+    @pytest.mark.parametrize("correction", ["HC0", "HC1"])
+    @pytest.mark.parametrize("estimator, expected", [
+        ("I", SIGMA_I), ("II", SIGMA_II), ("III", SIGMA_III)])
+    def test_matches_frozen_oracle(self, fixture_fit, fixture_design,
+                                   estimator, expected, correction):
+        n, p = fixture_design.n, fixture_design.p
+        scale = n / (n - p) if correction == "HC1" else 1.0
+        var = estimate_variance(fixture_fit, fixture_design, estimator,
+                                correction)
+        np.testing.assert_allclose(var.sigma, np.asarray(expected) * scale,
+                                   atol=1e-12)
+        assert (var.estimator, var.correction) == (estimator, correction)
+
+    def test_unknown_estimator_rejected(self, fixture_fit, fixture_design):
+        with pytest.raises(ValueError):
+            estimate_variance(fixture_fit, fixture_design, "IV")
 
 
 class TestVarianceDecomposition:

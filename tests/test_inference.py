@@ -19,6 +19,7 @@ from gscore import (
     VarianceEstimate,
     analyze_trial,
     effect_diff_variance,
+    run_test,
     score_test_diff,
     score_test_ratio,
     unadjusted_analysis,
@@ -454,6 +455,27 @@ class TestAnalyzeTrial:
         assert res.tests["score"].ci is None
         assert np.isfinite(res.tests["score"].statistic)
         assert res.tests["wald"].ci is not None
+
+
+class TestRunTest:
+    """The single test dispatch."""
+
+    @pytest.mark.parametrize("measure, test, func", [
+        ("difference", "wald", wald_test_diff),
+        ("difference", "score", score_test_diff),
+        ("ratio", "wald", wald_test_ratio),
+        ("ratio", "score", score_test_ratio)])
+    def test_dispatches_on_measure_and_test(self, fixture_mu_v, measure,
+                                            test, func):
+        mu, v = fixture_mu_v
+        h = Hypothesis(measure=measure,
+                       null_value=1.0 if measure == "ratio" else 0.0)
+        assert run_test(mu, v, h, test) == func(mu, v, h)
+
+    def test_unknown_test_rejected(self, fixture_mu_v):
+        mu, v = fixture_mu_v
+        with pytest.raises(ValueError):
+            run_test(mu, v, Hypothesis(measure="difference"), "lrt")
 
 
 class TestUnadjustedAnalysis:

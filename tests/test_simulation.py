@@ -412,6 +412,24 @@ class TestRunOC:
         with pytest.raises(ValueError):
             run_oc(s, methods, reps=2, seed=1)
 
+    @pytest.mark.parametrize("n, heterogeneous", [(3, False), (4, True)])
+    def test_hc1_with_p_not_below_n_rejected_before_any_trial(
+            self, monkeypatch, n, heterogeneous):
+        """p = 2 + q (2 + 2q per-arm) with q = 1 reaches n: HC1 is
+        undefined, so run_oc refuses before generating a trial."""
+        def no_trials(*args):
+            raise AssertionError("a trial was generated")
+
+        monkeypatch.setattr("gscore.simulation.generate_trial", no_trials)
+        s = Scenario(n=n, covariates=(CovariateSpec(kind="standard-normal"),),
+                     beta_W=(0.5,), beta_A=(0.0, 0.0))
+        model = ModelSpec(family="bernoulli-logit", covariates=("W1",),
+                          heterogeneous=heterogeneous)
+        methods = (MethodSpec(name="hc1", test="wald", model=model,
+                              correction="HC1"),)
+        with pytest.raises(ValueError, match="HC1 needs n > p"):
+            run_oc(s, methods, reps=2, seed=1)
+
     def test_ratio_measure_and_model_labels(self):
         s = scenario1(n=120)
         methods = (
@@ -489,6 +507,16 @@ class TestConfigParsers:
             method_spec_from_config({"name": "m", "test": "wald",
                                      "model": {"family": "bernoulli-logit",
                                                "link": "logit"}})
+
+    @pytest.mark.parametrize("field, value", [
+        ("test", "bogus"), ("measure", "odds"), ("estimator", "IV"),
+        ("correction", "HC3"), ("sidedness", "both"), ("model", "adjusted")])
+    def test_method_unknown_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            method_spec_from_config({"name": "m", "test": "wald",
+                                     field: value})
+        with pytest.raises(ValueError, match=field):
+            MethodSpec(**{"name": "m", "test": "wald", field: value})
 
     def test_methods_document_forms(self):
         lst = [{"name": "a", "test": "wald"}, {"name": "b", "test": "score"}]
