@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -173,6 +174,12 @@ class DesignMatrix:
 
     def column_labels(self) -> tuple[str, ...]:
         return tuple(t.label() for t in self.terms)
+
+    @cached_property
+    def counterfactuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (arm 1, arm 2) counterfactual designs, built once."""
+        return (_readonly(counterfactual_design(self, 1)),
+                _readonly(counterfactual_design(self, 2)))
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve
 
-from .dataset import DesignMatrix, counterfactual_design
+from .dataset import DesignMatrix
 from .errors import DataError, RankDeficiencyError
 from .glm import FittedGLM
 
@@ -94,20 +93,45 @@ class VarianceDecomposition:
 
 
 def _counterfactual_means(fit: FittedGLM, design: DesignMatrix):
-    X1 = counterfactual_design(design, 1)
-    X2 = counterfactual_design(design, 2)
-    m1 = fit.family.mean_response(fit.beta, X1)
-    m2 = fit.family.mean_response(fit.beta, X2)
-    return X1, X2, m1, m2
+    """Each subject's predictions m(beta' X_i(a)) with the arm set to a = 1
+    and a = 2, from the design's cached counterfactual designs."""
+    X1, X2 = design.counterfactuals
+    return fit.family.mean(X1 @ fit.beta), fit.family.mean(X2 @ fit.beta)
 
 
-def _arm_masks(design: DesignMatrix):
-    return design.X[:, 0] == 1.0, design.X[:, 1] == 1.0
+def _mean_gradient(fit: FittedGLM, design: DesignMatrix, m1, m2) -> np.ndarray:
+    """G, whose row a averages m'(beta' X_i(a)) X_i(a); m' from the means."""
+    d = fit.family.deriv_mu
+    return np.vstack([(X * d(m)[:, None]).mean(axis=0)
+                      for X, m in zip(design.counterfactuals, (m1, m2))])
+
+
+def _centered(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """(m1 - mean m1, m2 - mean m2) as n x 2 columns."""
+    return np.column_stack([m1 - m1.sum() / m1.size, m2 - m2.sum() / m2.size])
+
+
+def _bread_solve(fit: FittedGLM, rhs: np.ndarray) -> np.ndarray:
+    """B^{-1} rhs by one LU solve; a singular bread is rank deficiency."""
+    if not (np.isfinite(fit.bread).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    try:
+        return np.linalg.solve(fit.bread, rhs)
+    except np.linalg.LinAlgError:
+        raise RankDeficiencyError("bread matrix is singular") from None
+
+
+def _cov(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sample covariance (n-1 divisor) of the columns of u and v."""
+    n = u.shape[0]
+    du = u - u.sum(axis=0) / n
+    dv = du if v is u else v - v.sum(axis=0) / n
+    return du.T @ dv / (n - 1)
 
 
 def _resolve_pi(design: DesignMatrix, pi) -> np.ndarray:
     if pi is None:
-        out = np.array([design.X[:, 0].mean(), design.X[:, 1].mean()])
+        out = design.X[:, :2].mean(axis=0)
     else:
         out = np.asarray(pi, dtype=float)
         if out.shape != (2,):
@@ -124,7 +148,7 @@ def _resolve_pi(design: DesignMatrix, pi) -> np.ndarray:
 
 def estimate_mu(fit: FittedGLM, design: DesignMatrix) -> MuEstimate:
     """Average each subject's predictions under both arm settings."""
-    _, _, m1, m2 = _counterfactual_means(fit, design)
+    m1, m2 = _counterfactual_means(fit, design)
     return MuEstimate(mu=np.array([m1.mean(), m2.mean()]), n=design.n)
 
 
@@ -135,18 +159,10 @@ def influence_score(fit: FittedGLM, design: DesignMatrix) -> InfluenceMatrix:
     with gbar_a the average of m'(beta' X_j(a)) X_j(a).  B^{-1} is applied
     through a linear solve, never formed.
     """
-    X1, X2, m1, m2 = _counterfactual_means(fit, design)
-    w1 = fit.family.mean_derivative(fit.beta, X1)
-    w2 = fit.family.mean_derivative(fit.beta, X2)
-    G = np.vstack([(X1 * w1[:, None]).mean(axis=0),
-                   (X2 * w2[:, None]).mean(axis=0)])
-    try:
-        C = solve(fit.bread, G.T, assume_a="sym")
-    except np.linalg.LinAlgError:
-        raise RankDeficiencyError("bread matrix is singular") from None
-    proj = design.X @ C  # n x 2, column a is gbar_a' B^{-1} X_i
-    values = proj * fit.residuals[:, None] + np.column_stack(
-        [m1 - m1.mean(), m2 - m2.mean()])
+    m1, m2 = _counterfactual_means(fit, design)
+    G = _mean_gradient(fit, design, m1, m2)
+    proj = design.X @ _bread_solve(fit, G.T)  # n x 2, column a is gbar_a' B^{-1} X_i
+    values = proj * fit.residuals[:, None] + _centered(m1, m2)
     return InfluenceMatrix(values=values, kind="score")
 
 
@@ -158,12 +174,9 @@ def influence_aipw(fit: FittedGLM, design: DesignMatrix,
     ``pi`` defaults to the empirical arm proportions; pass a fixed pair
     to use design allocation probabilities instead.
     """
-    _, _, m1, m2 = _counterfactual_means(fit, design)
+    m1, m2 = _counterfactual_means(fit, design)
     pi = _resolve_pi(design, pi)
-    values = np.column_stack([
-        design.X[:, 0] / pi[0] * fit.residuals + m1 - m1.mean(),
-        design.X[:, 1] / pi[1] * fit.residuals + m2 - m2.mean(),
-    ])
+    values = design.X[:, :2] / pi * fit.residuals[:, None] + _centered(m1, m2)
     return InfluenceMatrix(values=values, kind="aipw")
 
 
@@ -172,7 +185,7 @@ def var_from_influence(infl: InfluenceMatrix) -> VarianceEstimate:
     n = infl.values.shape[0]
     if n < 2:
         raise DataError("need at least 2 subjects for a sample covariance")
-    sigma = np.cov(infl.values.T, ddof=1) / n
+    sigma = _cov(infl.values, infl.values) / n
     return VarianceEstimate(sigma=sigma, n=n, correction="HC0",
                             estimator="I" if infl.kind == "score" else "II")
 
@@ -190,24 +203,22 @@ def var_ye(fit: FittedGLM, design: DesignMatrix, pi=None) -> VarianceEstimate:
     All moments use the n-1 divisor.  ``pi`` defaults to empirical arm
     proportions; a fixed allocation pair is accepted.
     """
-    _, _, m1, m2 = _counterfactual_means(fit, design)
+    m1, m2 = _counterfactual_means(fit, design)
     pi = _resolve_pi(design, pi)
-    in1, in2 = _arm_masks(design)
+    in1, in2 = design.X[:, 0] == 1.0, design.X[:, 1] == 1.0
     if in1.sum() < 2 or in2.sum() < 2:
         raise DataError("need at least 2 subjects per arm for conditional moments")
     y = fit.fitted + fit.residuals
     n = design.n
 
-    def cov(u, v):
-        return float(np.cov(u, v, ddof=1)[0, 1])
-
     sigma = np.empty((2, 2))
     for a, mask, ma in ((0, in1, m1), (1, in2, m2)):
-        sigma[a, a] = (np.var(y[mask] - fit.fitted[mask], ddof=1) / (n * pi[a])
-                       + 2.0 / n * cov(y[mask], fit.fitted[mask])
-                       - np.var(ma, ddof=1) / n)
-    off = (cov(y[in1], m2[in1]) / n + cov(y[in2], m1[in2]) / n
-           - cov(m1, m2) / n)
+        r = y[mask] - fit.fitted[mask]
+        sigma[a, a] = (_cov(r, r) / (n * pi[a])
+                       + 2.0 / n * _cov(y[mask], fit.fitted[mask])
+                       - _cov(ma, ma) / n)
+    off = (_cov(y[in1], m2[in1]) / n + _cov(y[in2], m1[in2]) / n
+           - _cov(m1, m2) / n)
     sigma[0, 1] = sigma[1, 0] = off
     return VarianceEstimate(sigma=sigma, estimator="III", correction="HC0", n=n)
 
@@ -228,22 +239,15 @@ def variance_decomposition(fit: FittedGLM, design: DesignMatrix,
     """
     if ddof not in (0, 1):
         raise ValueError(f"ddof must be 0 or 1, got {ddof!r}")
-    X1, X2, m1, m2 = _counterfactual_means(fit, design)
+    m1, m2 = _counterfactual_means(fit, design)
+    G = _mean_gradient(fit, design, m1, m2)
     X = design.X
     n = design.n
-    w1 = fit.family.mean_derivative(fit.beta, X1)
-    w2 = fit.family.mean_derivative(fit.beta, X2)
-    G = np.vstack([(X1 * w1[:, None]).mean(axis=0),
-                   (X2 * w2[:, None]).mean(axis=0)])
     M = (X * fit.residuals[:, None] ** 2).T @ X / n
-    try:
-        BinvM = solve(fit.bread, M, assume_a="sym")
-        sigma_beta = solve(fit.bread, BinvM.T, assume_a="sym").T / n
-        psi_beta = solve(fit.bread, (X * fit.residuals[:, None]).T,
-                         assume_a="sym").T
-    except np.linalg.LinAlgError:
-        raise RankDeficiencyError("bread matrix is singular") from None
-    mt = np.column_stack([m1 - m1.mean(), m2 - m2.mean()])
+    BinvM = _bread_solve(fit, M)
+    sigma_beta = _bread_solve(fit, BinvM.T).T / n
+    psi_beta = _bread_solve(fit, (X * fit.residuals[:, None]).T).T
+    mt = _centered(m1, m2)
     scale = n / (n - ddof)
     beta_term = G @ sigma_beta @ G.T * scale
     covariate_term = mt.T @ mt / n / n * scale

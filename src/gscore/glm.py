@@ -15,11 +15,13 @@ function beyond m' appears anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.special import expit, logit
 
 from .dataset import DesignMatrix
@@ -31,7 +33,11 @@ from .errors import (
 )
 
 _WEIGHT_FLOOR = 1e-12
-_SEPARATION_NORM = 30.0
+_EPS = np.finfo(float).eps
+
+# What scipy.linalg.qr(pivoting=True) and solve_triangular call, called
+# directly: at trial sizes their wrappers cost more than the arithmetic.
+_GEQP3, _TRTRS = get_lapack_funcs(("geqp3", "trtrs"), (np.empty((1, 1)),))
 
 
 # ------------------------------------------------------------------ #
@@ -41,55 +47,51 @@ _SEPARATION_NORM = 30.0
 
 @dataclass(frozen=True)
 class Family:
-    """Canonical family: mean function m and its derivative."""
+    """Canonical family: mean m, its derivative m' of eta and (canonical
+    links allow it) of the mean, and the rules that differ by family:
+    outcomes names and tests the valid outcomes (None: any); loglik is up
+    to terms free of beta; initial_intercept is link(arm mean), clipped
+    to stay finite; a max |beta| above separation_norm is separation.
+    """
 
     name: str
     mean: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-
-    def mean_response(self, beta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """m(beta' X_i) for every row of X."""
-        return self.mean(np.asarray(X) @ beta)
-
-    def mean_derivative(self, beta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """m'(beta' X_i) for every row of X."""
-        return self.deriv(np.asarray(X) @ beta)
+    deriv_mu: Callable[[np.ndarray], np.ndarray]
+    outcomes: tuple[str, Callable[[np.ndarray], np.ndarray]] | None
+    loglik: Callable[[np.ndarray, np.ndarray], float]
+    initial_intercept: Callable[[float], float]
+    separation_norm: float = np.inf
 
     def validate_outcome(self, y: np.ndarray) -> None:
-        if self.name == "bernoulli-logit":
-            if not np.isin(y, (0.0, 1.0)).all():
-                raise DataError("bernoulli-logit requires 0/1 outcomes")
-        elif self.name == "poisson-log":
-            if (y < 0).any():
-                raise DataError("poisson-log requires nonnegative outcomes")
-
-    def loglik(self, y: np.ndarray, eta: np.ndarray) -> float:
-        """Log-likelihood up to terms free of beta (enough for monotonicity)."""
-        if self.name == "bernoulli-logit":
-            return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-        if self.name == "poisson-log":
-            return float(np.sum(y * eta - np.exp(eta)))
-        return float(-0.5 * np.sum((y - eta) ** 2))
-
-    def initial_intercept(self, ybar: float) -> float:
-        """link(arm mean), clipped so the transform is finite."""
-        if self.name == "bernoulli-logit":
-            return float(logit(np.clip(ybar, 1e-6, 1 - 1e-6)))
-        if self.name == "poisson-log":
-            return float(np.log(max(ybar, 1e-6)))
-        return float(ybar)
+        if self.outcomes is not None and not self.outcomes[1](y).all():
+            raise DataError(f"{self.name} requires {self.outcomes[0]} outcomes")
 
 
 BERNOULLI_LOGIT = Family(
     "bernoulli-logit",
     mean=expit,
     deriv=lambda eta: expit(eta) * (1.0 - expit(eta)),
+    deriv_mu=lambda mu: mu * (1.0 - mu),
+    outcomes=("0/1", lambda y: (y == 0.0) | (y == 1.0)),
+    loglik=lambda y, eta: float((y * eta - np.logaddexp(0.0, eta)).sum()),
+    initial_intercept=lambda ybar: float(logit(np.clip(ybar, 1e-6, 1 - 1e-6))),
+    separation_norm=30.0,
 )
-POISSON_LOG = Family("poisson-log", mean=np.exp, deriv=np.exp)
+POISSON_LOG = Family(
+    "poisson-log", mean=np.exp, deriv=np.exp, deriv_mu=np.asarray,
+    outcomes=("nonnegative", lambda y: ~(y < 0)),
+    loglik=lambda y, eta: float((y * eta - np.exp(eta)).sum()),
+    initial_intercept=lambda ybar: float(np.log(max(ybar, 1e-6))),
+)
 GAUSSIAN_IDENTITY = Family(
     "gaussian-identity",
     mean=np.asarray,
     deriv=lambda eta: np.ones_like(np.asarray(eta, dtype=float)),
+    deriv_mu=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
+    outcomes=None,
+    loglik=lambda y, eta: float(-0.5 * ((y - eta) ** 2).sum()),
+    initial_intercept=float,
 )
 
 _FAMILIES = {f.name: f for f in (BERNOULLI_LOGIT, POISSON_LOG, GAUSSIAN_IDENTITY)}
@@ -98,12 +100,10 @@ _FAMILIES = {f.name: f for f in (BERNOULLI_LOGIT, POISSON_LOG, GAUSSIAN_IDENTITY
 def resolve_family(family: str | Family) -> Family:
     if isinstance(family, Family):
         return family
-    try:
-        return _FAMILIES[family]
-    except KeyError:
-        raise DataError(
-            f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}"
-        ) from None
+    if family not in _FAMILIES:
+        raise DataError(f"unknown family {family!r}; expected one of "
+                        f"{sorted(_FAMILIES)}")
+    return _FAMILIES[family]
 
 
 # ------------------------------------------------------------------ #
@@ -129,45 +129,44 @@ class FittedGLM:
     family: Family
     column_labels: tuple[str, ...]
 
-    @property
-    def n(self) -> int:
-        return self.fitted.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.beta.shape[0]
-
-
-def _design_parts(design) -> tuple[np.ndarray, tuple[str, ...]]:
-    if isinstance(design, DesignMatrix):
-        return design.X, design.column_labels()
-    X = np.asarray(design, dtype=float)
-    return X, tuple(f"x{j}" for j in range(X.shape[1]))
+@lru_cache(maxsize=None)
+def _geqp3_lwork(p: int) -> int:
+    """Optimal geqp3 workspace; LAPACK sizes it from the column count."""
+    return int(_GEQP3(np.empty((p, p), order="F"), lwork=-1)[3][0])
 
 
 def _solve_newton(X, w, score, labels):
     """delta solving (X' diag(w) X) delta = score, via pivoted QR."""
-    A = np.sqrt(w)[:, None] * X
-    r_mat, piv = qr(A, mode="r", pivoting=True)
-    R = r_mat[: X.shape[1], :]
-    diag = np.abs(np.diag(R))
-    rank_tol = (diag[0] if diag.size else 0.0) * max(A.shape) * np.finfo(float).eps
-    rank = int(np.sum(diag > rank_tol))
-    if rank < X.shape[1]:
+    n, p = X.shape
+    A = np.multiply(np.sqrt(w)[:, None], X, order="F")
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    qr, piv, _, _, info = _GEQP3(A, lwork=_geqp3_lwork(p), overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of geqp3")
+    piv -= 1
+    diag = np.abs(qr.diagonal())
+    rank_tol = (diag[0] if diag.size else 0.0) * max(n, p) * _EPS
+    rank = int(np.count_nonzero(diag > rank_tol))
+    if rank < p:
         dependent = tuple(labels[j] for j in piv[rank:])
         raise RankDeficiencyError(
-            f"design is rank deficient (rank {rank} of {X.shape[1]}); "
+            f"design is rank deficient (rank {rank} of {p}); "
             f"dependent columns: {list(dependent)}", columns=dependent)
-    sp = score[piv]
-    u = solve_triangular(R, sp, trans="T", lower=False)
-    dp = solve_triangular(R, u, lower=False)
+    Rt = qr[:p].T  # lower triangle is R'; solve_triangular's two calls:
+    u, info_u = _TRTRS(Rt, score[piv], lower=1, trans=0)  # R' u = score
+    dp, info_d = _TRTRS(Rt, u, lower=1, trans=1)  # R dp = u
+    if info_u or info_d:
+        raise np.linalg.LinAlgError("singular triangular factor")
     delta = np.empty_like(dp)
     delta[piv] = dp
     return delta
 
 
-def fit(design, y: np.ndarray, family: str | Family | None = None, *,
-        tol: float = 1e-10, max_iter: int = 50) -> FittedGLM:
+def fit(design: DesignMatrix, y: np.ndarray,
+        family: str | Family | None = None, *, tol: float = 1e-10,
+        max_iter: int = 50) -> FittedGLM:
     """Fit the working model by IRLS; raises rather than returning junk.
 
     Initialization puts each arm indicator at link(its arm's mean
@@ -177,7 +176,7 @@ def fit(design, y: np.ndarray, family: str | Family | None = None, *,
     """
     fam = resolve_family(family if family is not None
                          else design.spec.family)
-    X, labels = _design_parts(design)
+    X, labels = design.X, design.column_labels()
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if y.shape != (n,):
@@ -204,9 +203,9 @@ def fit(design, y: np.ndarray, family: str | Family | None = None, *,
             raise NonConvergenceError(
                 "score became non-finite", beta=beta, score_norm=float("nan"),
                 iterations=it)
-        snorm = float(np.max(np.abs(score))) if p else 0.0
+        snorm = float(np.abs(score).max()) if p else 0.0
         if snorm <= tol:
-            w = fam.deriv(eta)
+            w = fam.deriv_mu(mu)
             bread = (X * w[:, None]).T @ X / n
             return FittedGLM(
                 beta=beta, bread=bread, fitted=mu, residuals=resid,
@@ -214,20 +213,20 @@ def fit(design, y: np.ndarray, family: str | Family | None = None, *,
                 family=fam, column_labels=labels)
         if it == max_iter:
             break
-        w = np.maximum(fam.deriv(eta), _WEIGHT_FLOOR)
+        w = np.maximum(fam.deriv_mu(mu), _WEIGHT_FLOOR)
         delta = _solve_newton(X, w, score, labels)
         step = 1.0
         for _ in range(30):
             cand = beta + step * delta
             eta_c = X @ cand
             ll_c = fam.loglik(y, eta_c)
-            if np.isfinite(ll_c) and ll_c >= ll - 1e-12 * (1.0 + abs(ll)):
+            if math.isfinite(ll_c) and ll_c >= ll - 1e-12 * (1.0 + abs(ll)):
                 break
             step *= 0.5
         beta, eta, ll = cand, eta_c, ll_c
-        if fam.name == "bernoulli-logit" and np.max(np.abs(beta)) > _SEPARATION_NORM:
+        if np.abs(beta).max() > fam.separation_norm:
             raise SeparationError(
-                f"coefficients diverged (max |beta| > {_SEPARATION_NORM:g}); "
+                f"coefficients diverged (max |beta| > {fam.separation_norm:g}); "
                 "data are separated or nearly so")
     raise NonConvergenceError(
         f"no convergence in {max_iter} iterations (max-abs score {snorm:.3e})",

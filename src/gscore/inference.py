@@ -23,7 +23,8 @@ from ``gcomp.estimate_variance`` and the requested tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import chdtrc, gammaincinv, ndtr, ndtri
@@ -58,6 +59,16 @@ class Hypothesis:
         if self.measure == "ratio" and self.null_value <= 0.0:
             raise ValueError("ratio null value must be positive")
 
+    @cached_property
+    def chi2_quantile(self) -> float:
+        """c: the ``level`` quantile of chi-square-1."""
+        return float(2.0 * gammaincinv(0.5, self.level))
+
+    @cached_property
+    def z_quantile(self) -> float:
+        """The standard normal quantile at 0.5 + level/2 (two-sided)."""
+        return ndtri(0.5 + self.level / 2)
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -79,23 +90,14 @@ class TestResult:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "measure": self.measure,
-            "estimate": self.estimate,
-            "statistic": self.statistic,
-            "distribution": self.distribution,
-            "p_value": self.p_value,
-            "ci": list(self.ci) if self.ci is not None else None,
-            "null_value": self.null_value,
-            "level": self.level,
-            "sidedness": self.sidedness,
-            "variance": {"estimator": self.variance_tag[0],
-                         "correction": self.variance_tag[1]},
-            "n": self.n,
-            "se": self.se,
-            "meta": dict(self.meta),
-        }
+        """Every field in declaration order, variance_tag as "variance"."""
+        d = {"variance" if f.name == "variance_tag" else f.name:
+             getattr(self, f.name) for f in fields(self)}
+        d["ci"] = list(self.ci) if self.ci is not None else None
+        d["variance"] = {"estimator": self.variance_tag[0],
+                         "correction": self.variance_tag[1]}
+        d["meta"] = dict(self.meta)
+        return d
 
 
 # Distribution functions come from scipy.special, bit for bit what the
@@ -126,6 +128,12 @@ def effect_diff_variance(v: VarianceEstimate) -> float:
     return max(float(s[1, 1] - 2.0 * s[1, 0] + s[0, 0]), 0.0)
 
 
+def _tagged(h: Hypothesis, v: VarianceEstimate) -> dict:
+    """TestResult fields that echo the hypothesis and the variance."""
+    return dict(null_value=h.null_value, level=h.level, sidedness=h.sidedness,
+                variance_tag=(v.estimator, v.correction), n=v.n)
+
+
 def wald_test_diff(mu: MuEstimate, v: VarianceEstimate,
                    h: Hypothesis) -> TestResult:
     """Wald chi-square for the difference, symmetric interval."""
@@ -136,13 +144,11 @@ def wald_test_diff(mu: MuEstimate, v: VarianceEstimate,
     stat = 0.0 if dev == 0.0 else (np.inf if sd2 == 0.0 else dev ** 2 / sd2)
     z = np.sign(dev) * np.sqrt(stat)
     p = _one_sided_p(z, h.sidedness, _chi2_sf(stat))
-    zq = ndtri(0.5 + h.level / 2)
+    zq = h.z_quantile
     return TestResult(
         method="wald", measure="difference", estimate=diff,
         statistic=float(stat), distribution="chi-square-1", p_value=p,
-        ci=(diff - zq * sd, diff + zq * sd), null_value=h.null_value,
-        level=h.level, sidedness=h.sidedness,
-        variance_tag=(v.estimator, v.correction), n=v.n, se=float(sd))
+        ci=(diff - zq * sd, diff + zq * sd), se=float(sd), **_tagged(h, v))
 
 
 def score_test_diff(mu: MuEstimate, v: VarianceEstimate,
@@ -162,24 +168,17 @@ def score_test_diff(mu: MuEstimate, v: VarianceEstimate,
     stat = 0.0 if dev == 0.0 else dev ** 2 / denom
     z = np.sign(dev) * np.sqrt(stat)
     p = _one_sided_p(z, h.sidedness, _chi2_sf(stat))
-    c = float(2.0 * gammaincinv(0.5, h.level))
+    c = h.chi2_quantile
     partial = TestResult(
         method="score", measure="difference", estimate=diff,
         statistic=float(stat), distribution="chi-square-1", p_value=p,
-        ci=None, null_value=h.null_value, level=h.level,
-        sidedness=h.sidedness, variance_tag=(v.estimator, v.correction),
-        n=n, se=float(sd))
+        ci=None, se=float(sd), **_tagged(h, v))
     if n <= c:
         raise IntervalUndefinedError(
             f"score interval needs n > {c:.4g}, got n={n}",
             result=partial, diagnostics={"n": n, "critical": c})
     half = sd * np.sqrt(c / (1.0 - c / n))
-    return TestResult(
-        method="score", measure="difference", estimate=diff,
-        statistic=float(stat), distribution="chi-square-1", p_value=p,
-        ci=(diff - half, diff + half), null_value=h.null_value,
-        level=h.level, sidedness=h.sidedness,
-        variance_tag=(v.estimator, v.correction), n=n, se=float(sd))
+    return replace(partial, ci=(diff - half, diff + half))
 
 
 def wald_test_ratio(mu: MuEstimate, v: VarianceEstimate,
@@ -197,15 +196,13 @@ def wald_test_ratio(mu: MuEstimate, v: VarianceEstimate,
     dev = np.log(ratio) - np.log(h.null_value)
     z = 0.0 if dev == 0.0 else (np.sign(dev) * np.inf if ls == 0.0 else dev / ls)
     p = _one_sided_p(z, h.sidedness, float(2.0 * ndtr(-abs(z))))
-    zq = ndtri(0.5 + h.level / 2)
+    zq = h.z_quantile
     return TestResult(
         method="wald", measure="ratio", estimate=float(ratio),
         statistic=float(z), distribution="standard-normal", p_value=p,
         ci=(float(np.exp(np.log(ratio) - zq * ls)),
             float(np.exp(np.log(ratio) + zq * ls))),
-        null_value=h.null_value, level=h.level, sidedness=h.sidedness,
-        variance_tag=(v.estimator, v.correction), n=v.n, se=float(ls),
-        meta={"scale": "log"})
+        se=float(ls), meta={"scale": "log"}, **_tagged(h, v))
 
 
 def score_test_ratio(mu: MuEstimate, v: VarianceEstimate,
@@ -234,9 +231,8 @@ def score_test_ratio(mu: MuEstimate, v: VarianceEstimate,
     partial = TestResult(
         method="score", measure="ratio", estimate=float(ratio),
         statistic=float(stat), distribution="chi-square-1", p_value=p,
-        ci=None, null_value=d0, level=h.level, sidedness=h.sidedness,
-        variance_tag=(v.estimator, v.correction), n=n)
-    c = float(2.0 * gammaincinv(0.5, h.level))
+        ci=None, **_tagged(h, v))
+    c = h.chi2_quantile
     den = 1.0 - c * (s[0, 0] / mu.mu1 ** 2 + 1.0 / n)
     if den <= 0.0:
         raise IntervalUndefinedError(
@@ -253,13 +249,9 @@ def score_test_ratio(mu: MuEstimate, v: VarianceEstimate,
             diagnostics={"a": float(a), "b": float(b),
                          "discriminant": float(disc)})
     root = np.sqrt(disc)
-    return TestResult(
-        method="score", measure="ratio", estimate=float(ratio),
-        statistic=float(stat), distribution="chi-square-1", p_value=p,
-        ci=(float(ratio * (a - root)), float(ratio * (a + root))),
-        null_value=d0, level=h.level, sidedness=h.sidedness,
-        variance_tag=(v.estimator, v.correction), n=n,
-        meta={"a": float(a), "b": float(b)})
+    return replace(partial,
+                   ci=(float(ratio * (a - root)), float(ratio * (a + root))),
+                   meta={"a": float(a), "b": float(b)})
 
 
 # ------------------------------------------------------------------ #

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -148,6 +148,12 @@ class MethodSpec:
                 and self.model != "unadjusted":
             raise ValueError(f"method {self.name!r}: model must be a "
                              f"ModelSpec or 'unadjusted', got {self.model!r}")
+        if self.pi is not None:
+            pi = tuple(map(float, self.pi))
+            if len(pi) != 2 or not all(0.0 < x < 1.0 for x in pi):
+                raise ValueError(f"method {self.name!r}: pi must be a pair "
+                                 f"of floats in (0, 1), got {self.pi!r}")
+            object.__setattr__(self, "pi", pi)
 
     def resolved_null(self) -> float:
         if self.null_value is not None:
@@ -388,20 +394,23 @@ def _analyze_rep(data: TrialDataset, plan):
 
     Coverage is recorded as interval endpoints so the caller can compare
     against truth; a method failing to fit or to produce an interval is
-    marked failed and contributes nothing else.
+    marked failed and contributes nothing else.  Methods whose inputs agree
+    share fits, arm means and variances; a failure is retried, not cached.
     """
-    fits = {}
+    fits, variances = {}, {}
     out = []
     for m, spec, h, thr in plan:
         try:
             if spec not in fits:
                 design = build_design(data, spec)
-                fits[spec] = (design, fit_glm(design, data.outcome))
-            design, fitted = fits[spec]
-            mu = estimate_mu(fitted, design)
-            v = estimate_variance(fitted, design, m.estimator, m.correction,
-                                  m.pi)
-            result = run_test(mu, v, h, m.test)
+                fitted = fit_glm(design, data.outcome)
+                fits[spec] = (design, fitted, estimate_mu(fitted, design))
+            design, fitted, mu = fits[spec]
+            key = (spec, m.estimator, m.correction, m.pi)
+            if key not in variances:
+                variances[key] = estimate_variance(
+                    fitted, design, m.estimator, m.correction, m.pi)
+            result = run_test(mu, variances[key], h, m.test)
             out.append((result.estimate, result.p_value <= thr,
                         result.ci[0], result.ci[1], False))
         except GScoreError:
@@ -425,6 +434,8 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
     ``workers`` value (default: the GSCORE_WORKERS environment variable,
     else serial).
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     methods = tuple(methods)
     if len({m.name for m in methods}) != len(methods):
         raise ValueError("method names must be unique")
@@ -447,11 +458,8 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
 
     summaries = []
     for j, m in enumerate(methods):
-        est = np.array([all_records[r][j][0] for r in range(reps)])
-        rej = np.array([all_records[r][j][1] for r in range(reps)])
-        lo = np.array([all_records[r][j][2] for r in range(reps)])
-        hi = np.array([all_records[r][j][3] for r in range(reps)])
-        failed = np.array([all_records[r][j][4] for r in range(reps)])
+        est, rej, lo, hi, failed = map(
+            np.array, zip(*(rec[j] for rec in all_records)))
         ok = ~failed
         n_used = int(ok.sum())
         tv = truth[m.measure]
@@ -536,22 +544,12 @@ def model_spec_from_config(d: dict) -> ModelSpec:
 
 
 def method_spec_from_config(d: dict) -> MethodSpec:
-    reject_unknown_keys(d, ("name", "test", "model", "measure", "estimator",
-                            "correction", "sidedness", "null_value", "pi"),
-                        "method")
+    """MethodSpec's fields as keys, its defaults for the absent ones."""
+    reject_unknown_keys(d, [f.name for f in fields(MethodSpec)], "method")
     model = d.get("model", "unadjusted")
     if isinstance(model, dict):
         model = model_spec_from_config(model)
-    pi = d.get("pi")
-    return MethodSpec(
-        name=str(d["name"]), test=d["test"], model=model,
-        measure=d.get("measure", "difference"),
-        estimator=d.get("estimator", "I"),
-        correction=d.get("correction", "HC0"),
-        sidedness=d.get("sidedness", "greater"),
-        null_value=d.get("null_value"),
-        pi=tuple(float(x) for x in pi) if pi is not None else None,
-    )
+    return MethodSpec(**{**d, "name": str(d["name"]), "model": model})
 
 
 def methods_from_config(d) -> tuple[MethodSpec, ...]:

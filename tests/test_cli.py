@@ -293,6 +293,14 @@ class TestSimulate:
         with open(out, newline="", encoding="utf-8") as fh:
             assert len(list(csv.DictReader(fh))) == 6
 
+    def test_zero_reps_exits_2(self, tmp_path, capsys):
+        scen = write_yaml(tmp_path / "scen.yaml", scenario_doc())
+        meth = write_yaml(tmp_path / "meth.yaml", methods_doc())
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "0", "--seed", "1",
+                     "--out", str(tmp_path / "oc.csv")]) == 2
+        assert "reps must be at least 1" in capsys.readouterr().err
+
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
         scen = write_yaml(tmp_path / "scen.yaml",
                           {**scenario_doc(), "reps": 100})

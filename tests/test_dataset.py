@@ -203,6 +203,20 @@ class TestCounterfactual:
                 rows = data.arm == a
                 np.testing.assert_array_equal(Xa[rows], d.X[rows])
 
+    @pytest.mark.parametrize("heterogeneous", [False, True])
+    def test_cached_pair_read_only_and_built_once(self, heterogeneous):
+        d = build_design(two_subject_data(),
+                         ModelSpec("bernoulli-logit", ("w",),
+                                   heterogeneous=heterogeneous))
+        X1, X2 = d.counterfactuals
+        assert d.counterfactuals[0] is X1 and d.counterfactuals[1] is X2
+        for a, Xa in ((1, X1), (2, X2)):
+            np.testing.assert_array_equal(Xa, counterfactual_design(d, a))
+            assert not Xa.flags.writeable
+            with pytest.raises(ValueError):
+                Xa[0, 0] = 7.0
+        assert counterfactual_design(d, 1).flags.writeable
+
     def test_counterfactual_does_not_mutate_design(self, fixture_design):
         before = fixture_design.X.copy()
         counterfactual_design(fixture_design, 2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from frozen_values import (
 from gscore import (
     DataError,
     ModelSpec,
+    RankDeficiencyError,
     TrialDataset,
     VarianceEstimate,
     apply_correction,
@@ -214,6 +217,24 @@ class TestVarianceEstimators:
         fit_res = fit(design, data.outcome)
         with pytest.raises(DataError):
             var_ye(fit_res, design)
+
+
+class TestSingularBread:
+    """Estimator I and the decomposition solve against the bread; an
+    exactly singular one is rank deficiency, never NaNs or a bare
+    LinAlgError."""
+
+    @pytest.mark.parametrize("bread", ["zeros", "ones"])
+    @pytest.mark.parametrize("call", [
+        lambda f, d: estimate_variance(f, d, "I"),
+        lambda f, d: influence_score(f, d),
+        lambda f, d: variance_decomposition(f, d)])
+    def test_raises_rank_deficiency(self, fixture_fit, fixture_design,
+                                    bread, call):
+        p = fixture_design.p
+        singular = replace(fixture_fit, bread=getattr(np, bread)((p, p)))
+        with pytest.raises(RankDeficiencyError, match="singular"):
+            call(singular, fixture_design)
 
 
 class TestEstimateVariance:

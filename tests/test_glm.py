@@ -34,6 +34,16 @@ class TestFamilies:
         np.testing.assert_allclose(GAUSSIAN_IDENTITY.mean(eta), eta)
         np.testing.assert_allclose(GAUSSIAN_IDENTITY.deriv(eta), np.ones(3))
 
+    @pytest.mark.parametrize("family", [BERNOULLI_LOGIT, POISSON_LOG,
+                                        GAUSSIAN_IDENTITY])
+    def test_derivative_from_mean_is_deriv_bit_for_bit(self, family):
+        """IRLS weights come from the fitted means; they must be exactly
+        the derivative of eta that the fit used to take."""
+        eta = np.concatenate([np.linspace(-35.0, 35.0, 7001),
+                              np.random.default_rng(8).normal(0, 3, 1000)])
+        np.testing.assert_array_equal(family.deriv_mu(family.mean(eta)),
+                                      family.deriv(eta))
+
     def test_resolve_by_name_and_instance(self):
         assert resolve_family("poisson-log") is POISSON_LOG
         assert resolve_family(POISSON_LOG) is POISSON_LOG

@@ -58,6 +58,17 @@ class TestHypothesis:
         with pytest.raises(ValueError):
             Hypothesis(measure="ratio", null_value=-1.0)
 
+    @pytest.mark.parametrize("level", [0.8, 0.95, 0.99])
+    def test_critical_values_computed_once(self, level):
+        """The quantiles are the chi-square-1 and normal ones, and stay
+        on the hypothesis after the first use."""
+        h = Hypothesis(measure="difference", level=level)
+        assert h.chi2_quantile == pytest.approx(chi2.ppf(level, 1),
+                                                rel=1e-14)
+        assert h.z_quantile == pytest.approx(norm.ppf(0.5 + level / 2),
+                                             rel=1e-14)
+        assert {"chi2_quantile", "z_quantile"} <= set(vars(h))
+
 
 class TestEffectDiffVariance:
     """Plug-in variance of the difference."""

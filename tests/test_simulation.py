@@ -430,6 +430,17 @@ class TestRunOC:
         with pytest.raises(ValueError, match="HC1 needs n > p"):
             run_oc(s, methods, reps=2, seed=1)
 
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_reps_below_one_rejected_before_any_trial(self, monkeypatch,
+                                                      reps):
+        def no_trials(*args):
+            raise AssertionError("a trial was generated")
+
+        monkeypatch.setattr("gscore.simulation.generate_trial", no_trials)
+        methods = (MethodSpec(name="m", test="wald"),)
+        with pytest.raises(ValueError, match="reps must be at least 1"):
+            run_oc(scenario1(n=60), methods, reps=reps, seed=1)
+
     def test_ratio_measure_and_model_labels(self):
         s = scenario1(n=120)
         methods = (
@@ -444,6 +455,62 @@ class TestRunOC:
         assert m.model == "bernoulli-logit:W1+W2+W3"
         assert res.methods[1].model == "unadjusted"
         assert res.methods[1].null_value == 0.0
+
+
+_W123 = ModelSpec("bernoulli-logit", ("W1", "W2", "W3"))
+PINNED_METHODS = (
+    MethodSpec("unadj-wald", "wald"),
+    MethodSpec("unadj-score-ratio", "score", measure="ratio"),
+    MethodSpec("I-score-diff", "score", _W123, estimator="I"),
+    MethodSpec("II-score-diff", "score", _W123, estimator="II",
+               pi=(0.5, 0.5)),
+    MethodSpec("III-wald-diff", "wald", _W123, estimator="III",
+               correction="HC1", sidedness="two-sided"),
+    MethodSpec("I-wald-ratio", "wald", _W123, measure="ratio"),
+    MethodSpec("I-score-ratio", "score", _W123, measure="ratio"),
+    MethodSpec("II-score-ratio", "score", _W123, measure="ratio",
+               estimator="II"),
+    MethodSpec("III-score-ratio", "score", _W123, measure="ratio",
+               estimator="III"),
+    MethodSpec("S-score-III-ratio", "score",
+               ModelSpec("bernoulli-logit", ("S",)), measure="ratio",
+               estimator="III"),
+)
+# (name, n_failed, rejections, covered, mean_estimate) over 150 reps of
+# the stratified n = 40 scenario below, seed 3.  Every failure here is an
+# undefined score ratio interval.  Numerical rewrites of the fit,
+# variance or test kernels must leave these tallies exactly as they are.
+PINNED_TALLIES = (
+    ("unadj-wald", 0, 29, 143, 0.15971826029720768),
+    ("unadj-score-ratio", 20, 11, 127, 1.5183470706403037),
+    ("I-score-diff", 0, 32, 138, 0.16393880555412058),
+    ("II-score-diff", 0, 35, 137, 0.16393880555412058),
+    ("III-wald-diff", 0, 31, 139, 0.16393880555412058),
+    ("I-wald-ratio", 0, 20, 143, 1.8253175872590244),
+    ("I-score-ratio", 19, 16, 123, 1.5551921720138944),
+    ("II-score-ratio", 20, 16, 123, 1.5399664040730214),
+    ("III-score-ratio", 21, 14, 122, 1.5364118923071552),
+    ("S-score-III-ratio", 19, 12, 127, 1.5254827001246012),
+)
+
+
+class TestRunOCPinned:
+    """Exact OC tallies on a small stratified scenario covering every
+    estimator, both measures and both tests."""
+
+    def test_tallies_pinned(self):
+        s = scenario1(n=40, scheme="stratified-block", block_size=4,
+                      stratify=StratificationRule(covariate=3,
+                                                  threshold=0.25))
+        res = run_oc(s, PINNED_METHODS, reps=150, seed=3, workers=1)
+        got = []
+        for m in res.methods:
+            got.append((m.name, m.n_failed,
+                        round(m.rejection_rate * m.n_used),
+                        round(m.coverage * m.n_used)))
+        assert got == [t[:4] for t in PINNED_TALLIES]
+        for m, t in zip(res.methods, PINNED_TALLIES):
+            assert m.mean_estimate == pytest.approx(t[4], rel=0, abs=1e-10)
 
 
 class TestConfigParsers:
@@ -517,6 +584,15 @@ class TestConfigParsers:
                                      field: value})
         with pytest.raises(ValueError, match=field):
             MethodSpec(**{"name": "m", "test": "wald", field: value})
+
+    @pytest.mark.parametrize("pi", [[0.0, 1.0], [0.5, 1.5], [0.5],
+                                    [0.3, 0.3, 0.4], ["a", "b"]])
+    def test_method_pi_outside_unit_interval_rejected(self, pi):
+        """A bad allocation pair fails when the method is built, not in
+        every replication of the run."""
+        with pytest.raises(ValueError):
+            method_spec_from_config({"name": "m", "test": "score",
+                                     "estimator": "II", "pi": pi})
 
     def test_methods_document_forms(self):
         lst = [{"name": "a", "test": "wald"}, {"name": "b", "test": "score"}]
