@@ -75,6 +75,7 @@ from .simulation import (
     StratificationRule,
     calibrate_intercepts,
     covariate_spec_from_config,
+    from_config,
     generate_trial,
     method_spec_from_config,
     methods_from_config,

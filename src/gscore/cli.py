@@ -19,19 +19,19 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass, fields
 
 import yaml
 
 from . import __version__
-from .dataset import ColumnSchema, load_csv
+from .dataset import ColumnSchema, ModelSpec, load_csv
 from .errors import FitError, GScoreError, IntervalUndefinedError
 from .inference import Hypothesis, analyze_trial
 from .simulation import (
     calibrate_intercepts,
     covariate_spec_from_config,
+    from_config,
     methods_from_config,
-    model_spec_from_config,
-    reject_unknown_keys,
     run_oc,
     scenario_from_config,
 )
@@ -71,81 +71,63 @@ def _json_ready(obj):
 # analyze
 # ------------------------------------------------------------------ #
 
-_ANALYZE_KEYS = ("data", "schema", "model", "measure", "null_value", "level",
-                 "sidedness", "estimator", "correction", "pi")
-_SCHEMA_KEYS = ("outcome", "arm", "covariates", "stratum", "arm_map",
-                "delimiter")
+@dataclass(frozen=True)
+class AnalyzeConfig:
+    """An analyze document, apart from its hypothesis: the data file (a
+    relative path is read from the config's directory), its columns, the
+    working model and the variance choice passed to analyze_trial."""
+
+    data: str
+    schema: ColumnSchema
+    model: ModelSpec
+    estimator: str = "I"
+    correction: str = "HC0"
+    pi: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.pi is not None:
+            object.__setattr__(self, "pi", tuple(float(x) for x in self.pi))
 
 
 def _parse_analyze_config(doc: dict, base_dir: str):
-    reject_unknown_keys(doc, _ANALYZE_KEYS, "config")
-    for key in ("data", "schema", "model"):
-        if key not in doc:
-            raise ValueError(f"config is missing the {key!r} key")
-    data_path = doc["data"]
-    if not os.path.isabs(data_path):
-        data_path = os.path.normpath(os.path.join(base_dir, data_path))
-
-    sd = doc["schema"]
-    reject_unknown_keys(sd, _SCHEMA_KEYS, "schema")
-    schema = ColumnSchema(
-        outcome=sd["outcome"], arm=sd["arm"],
-        covariates=tuple(sd.get("covariates", ())),
-        stratum=sd.get("stratum"),
-        arm_map=sd.get("arm_map"),
-        delimiter=sd.get("delimiter", ","))
-
-    model = model_spec_from_config(doc["model"])
-
-    h = Hypothesis(measure=doc.get("measure", "difference"),
-                   null_value=float(doc.get(
-                       "null_value",
-                       1.0 if doc.get("measure") == "ratio" else 0.0)),
-                   level=float(doc.get("level", 0.95)),
-                   sidedness=doc.get("sidedness", "two-sided"))
-    estimator = doc.get("estimator", "I")
-    correction = doc.get("correction", "HC0")
-    pi = doc.get("pi")
-    if pi is not None:
-        pi = tuple(float(x) for x in pi)
-    return data_path, schema, model, h, estimator, correction, pi
+    """(AnalyzeConfig, Hypothesis): the document holds the fields of both
+    at top level."""
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a mapping")
+    h_keys = {f.name for f in fields(Hypothesis)}
+    cfg = from_config(
+        AnalyzeConfig, {k: v for k, v in doc.items() if k not in h_keys},
+        "config",
+        data=lambda p: p if os.path.isabs(p) else os.path.normpath(
+            os.path.join(base_dir, p)),
+        schema=lambda sd: from_config(ColumnSchema, sd, "schema"),
+        model=lambda md: from_config(ModelSpec, md, "model"))
+    h = from_config(Hypothesis,
+                    {k: v for k, v in doc.items() if k in h_keys}, "config")
+    return cfg, h
 
 
-def _echo_config(data_path, schema, model, h, estimator, correction, pi):
-    return {
-        "data": data_path,
-        "schema": {
-            "outcome": schema.outcome, "arm": schema.arm,
-            "covariates": list(schema.covariates),
-            "stratum": schema.stratum,
-            "arm_map": schema.arm_map, "delimiter": schema.delimiter,
-        },
-        "model": {
-            "family": model.family, "covariates": list(model.covariates),
-            "heterogeneous": model.heterogeneous,
-        },
-        "measure": h.measure, "null_value": h.null_value,
-        "level": h.level, "sidedness": h.sidedness,
-        "estimator": estimator, "correction": correction,
-        "pi": list(pi) if pi is not None else None,
-    }
+def _echo_config(cfg: AnalyzeConfig, h: Hypothesis) -> dict:
+    """The document that re-creates the run: AnalyzeConfig's fields, the
+    hypothesis's after the model (the order of analyze_example.yaml)."""
+    items = list(asdict(cfg).items())
+    return dict(items[:3] + list(asdict(h).items()) + items[3:])
 
 
 def cmd_analyze(args) -> int:
     doc = _load_document(args.config)
-    parsed = _parse_analyze_config(doc, os.path.dirname(
+    cfg, h = _parse_analyze_config(doc, os.path.dirname(
         os.path.abspath(args.config)))
-    data_path, schema, model, h, estimator, correction, pi = parsed
-    data, dropped = load_csv(data_path, schema)
-    res = analyze_trial(data, model, h, estimator=estimator,
-                        correction=correction, pi=pi)
+    data, dropped = load_csv(cfg.data, cfg.schema)
+    res = analyze_trial(data, cfg.model, h, estimator=cfg.estimator,
+                        correction=cfg.correction, pi=cfg.pi)
 
     sigma = res.variance.sigma
     report = {
         "schema_version": SCHEMA_VERSION,
         "package": {"name": "gscore", "version": __version__},
-        "config": _echo_config(*parsed),
-        "data": {"path": data_path, "n_used": data.n, "n_dropped": dropped,
+        "config": _echo_config(cfg, h),
+        "data": {"path": cfg.data, "n_used": data.n, "n_dropped": dropped,
                  "arm_sizes": list(data.arm_sizes())},
         "fit": {
             "converged": res.fit.converged,
@@ -170,8 +152,8 @@ def cmd_analyze(args) -> int:
 
     n1, n2 = data.arm_sizes()
     print(f"n used: {data.n} (dropped {dropped})   arms: {n1}/{n2}")
-    print(f"model: {model.family}   covariates: "
-          f"{', '.join(model.covariates) or '(arm only)'}")
+    print(f"model: {cfg.model.family}   covariates: "
+          f"{', '.join(cfg.model.covariates) or '(arm only)'}")
     print(f"mu1 = {res.mu.mu1:.6f} (se {float(sigma[0, 0]) ** 0.5:.6f})   "
           f"mu2 = {res.mu.mu2:.6f} (se {float(sigma[1, 1]) ** 0.5:.6f})")
     print(f"variance: estimator {res.variance.estimator}, "
@@ -316,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", required=True, type=int)
     ps.add_argument("--out", required=True, help="CSV output path")
     ps.add_argument("--level", type=float, default=0.95)
-    ps.add_argument("--workers", type=int, default=None,
-                    help="process count (default: GSCORE_WORKERS env, else 1)")
+    ps.add_argument("--workers", type=int, default=1,
+                    help="process count (default 1); results do not "
+                         "depend on it")
     ps.set_defaults(func=cmd_simulate)
 
     pc = sub.add_parser("calibrate", help="solve intercepts for target means")

@@ -126,6 +126,7 @@ class ModelSpec:
             raise SchemaError(
                 f"unknown family {self.family!r}; expected one of {FAMILY_NAMES}")
         object.__setattr__(self, "covariates", tuple(self.covariates))
+        object.__setattr__(self, "heterogeneous", bool(self.heterogeneous))
         if len(set(self.covariates)) != len(self.covariates):
             raise SchemaError("duplicate covariates in model spec")
 

@@ -47,8 +47,8 @@ _GEQP3, _TRTRS = get_lapack_funcs(("geqp3", "trtrs"), (np.empty((1, 1)),))
 
 @dataclass(frozen=True)
 class Family:
-    """Canonical family: mean m, its derivative m' of eta and (canonical
-    links allow it) of the mean, and the rules that differ by family:
+    """Canonical family: mean m, its derivative m' as a function of the
+    mean (canonical links allow it), and the rules that differ by family:
     outcomes names and tests the valid outcomes (None: any); loglik is up
     to terms free of beta; initial_intercept is link(arm mean), clipped
     to stay finite; a max |beta| above separation_norm is separation.
@@ -56,7 +56,6 @@ class Family:
 
     name: str
     mean: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
     deriv_mu: Callable[[np.ndarray], np.ndarray]
     outcomes: tuple[str, Callable[[np.ndarray], np.ndarray]] | None
     loglik: Callable[[np.ndarray, np.ndarray], float]
@@ -71,7 +70,6 @@ class Family:
 BERNOULLI_LOGIT = Family(
     "bernoulli-logit",
     mean=expit,
-    deriv=lambda eta: expit(eta) * (1.0 - expit(eta)),
     deriv_mu=lambda mu: mu * (1.0 - mu),
     outcomes=("0/1", lambda y: (y == 0.0) | (y == 1.0)),
     loglik=lambda y, eta: float((y * eta - np.logaddexp(0.0, eta)).sum()),
@@ -79,7 +77,7 @@ BERNOULLI_LOGIT = Family(
     separation_norm=30.0,
 )
 POISSON_LOG = Family(
-    "poisson-log", mean=np.exp, deriv=np.exp, deriv_mu=np.asarray,
+    "poisson-log", mean=np.exp, deriv_mu=np.asarray,
     outcomes=("nonnegative", lambda y: ~(y < 0)),
     loglik=lambda y, eta: float((y * eta - np.exp(eta)).sum()),
     initial_intercept=lambda ybar: float(np.log(max(ybar, 1e-6))),
@@ -87,7 +85,6 @@ POISSON_LOG = Family(
 GAUSSIAN_IDENTITY = Family(
     "gaussian-identity",
     mean=np.asarray,
-    deriv=lambda eta: np.ones_like(np.asarray(eta, dtype=float)),
     deriv_mu=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
     outcomes=None,
     loglik=lambda y, eta: float(-0.5 * ((y - eta) ** 2).sum()),

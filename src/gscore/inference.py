@@ -42,16 +42,22 @@ TESTS = ("wald", "score")
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """Effect measure, null value, confidence level, and sidedness."""
+    """Effect measure, null value (None: no effect), confidence level,
+    and sidedness."""
 
-    measure: str
-    null_value: float = 0.0
+    measure: str = "difference"
+    null_value: float | None = None
     level: float = 0.95
     sidedness: str = "two-sided"
 
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ValueError(f"measure must be one of {MEASURES}")
+        null = self.null_value
+        if null is None:  # no effect
+            null = 1.0 if self.measure == "ratio" else 0.0
+        object.__setattr__(self, "null_value", float(null))
+        object.__setattr__(self, "level", float(self.level))
         if self.sidedness not in SIDEDNESS:
             raise ValueError(f"sidedness must be one of {SIDEDNESS}")
         if not 0.0 < self.level < 1.0:

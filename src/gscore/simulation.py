@@ -17,9 +17,8 @@ worker count or scheduling.
 from __future__ import annotations
 
 import itertools
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -34,7 +33,6 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(80)
 _GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(2.0 * np.pi)
 
 _MAX_BERNOULLI_ENUM = 16
-WORKERS_ENV = "GSCORE_WORKERS"
 
 
 # ------------------------------------------------------------------ #
@@ -50,6 +48,8 @@ class CovariateSpec:
     p: float | None = None
 
     def __post_init__(self):
+        if self.p is not None:
+            object.__setattr__(self, "p", float(self.p))
         if self.kind not in ("standard-normal", "bernoulli"):
             raise ValueError(f"unknown covariate kind {self.kind!r}")
         if self.kind == "bernoulli":
@@ -68,6 +68,8 @@ class StratificationRule:
     threshold: float
 
     def __post_init__(self):
+        object.__setattr__(self, "covariate", int(self.covariate))
+        object.__setattr__(self, "threshold", float(self.threshold))
         if self.covariate < 1:
             raise ValueError("stratification covariate index is 1-based")
 
@@ -77,9 +79,9 @@ class Scenario:
     """Complete description of one data-generating process."""
 
     n: int
-    covariates: tuple[CovariateSpec, ...]
-    beta_W: tuple[float, ...]
     beta_A: tuple[float, float]
+    covariates: tuple[CovariateSpec, ...] = ()
+    beta_W: tuple[float, ...] = ()
     allocation: tuple[float, float] = (0.5, 0.5)
     scheme: str = "complete"
     block_size: int = 4
@@ -87,6 +89,8 @@ class Scenario:
     family: str = "bernoulli-logit"
 
     def __post_init__(self):
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "block_size", int(self.block_size))
         object.__setattr__(self, "covariates", tuple(self.covariates))
         object.__setattr__(self, "beta_W", tuple(float(b) for b in self.beta_W))
         object.__setattr__(self, "beta_A", tuple(float(b) for b in self.beta_A))
@@ -120,9 +124,9 @@ class MethodSpec:
     """One analysis to run per replication.
 
     ``model`` is either a ModelSpec or the string "unadjusted".  A null
-    of None means the no-effect value for the measure (0 difference,
-    1 ratio).  ``pi`` of None uses empirical arm shares for estimators
-    II/III; a pair fixes the allocation probabilities.
+    of None means no effect, as in Hypothesis.  ``pi`` of None uses
+    empirical arm shares for estimators II/III; a pair fixes the
+    allocation probabilities.
     """
 
     name: str
@@ -136,6 +140,7 @@ class MethodSpec:
     pi: tuple[float, float] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "name", str(self.name))
         for value, allowed, what in (
                 (self.test, TESTS, "test"), (self.measure, MEASURES, "measure"),
                 (self.estimator, ESTIMATORS, "estimator"),
@@ -156,9 +161,8 @@ class MethodSpec:
             object.__setattr__(self, "pi", pi)
 
     def resolved_null(self) -> float:
-        if self.null_value is not None:
-            return float(self.null_value)
-        return 1.0 if self.measure == "ratio" else 0.0
+        """The null value as Hypothesis resolves it."""
+        return Hypothesis(self.measure, self.null_value).null_value
 
     def model_label(self) -> str:
         if isinstance(self.model, str):
@@ -381,7 +385,7 @@ def _plan(s: Scenario, methods, level: float):
         if m.correction == "HC1" and p >= s.n:
             raise ValueError(f"method {m.name!r}: HC1 needs n > p, got "
                              f"n={s.n}, p={p}")
-        h = Hypothesis(measure=m.measure, null_value=m.resolved_null(),
+        h = Hypothesis(measure=m.measure, null_value=m.null_value,
                        level=level, sidedness=m.sidedness)
         thr = (1.0 - level) / 2.0 if m.sidedness != "two-sided" \
             else 1.0 - level
@@ -424,15 +428,14 @@ def _run_chunk(s: Scenario, plan, seed: int, rep_range):
 
 
 def run_oc(s: Scenario, methods, reps: int, *, seed: int,
-           level: float = 0.95, workers: int | None = None) -> OCResult:
+           level: float = 0.95, workers: int = 1) -> OCResult:
     """Operating characteristics of every method over ``reps`` trials.
 
     ``level`` drives both the two-sided interval level and the one-sided
     rejection threshold (1 - level)/2, the standard pairing (0.95 gives
     one-sided 0.025).  Failed replications are excluded per method and
     reported in the denominator.  Results are identical for any
-    ``workers`` value (default: the GSCORE_WORKERS environment variable,
-    else serial).
+    ``workers`` value (process count; 1 runs serially).
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
@@ -440,8 +443,6 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
     if len({m.name for m in methods}) != len(methods):
         raise ValueError("method names must be unique")
     plan = _plan(s, methods, level)
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     t1, t2 = true_marginal_means(s)
     truth = {"difference": t2 - t1, "ratio": t2 / t1}
 
@@ -497,62 +498,53 @@ def reject_unknown_keys(d: dict, allowed, what: str) -> None:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
+def from_config(cls, d, what: str, **parse):
+    """Dataclass ``cls`` built from the config mapping ``d``.
+
+    The keys of ``d`` are ``cls``'s field names; an absent field takes
+    the dataclass default, and a field without one must be present.
+    ``parse[key]``, if given, reads the value of ``key`` (a nested
+    document) into what the field holds.  Conversion and validation of
+    plain values are ``cls.__post_init__``'s, shared with Python callers.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a mapping, got {d!r}")
+    reject_unknown_keys(d, [f.name for f in fields(cls)], what)
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING \
+                and f.default_factory is MISSING:
+            raise ValueError(f"{what} is missing the {f.name!r} key")
+    return cls(**{k: parse[k](v) if k in parse else v for k, v in d.items()})
+
+
 def covariate_spec_from_config(obj) -> CovariateSpec:
     """"standard-normal" | {"bernoulli": p} | {"kind": ..., "p": ...}"""
     if isinstance(obj, str):
         return CovariateSpec(kind=obj)
-    if isinstance(obj, dict):
-        if set(obj) == {"bernoulli"}:
-            return CovariateSpec(kind="bernoulli", p=float(obj["bernoulli"]))
-        reject_unknown_keys(obj, ("kind", "p"), "covariate")
-        p = obj.get("p")
-        return CovariateSpec(kind=obj.get("kind", ""),
-                             p=float(p) if p is not None else None)
-    raise ValueError(f"cannot parse covariate spec {obj!r}")
+    if isinstance(obj, dict) and set(obj) == {"bernoulli"}:
+        return CovariateSpec(kind="bernoulli", p=obj["bernoulli"])
+    return from_config(CovariateSpec, obj, "covariate")
 
 
 def scenario_from_config(d: dict) -> Scenario:
-    reject_unknown_keys(d, ("n", "covariates", "beta_W", "beta_A",
-                            "allocation", "scheme", "block_size", "stratify",
-                            "family"), "scenario")
-    strat = None
-    if d.get("stratify") is not None:
-        sd = d["stratify"]
-        reject_unknown_keys(sd, ("covariate", "threshold"), "stratify")
-        strat = StratificationRule(covariate=int(sd["covariate"]),
-                                   threshold=float(sd["threshold"]))
-    return Scenario(
-        n=int(d["n"]),
-        covariates=tuple(covariate_spec_from_config(c)
-                         for c in d.get("covariates", ())),
-        beta_W=tuple(d.get("beta_W", ())),
-        beta_A=tuple(d["beta_A"]),
-        allocation=tuple(d.get("allocation", (0.5, 0.5))),
-        scheme=d.get("scheme", "complete"),
-        block_size=int(d.get("block_size", 4)),
-        stratify=strat,
-        family=d.get("family", "bernoulli-logit"),
-    )
-
-
-def model_spec_from_config(d: dict) -> ModelSpec:
-    """{"family": ..., "covariates": [...], "heterogeneous": bool}"""
-    reject_unknown_keys(d, ("family", "covariates", "heterogeneous"), "model")
-    return ModelSpec(family=d["family"],
-                     covariates=tuple(d.get("covariates", ())),
-                     heterogeneous=bool(d.get("heterogeneous", False)))
+    """Scenario's fields as keys; covariates as covariate_spec_from_config
+    reads them, stratify as a {covariate, threshold} mapping or null."""
+    return from_config(
+        Scenario, d, "scenario",
+        covariates=lambda cs: tuple(map(covariate_spec_from_config, cs)),
+        stratify=lambda sd: sd if sd is None else from_config(
+            StratificationRule, sd, "stratify"))
 
 
 def method_spec_from_config(d: dict) -> MethodSpec:
-    """MethodSpec's fields as keys, its defaults for the absent ones."""
-    reject_unknown_keys(d, [f.name for f in fields(MethodSpec)], "method")
-    model = d.get("model", "unadjusted")
-    if isinstance(model, dict):
-        model = model_spec_from_config(model)
-    return MethodSpec(**{**d, "name": str(d["name"]), "model": model})
+    """MethodSpec's fields as keys; model is "unadjusted" or a model
+    mapping."""
+    return from_config(MethodSpec, d, "method", model=lambda m: (
+        from_config(ModelSpec, m, "model") if isinstance(m, dict) else m))
 
 
 def methods_from_config(d) -> tuple[MethodSpec, ...]:
+    """A list of method mappings, bare or under the one key "methods"."""
     if isinstance(d, dict):
         reject_unknown_keys(d, ("methods",), "methods document")
         d = d["methods"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import glob
 import json
 import os
 import subprocess
@@ -149,6 +150,40 @@ class TestAnalyze:
                      "--out", str(tmp_path / "r.json")]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_unknown_schema_key_exits_2(self, tmp_path, capsys):
+        cfg = analyze_config(tmp_path, schema={"outcome": "y", "arm": "arm",
+                                               "weights": "w1"})
+        assert main(["analyze", "--config", cfg,
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "schema" in err and "weights" in err
+
+    @pytest.mark.parametrize("measure, no_effect", [("difference", 0.0),
+                                                    ("ratio", 1.0)])
+    def test_absent_keys_take_the_defaults(self, tmp_path, capsys, measure,
+                                           no_effect):
+        """A config without the optional keys gives the report of the
+        same config with their defaults spelled out."""
+        base = {"data": FIXTURE_CSV,
+                "schema": {"outcome": "y", "arm": "arm",
+                           "covariates": ["w1"]},
+                "model": {"family": "bernoulli-logit",
+                          "covariates": ["w1"]}}
+        minimal = {**base, "measure": measure} if measure == "ratio" \
+            else base
+        spelled = {**base, "measure": measure, "null_value": no_effect,
+                   "level": 0.95, "sidedness": "two-sided",
+                   "estimator": "I", "correction": "HC0", "pi": None}
+        reports = []
+        for i, doc in enumerate((minimal, spelled)):
+            out = tmp_path / f"r{i}.json"
+            assert main(["analyze", "--config",
+                         write_yaml(tmp_path / f"c{i}.yaml", doc),
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "r.json")]) == 2
@@ -282,9 +317,12 @@ class TestSimulate:
         raw = out.read_bytes()
         assert b"\r\n" in raw
 
+    @pytest.mark.parametrize("scenario", sorted(
+        os.path.basename(p) for p in glob.glob(
+            os.path.join(PKG_ROOT, "configs", "scenario*.yaml"))))
     def test_shipped_scenario_and_methods_files_parse(self, tmp_path,
-                                                      capsys):
-        scen = os.path.join(PKG_ROOT, "configs", "scenario1.yaml")
+                                                      capsys, scenario):
+        scen = os.path.join(PKG_ROOT, "configs", scenario)
         meth = os.path.join(PKG_ROOT, "configs", "methods.yaml")
         out = tmp_path / "oc.csv"
         assert main(["simulate", "--scenario", scen, "--methods", meth,

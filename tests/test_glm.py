@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import expit
 
 import frozen_values as fv
 from conftest import random_trial
@@ -22,17 +23,28 @@ from gscore.glm import (
 )
 
 
+# m'(eta) written as a function of eta: the reference for Family.deriv_mu,
+# which gives the same derivative from the mean m(eta).
+DERIV_OF_ETA = {
+    BERNOULLI_LOGIT.name: lambda eta: expit(eta) * (1.0 - expit(eta)),
+    POISSON_LOG.name: np.exp,
+    GAUSSIAN_IDENTITY.name: lambda eta: np.ones_like(eta),
+}
+
+
 class TestFamilies:
     def test_mean_and_derivative_values(self):
         eta = np.array([0.0, 1.0, -2.0])
         p = 1 / (1 + np.exp(-eta))
         np.testing.assert_allclose(BERNOULLI_LOGIT.mean(eta), p, rtol=1e-12)
-        np.testing.assert_allclose(BERNOULLI_LOGIT.deriv(eta), p * (1 - p),
+        np.testing.assert_allclose(BERNOULLI_LOGIT.deriv_mu(p), p * (1 - p),
                                    rtol=1e-12)
         np.testing.assert_allclose(POISSON_LOG.mean(eta), np.exp(eta))
-        np.testing.assert_allclose(POISSON_LOG.deriv(eta), np.exp(eta))
+        np.testing.assert_allclose(POISSON_LOG.deriv_mu(np.exp(eta)),
+                                   np.exp(eta))
         np.testing.assert_allclose(GAUSSIAN_IDENTITY.mean(eta), eta)
-        np.testing.assert_allclose(GAUSSIAN_IDENTITY.deriv(eta), np.ones(3))
+        np.testing.assert_allclose(GAUSSIAN_IDENTITY.deriv_mu(eta),
+                                   np.ones(3))
 
     @pytest.mark.parametrize("family", [BERNOULLI_LOGIT, POISSON_LOG,
                                         GAUSSIAN_IDENTITY])
@@ -42,7 +54,7 @@ class TestFamilies:
         eta = np.concatenate([np.linspace(-35.0, 35.0, 7001),
                               np.random.default_rng(8).normal(0, 3, 1000)])
         np.testing.assert_array_equal(family.deriv_mu(family.mean(eta)),
-                                      family.deriv(eta))
+                                      DERIV_OF_ETA[family.name](eta))
 
     def test_resolve_by_name_and_instance(self):
         assert resolve_family("poisson-log") is POISSON_LOG

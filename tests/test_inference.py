@@ -13,6 +13,7 @@ from gscore import (
     DataError,
     Hypothesis,
     IntervalUndefinedError,
+    MethodSpec,
     ModelSpec,
     MuEstimate,
     TrialDataset,
@@ -43,6 +44,13 @@ class TestHypothesis:
         assert h.null_value == 0.0
         assert h.level == 0.95
         assert h.sidedness == "two-sided"
+
+    def test_null_defaults_to_no_effect(self):
+        assert Hypothesis(measure="ratio").null_value == 1.0
+        assert Hypothesis().measure == "difference"
+        assert Hypothesis().null_value == 0.0
+        assert MethodSpec(name="m", test="wald",
+                          measure="ratio").resolved_null() == 1.0
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):

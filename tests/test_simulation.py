@@ -543,6 +543,40 @@ class TestConfigParsers:
                               stratify=StratificationRule(covariate=3,
                                                           threshold=0.25))
 
+    def test_minimal_scenario_equals_spelled_out(self):
+        """Absent keys take the Scenario defaults."""
+        minimal = {"n": 40, "beta_A": [-0.5, 0.5]}
+        spelled = {**minimal, "covariates": [], "beta_W": [],
+                   "allocation": [0.5, 0.5], "scheme": "complete",
+                   "block_size": 4, "stratify": None,
+                   "family": "bernoulli-logit"}
+        assert scenario_from_config(minimal) == scenario_from_config(spelled)
+        assert scenario_from_config(minimal) == Scenario(n=40,
+                                                         beta_A=(-0.5, 0.5))
+
+    def test_missing_required_key_named(self):
+        with pytest.raises(ValueError, match="'beta_A'"):
+            scenario_from_config({"n": 10})
+        with pytest.raises(ValueError, match="'test'"):
+            method_spec_from_config({"name": "m"})
+        with pytest.raises(ValueError, match="'kind'"):
+            covariate_spec_from_config({"p": 0.3})
+
+    def test_python_callers_get_the_config_conversions(self):
+        """Values a config file would hold convert the same way when a
+        dataclass is built directly."""
+        s = Scenario(n=40.0, beta_A=(0, 0), block_size=4.0,
+                     covariates=(CovariateSpec(kind="bernoulli", p="0.5"),),
+                     beta_W=(1,), scheme="stratified-block",
+                     stratify=StratificationRule(covariate="1",
+                                                 threshold="0.5"))
+        assert (type(s.n), type(s.block_size)) == (int, int)
+        assert s.covariates[0].p == 0.5
+        assert s.stratify == StratificationRule(covariate=1, threshold=0.5)
+        assert ModelSpec(family="bernoulli-logit",
+                         heterogeneous=1).heterogeneous is True
+        assert MethodSpec(name=7, test="wald").name == "7"
+
     def test_scenario_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             scenario_from_config({"n": 10, "beta_A": [0, 0], "reps": 100})
