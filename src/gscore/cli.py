@@ -25,9 +25,11 @@ import yaml
 
 from . import __version__
 from .dataset import ColumnSchema, ModelSpec, load_csv
-from .errors import FitError, GScoreError, IntervalUndefinedError
+from .errors import FitError, GScoreError, IntervalUndefinedError, check_choices
+from .gcomp import CORRECTIONS, ESTIMATORS
 from .inference import Hypothesis, analyze_trial
 from .simulation import (
+    allocation_pair,
     calibrate_intercepts,
     covariate_spec_from_config,
     from_config,
@@ -85,8 +87,9 @@ class AnalyzeConfig:
     pi: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.pi is not None:
-            object.__setattr__(self, "pi", tuple(float(x) for x in self.pi))
+        check_choices("config", (self.estimator, ESTIMATORS, "estimator"),
+                      (self.correction, CORRECTIONS, "correction"))
+        object.__setattr__(self, "pi", allocation_pair("config", self.pi))
 
 
 def _parse_analyze_config(doc: dict, base_dir: str):

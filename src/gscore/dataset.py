@@ -5,8 +5,9 @@ A trial is two-arm by contract: arm labels are canonicalized to {1, 2}
 complementary arm indicator columns and no separate intercept, so every
 row has exactly one of the first two columns set.  Covariates enter
 either as shared columns (homogeneous) or as per-arm interaction columns
-(heterogeneous).  The per-arm coding makes counterfactual substitution a
-pure column operation: no refit, no access to the original frame.
+(heterogeneous).  One column recipe builds the observed design and the
+two counterfactual designs with every subject's arm set to 1 and to 2,
+so counterfactual substitution needs no refit and no second layout.
 
 Covariate transformations (centering, dummies, splines) are out of
 scope; callers precompute derived columns and name them in the schema.
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,44 +126,31 @@ class ModelSpec:
             raise SchemaError(
                 f"unknown family {self.family!r}; expected one of {FAMILY_NAMES}")
         object.__setattr__(self, "covariates", tuple(self.covariates))
+        if self.heterogeneous not in (True, False):
+            raise SchemaError(f"heterogeneous must be true or false, got "
+                              f"{self.heterogeneous!r}")
         object.__setattr__(self, "heterogeneous", bool(self.heterogeneous))
         if len(set(self.covariates)) != len(self.covariates):
             raise SchemaError("duplicate covariates in model spec")
 
-
-@dataclass(frozen=True)
-class Term:
-    """Symbolic recipe for one design column."""
-
-    kind: str                 # "arm" | "covariate" | "interaction"
-    arm: int | None = None    # for arm/interaction columns
-    name: str | None = None   # covariate name
-
-    def label(self) -> str:
-        if self.kind == "arm":
-            return f"arm{self.arm}"
-        if self.kind == "covariate":
-            return str(self.name)
-        return f"{self.name}:arm{self.arm}"
+    @property
+    def column_labels(self) -> tuple[str, ...]:
+        """Names of the design columns, in _columns' order."""
+        per_arm = [f"{c}:arm{a}" for a in (1, 2) for c in self.covariates]
+        return ("arm1", "arm2", *(per_arm if self.heterogeneous
+                                  else self.covariates))
 
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Realized design with per-column term descriptors.
-
-    Columns 0 and 1 are always the arm-1 and arm-2 indicators.
-    """
+    """A design as build_design makes it: observed X and the (arm 1, arm 2)
+    counterfactuals with every subject's arm set to that arm, all
+    read-only; columns as column_labels, 0 and 1 the arm indicators."""
 
     X: np.ndarray
-    terms: tuple[Term, ...]
+    counterfactuals: tuple[np.ndarray, np.ndarray]
+    column_labels: tuple[str, ...]
     spec: ModelSpec
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != len(self.terms):
-            raise DataError("design shape does not match terms")
-        object.__setattr__(self, "X", _readonly(X))
-        object.__setattr__(self, "terms", tuple(self.terms))
 
     @property
     def n(self) -> int:
@@ -172,15 +159,6 @@ class DesignMatrix:
     @property
     def p(self) -> int:
         return self.X.shape[1]
-
-    def column_labels(self) -> tuple[str, ...]:
-        return tuple(t.label() for t in self.terms)
-
-    @cached_property
-    def counterfactuals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (arm 1, arm 2) counterfactual designs, built once."""
-        return (_readonly(counterfactual_design(self, 1)),
-                _readonly(counterfactual_design(self, 2)))
 
 
 @dataclass(frozen=True)
@@ -304,59 +282,42 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
 # ------------------------------------------------------------------ #
 
 
-def build_design(data: TrialDataset, spec: ModelSpec) -> DesignMatrix:
-    """Assemble the working-model design for ``data`` under ``spec``.
+def _columns(a1: np.ndarray, W: np.ndarray, heterogeneous: bool) -> np.ndarray:
+    """The design layout, from the arm-1 indicator a1 and covariates W:
 
-    Homogeneous layout:    [I(A=1), I(A=2), W_1, ..., W_q]
-    Heterogeneous layout:  [I(A=1), I(A=2), W_1*I(A=1), ..., W_q*I(A=1),
-                            W_1*I(A=2), ..., W_q*I(A=2)]
+    Homogeneous:    [I(A=1), I(A=2), W_1, ..., W_q]
+    Heterogeneous:  [I(A=1), I(A=2), W_1*I(A=1), ..., W_q*I(A=1),
+                     W_1*I(A=2), ..., W_q*I(A=2)]
     """
+    a2 = 1.0 - a1
+    if not heterogeneous:
+        return np.column_stack([a1, a2, W])
+    return np.column_stack([a1, a2, W * a1[:, None], W * a2[:, None]])
+
+
+def build_design(data: TrialDataset, spec: ModelSpec) -> DesignMatrix:
+    """The working-model design for ``data`` under ``spec``, with its two
+    counterfactual designs (every arm set to 1, then to 2)."""
     unknown = [c for c in spec.covariates if c not in data.covariate_names]
     if unknown:
         raise SchemaError(f"model covariates not in dataset: {unknown}")
-    a1 = (data.arm == 1).astype(float)
-    a2 = (data.arm == 2).astype(float)
-    cols = [a1, a2]
-    terms = [Term("arm", arm=1), Term("arm", arm=2)]
-    col_of = {name: data.covariates[:, data.covariate_names.index(name)]
-              for name in spec.covariates}
+    W = data.covariates[:, [data.covariate_names.index(c)
+                            for c in spec.covariates]]
     if spec.heterogeneous:
-        for name in spec.covariates:
-            if np.ptp(col_of[name]) == 0.0:
+        for name, spread in zip(spec.covariates, np.ptp(W, axis=0)):
+            if spread == 0.0:
                 warnings.warn(
                     f"covariate {name!r} is constant; its per-arm columns "
                     "duplicate the arm indicators", stacklevel=2)
-        for a, ind in ((1, a1), (2, a2)):
-            for name in spec.covariates:
-                cols.append(col_of[name] * ind)
-                terms.append(Term("interaction", arm=a, name=name))
-    else:
-        for name in spec.covariates:
-            cols.append(col_of[name])
-            terms.append(Term("covariate", name=name))
-    return DesignMatrix(X=np.column_stack(cols) if cols else np.empty((data.n, 0)),
-                        terms=tuple(terms), spec=spec)
+    X, X1, X2 = (_readonly(_columns(a1, W, spec.heterogeneous)) for a1 in (
+        (data.arm == 1).astype(float), np.ones(data.n), np.zeros(data.n)))
+    return DesignMatrix(X=X, counterfactuals=(X1, X2),
+                        column_labels=spec.column_labels, spec=spec)
 
 
 def counterfactual_design(design: DesignMatrix, a: int) -> np.ndarray:
-    """Design with every subject's arm set to ``a``; covariates untouched.
-
-    For per-arm interaction columns the observed covariate value is
-    recovered as the sum of the two arms' columns (the indicators are
-    complementary), so no source frame is needed.
-    """
+    """Writable copy of the design with every subject's arm set to ``a``;
+    covariates untouched."""
     if a not in (1, 2):
         raise ValueError(f"arm must be 1 or 2, got {a!r}")
-    X = design.X
-    out = np.array(X, dtype=float)  # writable copy
-    out[:, 0] = 1.0 if a == 1 else 0.0
-    out[:, 1] = 1.0 if a == 2 else 0.0
-    inter: dict[str, dict[int, int]] = {}
-    for j, t in enumerate(design.terms):
-        if t.kind == "interaction":
-            inter.setdefault(t.name, {})[t.arm] = j
-    for cols in inter.values():
-        w = X[:, cols[1]] + X[:, cols[2]]
-        out[:, cols[a]] = w
-        out[:, cols[1 if a == 2 else 2]] = 0.0
-    return out
+    return design.counterfactuals[a - 1].copy()

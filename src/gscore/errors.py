@@ -1,10 +1,20 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and check_choices.
 
-The CLI maps these onto exit codes: configuration/data problems exit 2,
-model-fitting failures exit 3, undefined confidence intervals exit 4.
+The CLI maps these onto exit codes: configuration/data problems (and a
+bad choice's ValueError) exit 2, model-fitting failures exit 3,
+undefined confidence intervals exit 4.
 """
 
 from __future__ import annotations
+
+
+def check_choices(owner: str, *checks) -> None:
+    """ValueError, prefixed by ``owner``, for the first (value, allowed,
+    what) of ``checks`` whose value is not one of allowed."""
+    for value, allowed, what in checks:
+        if value not in allowed:
+            raise ValueError(f"{owner}: {what} must be one of {allowed}, "
+                             f"got {value!r}")
 
 
 class GScoreError(Exception):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import DesignMatrix
-from .errors import DataError, RankDeficiencyError
+from .errors import DataError, RankDeficiencyError, check_choices
 from .glm import FittedGLM
 
 ESTIMATORS = ("I", "II", "III")
@@ -92,22 +92,16 @@ class VarianceDecomposition:
 # ------------------------------------------------------------------ #
 
 
-def _counterfactual_means(fit: FittedGLM, design: DesignMatrix):
-    """Each subject's predictions m(beta' X_i(a)) with the arm set to a = 1
-    and a = 2, from the design's cached counterfactual designs."""
-    X1, X2 = design.counterfactuals
-    return fit.family.mean(X1 @ fit.beta), fit.family.mean(X2 @ fit.beta)
-
-
-def _mean_gradient(fit: FittedGLM, design: DesignMatrix, m1, m2) -> np.ndarray:
+def _mean_gradient(fit: FittedGLM, design: DesignMatrix) -> np.ndarray:
     """G, whose row a averages m'(beta' X_i(a)) X_i(a); m' from the means."""
     d = fit.family.deriv_mu
-    return np.vstack([(X * d(m)[:, None]).mean(axis=0)
-                      for X, m in zip(design.counterfactuals, (m1, m2))])
+    return np.vstack([(X * d(m)[:, None]).mean(axis=0) for X, m in
+                      zip(design.counterfactuals, fit.counterfactual_means)])
 
 
-def _centered(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """(m1 - mean m1, m2 - mean m2) as n x 2 columns."""
+def _centered(fit: FittedGLM) -> np.ndarray:
+    """The fit's (m1 - mean m1, m2 - mean m2) as n x 2 columns."""
+    m1, m2 = fit.counterfactual_means
     return np.column_stack([m1 - m1.sum() / m1.size, m2 - m2.sum() / m2.size])
 
 
@@ -147,8 +141,8 @@ def _resolve_pi(design: DesignMatrix, pi) -> np.ndarray:
 
 
 def estimate_mu(fit: FittedGLM, design: DesignMatrix) -> MuEstimate:
-    """Average each subject's predictions under both arm settings."""
-    m1, m2 = _counterfactual_means(fit, design)
+    """Average the fit's predictions under both arm settings."""
+    m1, m2 = fit.counterfactual_means
     return MuEstimate(mu=np.array([m1.mean(), m2.mean()]), n=design.n)
 
 
@@ -159,10 +153,9 @@ def influence_score(fit: FittedGLM, design: DesignMatrix) -> InfluenceMatrix:
     with gbar_a the average of m'(beta' X_j(a)) X_j(a).  B^{-1} is applied
     through a linear solve, never formed.
     """
-    m1, m2 = _counterfactual_means(fit, design)
-    G = _mean_gradient(fit, design, m1, m2)
+    G = _mean_gradient(fit, design)
     proj = design.X @ _bread_solve(fit, G.T)  # n x 2, column a is gbar_a' B^{-1} X_i
-    values = proj * fit.residuals[:, None] + _centered(m1, m2)
+    values = proj * fit.residuals[:, None] + _centered(fit)
     return InfluenceMatrix(values=values, kind="score")
 
 
@@ -174,9 +167,8 @@ def influence_aipw(fit: FittedGLM, design: DesignMatrix,
     ``pi`` defaults to the empirical arm proportions; pass a fixed pair
     to use design allocation probabilities instead.
     """
-    m1, m2 = _counterfactual_means(fit, design)
     pi = _resolve_pi(design, pi)
-    values = design.X[:, :2] / pi * fit.residuals[:, None] + _centered(m1, m2)
+    values = design.X[:, :2] / pi * fit.residuals[:, None] + _centered(fit)
     return InfluenceMatrix(values=values, kind="aipw")
 
 
@@ -203,7 +195,7 @@ def var_ye(fit: FittedGLM, design: DesignMatrix, pi=None) -> VarianceEstimate:
     All moments use the n-1 divisor.  ``pi`` defaults to empirical arm
     proportions; a fixed allocation pair is accepted.
     """
-    m1, m2 = _counterfactual_means(fit, design)
+    m1, m2 = fit.counterfactual_means
     pi = _resolve_pi(design, pi)
     in1, in2 = design.X[:, 0] == 1.0, design.X[:, 1] == 1.0
     if in1.sum() < 2 or in2.sum() < 2:
@@ -239,15 +231,14 @@ def variance_decomposition(fit: FittedGLM, design: DesignMatrix,
     """
     if ddof not in (0, 1):
         raise ValueError(f"ddof must be 0 or 1, got {ddof!r}")
-    m1, m2 = _counterfactual_means(fit, design)
-    G = _mean_gradient(fit, design, m1, m2)
+    G = _mean_gradient(fit, design)
     X = design.X
     n = design.n
     M = (X * fit.residuals[:, None] ** 2).T @ X / n
     BinvM = _bread_solve(fit, M)
     sigma_beta = _bread_solve(fit, BinvM.T).T / n
     psi_beta = _bread_solve(fit, (X * fit.residuals[:, None]).T).T
-    mt = _centered(m1, m2)
+    mt = _centered(fit)
     scale = n / (n - ddof)
     beta_term = G @ sigma_beta @ G.T * scale
     covariate_term = mt.T @ mt / n / n * scale
@@ -260,9 +251,7 @@ def variance_decomposition(fit: FittedGLM, design: DesignMatrix,
 
 def apply_correction(v: VarianceEstimate, p: int, kind: str) -> VarianceEstimate:
     """Degrees-of-freedom rescaling: HC0 is the identity, HC1 is n/(n-p)."""
-    if kind not in CORRECTIONS:
-        raise ValueError(f"unknown correction {kind!r}; expected one of "
-                         f"{CORRECTIONS}")
+    check_choices("apply_correction", (kind, CORRECTIONS, "correction"))
     if kind == "HC0":
         return replace(v, correction="HC0")
     if v.n <= p:
@@ -275,12 +264,11 @@ def estimate_variance(fit: FittedGLM, design: DesignMatrix,
                       pi=None) -> VarianceEstimate:
     """Covariance of (mu_1, mu_2) by one of ESTIMATORS, then one of
     CORRECTIONS; ``pi`` as in ``influence_aipw``, used by II and III."""
+    check_choices("estimate_variance", (estimator, ESTIMATORS, "estimator"))
     if estimator == "I":
         v = var_from_influence(influence_score(fit, design))
     elif estimator == "II":
         v = var_from_influence(influence_aipw(fit, design, pi))
-    elif estimator == "III":
-        v = var_ye(fit, design, pi)
     else:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}")
+        v = var_ye(fit, design, pi)
     return apply_correction(v, design.p, correction)

@@ -113,7 +113,8 @@ class FittedGLM:
     """Converged fit: coefficients plus everything downstream reuses.
 
     bread is (1/n) sum_i m'(beta' X_i) X_i X_i', the normalized negative
-    score Jacobian; residuals are Y_i - fitted_i on the response scale.
+    score Jacobian; residuals are Y_i - fitted_i on the response scale;
+    counterfactual_means are m(beta' X_i(a)) for a = 1, 2.
     """
 
     beta: np.ndarray
@@ -125,6 +126,7 @@ class FittedGLM:
     score_norm: float
     family: Family
     column_labels: tuple[str, ...]
+    counterfactual_means: tuple[np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +175,7 @@ def fit(design: DesignMatrix, y: np.ndarray,
     """
     fam = resolve_family(family if family is not None
                          else design.spec.family)
-    X, labels = design.X, design.column_labels()
+    X, labels = design.X, design.column_labels
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if y.shape != (n,):
@@ -207,7 +209,8 @@ def fit(design: DesignMatrix, y: np.ndarray,
             return FittedGLM(
                 beta=beta, bread=bread, fitted=mu, residuals=resid,
                 converged=True, iterations=it, score_norm=snorm,
-                family=fam, column_labels=labels)
+                family=fam, column_labels=labels, counterfactual_means=tuple(
+                    fam.mean(Xa @ beta) for Xa in design.counterfactuals))
         if it == max_iter:
             break
         w = np.maximum(fam.deriv_mu(mu), _WEIGHT_FLOOR)

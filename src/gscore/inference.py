@@ -31,8 +31,7 @@ from scipy.special import chdtrc, gammaincinv, ndtr, ndtri
 
 from . import glm
 from .dataset import ModelSpec, TrialDataset, build_design
-from .errors import DataError, IntervalUndefinedError
-from .gcomp import ESTIMATORS  # noqa: F401  (re-exported)
+from .errors import DataError, IntervalUndefinedError, check_choices
 from .gcomp import MuEstimate, VarianceEstimate, estimate_mu, estimate_variance
 
 MEASURES = ("difference", "ratio")
@@ -51,15 +50,13 @@ class Hypothesis:
     sidedness: str = "two-sided"
 
     def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ValueError(f"measure must be one of {MEASURES}")
+        check_choices("hypothesis", (self.measure, MEASURES, "measure"),
+                      (self.sidedness, SIDEDNESS, "sidedness"))
         null = self.null_value
         if null is None:  # no effect
             null = 1.0 if self.measure == "ratio" else 0.0
         object.__setattr__(self, "null_value", float(null))
         object.__setattr__(self, "level", float(self.level))
-        if self.sidedness not in SIDEDNESS:
-            raise ValueError(f"sidedness must be one of {SIDEDNESS}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {self.level}")
         if self.measure == "ratio" and self.null_value <= 0.0:
@@ -275,8 +272,7 @@ _TEST_FUNCS = {
 def run_test(mu: MuEstimate, v: VarianceEstimate, h: Hypothesis,
              test: str) -> TestResult:
     """Run the named test ("wald" or "score") for ``h``'s effect measure."""
-    if test not in TESTS:
-        raise ValueError(f"test method must be one of {TESTS}")
+    check_choices("run_test", (test, TESTS, "test"))
     return _TEST_FUNCS[(h.measure, test)](mu, v, h)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import ModelSpec, TrialDataset, build_design
-from .errors import GScoreError
+from .errors import GScoreError, check_choices
 from .gcomp import CORRECTIONS, ESTIMATORS, estimate_mu, estimate_variance
 from .glm import fit as fit_glm
 from .inference import MEASURES, SIDEDNESS, TESTS, Hypothesis, run_test
@@ -107,6 +107,9 @@ class Scenario:
             raise ValueError("allocation must be two positive shares summing to 1")
         if self.scheme not in ("complete", "stratified-block"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme == "complete" \
+                and not 0 < np.floor(self.n * self.allocation[0]) < self.n:
+            raise ValueError("complete randomization leaves an arm empty")
         if self.scheme == "stratified-block":
             if self.stratify is None:
                 raise ValueError("stratified-block scheme needs a stratify rule")
@@ -141,24 +144,17 @@ class MethodSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "name", str(self.name))
-        for value, allowed, what in (
-                (self.test, TESTS, "test"), (self.measure, MEASURES, "measure"),
-                (self.estimator, ESTIMATORS, "estimator"),
-                (self.correction, CORRECTIONS, "correction"),
-                (self.sidedness, SIDEDNESS, "sidedness")):
-            if value not in allowed:
-                raise ValueError(f"method {self.name!r}: {what} must be one "
-                                 f"of {allowed}, got {value!r}")
+        owner = f"method {self.name!r}"
+        check_choices(owner, (self.test, TESTS, "test"),
+                      (self.measure, MEASURES, "measure"),
+                      (self.estimator, ESTIMATORS, "estimator"),
+                      (self.correction, CORRECTIONS, "correction"),
+                      (self.sidedness, SIDEDNESS, "sidedness"))
         if not isinstance(self.model, ModelSpec) \
                 and self.model != "unadjusted":
-            raise ValueError(f"method {self.name!r}: model must be a "
-                             f"ModelSpec or 'unadjusted', got {self.model!r}")
-        if self.pi is not None:
-            pi = tuple(map(float, self.pi))
-            if len(pi) != 2 or not all(0.0 < x < 1.0 for x in pi):
-                raise ValueError(f"method {self.name!r}: pi must be a pair "
-                                 f"of floats in (0, 1), got {self.pi!r}")
-            object.__setattr__(self, "pi", pi)
+            raise ValueError(f"{owner}: model must be a ModelSpec or "
+                             f"'unadjusted', got {self.model!r}")
+        object.__setattr__(self, "pi", allocation_pair(owner, self.pi))
 
     def resolved_null(self) -> float:
         """The null value as Hypothesis resolves it."""
@@ -380,8 +376,7 @@ def _plan(s: Scenario, methods, level: float):
     for m in methods:
         spec = m.model if isinstance(m.model, ModelSpec) \
             else ModelSpec(family="bernoulli-logit")
-        q = len(spec.covariates)
-        p = 2 + (2 * q if spec.heterogeneous else q)
+        p = len(spec.column_labels)
         if m.correction == "HC1" and p >= s.n:
             raise ValueError(f"method {m.name!r}: HC1 needs n > p, got "
                              f"n={s.n}, p={p}")
@@ -496,6 +491,20 @@ def reject_unknown_keys(d: dict, allowed, what: str) -> None:
     unknown = set(d) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def allocation_pair(owner: str, pi) -> tuple[float, float] | None:
+    """``pi`` as a pair of floats in (0, 1), or None for empirical arm
+    shares; anything else is a ValueError prefixed by ``owner``."""
+    try:
+        pair = None if pi is None else tuple(map(float, pi))
+    except (TypeError, ValueError):
+        pair = ()
+    if pair is not None and not (
+            len(pair) == 2 and all(0.0 < x < 1.0 for x in pair)):
+        raise ValueError(f"{owner}: pi must be a pair of floats in (0, 1), "
+                         f"got {pi!r}")
+    return pair
 
 
 def from_config(cls, d, what: str, **parse):

@@ -203,6 +203,22 @@ class TestAnalyze:
                      "--out", str(tmp_path / "r.json")]) == 2
         capsys.readouterr()
 
+    def test_bad_estimator_exits_2_before_reading_data(self, tmp_path,
+                                                       capsys):
+        cfg = analyze_config(tmp_path, estimator="IV",
+                             data=str(tmp_path / "absent.csv"))
+        assert main(["analyze", "--config", cfg,
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "estimator" in err and "'IV'" in err
+        assert "absent.csv" not in err
+
+    def test_scalar_pi_exits_2_naming_pi(self, tmp_path, capsys):
+        cfg = analyze_config(tmp_path, estimator="II", pi=0.5)
+        assert main(["analyze", "--config", cfg,
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "config: pi must be a pair" in capsys.readouterr().err
+
     def test_separated_data_exits_3(self, tmp_path, capsys):
         rows = ["y,arm,w1"]
         w = np.linspace(-1.5, 1.5, 16)

@@ -17,6 +17,7 @@ from gscore.errors import (
     EmptyDataError,
     SchemaError,
 )
+from gscore.simulation import from_config
 
 
 def write_csv(tmp_path, text, name="d.csv"):
@@ -122,25 +123,32 @@ class TestModelSpec:
         with pytest.raises(SchemaError, match="duplicate"):
             ModelSpec(family="bernoulli-logit", covariates=("w", "w"))
 
+    @pytest.mark.parametrize("value", ["false", "no", "0", "true", None, 2])
+    def test_heterogeneous_must_be_true_or_false(self, value):
+        """A quoted YAML "false" is not silently a per-arm model."""
+        with pytest.raises(SchemaError, match="heterogeneous"):
+            from_config(ModelSpec, {"family": "bernoulli-logit",
+                                    "heterogeneous": value}, "model")
+
 
 def two_subject_data():
     return TrialDataset(outcome=np.array([1.0, 0.0]), arm=np.array([1, 2]),
-                        covariates=np.array([[3.0], [5.0]]),
-                        covariate_names=("w",))
+                        covariates=np.array([[3.0, -1.0], [5.0, 2.0]]),
+                        covariate_names=("w", "v"))
 
 
 class TestBuildDesign:
     def test_homogeneous_layout(self):
         d = build_design(two_subject_data(),
                          ModelSpec("bernoulli-logit", ("w",)))
-        assert d.column_labels() == ("arm1", "arm2", "w")
+        assert d.column_labels == ("arm1", "arm2", "w")
         np.testing.assert_array_equal(d.X, [[1, 0, 3], [0, 1, 5]])
 
     def test_heterogeneous_layout(self):
         d = build_design(two_subject_data(),
                          ModelSpec("bernoulli-logit", ("w",),
                                    heterogeneous=True))
-        assert d.column_labels() == ("arm1", "arm2", "w:arm1", "w:arm2")
+        assert d.column_labels == ("arm1", "arm2", "w:arm1", "w:arm2")
         np.testing.assert_array_equal(d.X, [[1, 0, 3, 0], [0, 1, 0, 5]])
 
     def test_every_row_has_exactly_one_arm_indicator(self, fixture_data):
@@ -166,22 +174,28 @@ class TestBuildDesign:
 
 
 class TestCounterfactual:
-    def test_homogeneous_sets_arm_columns_only(self):
+    @pytest.mark.parametrize("covariates, X1, X2", [
+        (("w",), [[1, 0, 3], [1, 0, 5]], [[0, 1, 3], [0, 1, 5]]),
+        ((), [[1, 0], [1, 0]], [[0, 1], [0, 1]]),
+    ], ids=["w", "arm-only"])
+    def test_homogeneous_sets_arm_columns_only(self, covariates, X1, X2):
         d = build_design(two_subject_data(),
-                         ModelSpec("bernoulli-logit", ("w",)))
-        np.testing.assert_array_equal(counterfactual_design(d, 1),
-                                      [[1, 0, 3], [1, 0, 5]])
-        np.testing.assert_array_equal(counterfactual_design(d, 2),
-                                      [[0, 1, 3], [0, 1, 5]])
+                         ModelSpec("bernoulli-logit", covariates))
+        np.testing.assert_array_equal(counterfactual_design(d, 1), X1)
+        np.testing.assert_array_equal(counterfactual_design(d, 2), X2)
 
-    def test_heterogeneous_moves_covariate_between_arm_slots(self):
+    @pytest.mark.parametrize("covariates, X1, X2", [
+        (("w",), [[1, 0, 3, 0], [1, 0, 5, 0]], [[0, 1, 0, 3], [0, 1, 0, 5]]),
+        (("w", "v"), [[1, 0, 3, -1, 0, 0], [1, 0, 5, 2, 0, 0]],
+         [[0, 1, 0, 0, 3, -1], [0, 1, 0, 0, 5, 2]]),
+    ], ids=["w", "w-v"])
+    def test_heterogeneous_moves_covariate_between_arm_slots(
+            self, covariates, X1, X2):
         d = build_design(two_subject_data(),
-                         ModelSpec("bernoulli-logit", ("w",),
+                         ModelSpec("bernoulli-logit", covariates,
                                    heterogeneous=True))
-        np.testing.assert_array_equal(counterfactual_design(d, 1),
-                                      [[1, 0, 3, 0], [1, 0, 5, 0]])
-        np.testing.assert_array_equal(counterfactual_design(d, 2),
-                                      [[0, 1, 0, 3], [0, 1, 0, 5]])
+        np.testing.assert_array_equal(counterfactual_design(d, 1), X1)
+        np.testing.assert_array_equal(counterfactual_design(d, 2), X2)
 
     def test_bad_arm_value(self, fixture_design):
         with pytest.raises(ValueError):

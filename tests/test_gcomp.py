@@ -19,6 +19,7 @@ from frozen_values import (
     SIGMA_STACKED,
 )
 from gscore import (
+    BERNOULLI_LOGIT,
     DataError,
     ModelSpec,
     RankDeficiencyError,
@@ -66,6 +67,27 @@ class TestEstimateMu:
         y, arm = fixture_data.outcome, fixture_data.arm
         np.testing.assert_allclose(mu.mu1, y[arm == 1].mean(), atol=1e-12)
         np.testing.assert_allclose(mu.mu2, y[arm == 2].mean(), atol=1e-12)
+
+    def test_fit_predicts_counterfactuals_once(self, fixture_data,
+                                               fixture_design):
+        """The fit predicts m(beta' X_i(a)) for both arms; the arm means,
+        the three variances and the decomposition read those
+        predictions instead of calling the family's mean again."""
+        calls = []
+
+        def counting_expit(eta):
+            calls.append(eta.shape)
+            return BERNOULLI_LOGIT.mean(eta)
+
+        family = replace(BERNOULLI_LOGIT, mean=counting_expit)
+        f = fit(fixture_design, fixture_data.outcome, family)
+        assert calls
+        calls.clear()
+        estimate_mu(f, fixture_design)
+        for estimator in ("I", "II", "III"):
+            estimate_variance(f, fixture_design, estimator)
+        variance_decomposition(f, fixture_design)
+        assert calls == []
 
 
 class TestInfluence:

@@ -66,6 +66,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             scenario1(allocation=(1.0, 0.0))
 
+    def test_complete_randomization_must_fill_both_arms(self):
+        """floor(5 * 0.1) = 0 subjects in arm 1: rejected when the scenario
+        is built, not by the first replication of a run."""
+        with pytest.raises(ValueError, match="arm empty"):
+            Scenario(n=5, beta_A=(0.0, 0.0), allocation=(0.1, 0.9))
+        Scenario(n=10, beta_A=(0.0, 0.0), allocation=(0.1, 0.9))
+
     def test_stratified_scheme_needs_rule(self):
         with pytest.raises(ValueError):
             scenario1(scheme="stratified-block")
