@@ -145,7 +145,9 @@ class ModelSpec:
 class DesignMatrix:
     """A design as build_design makes it: observed X and the (arm 1, arm 2)
     counterfactuals with every subject's arm set to that arm, all
-    read-only; columns as column_labels, 0 and 1 the arm indicators."""
+    read-only; columns as column_labels, 0 and 1 the arm indicators.
+    Designs of B trials stacked by stack_designs carry a leading batch
+    axis on all three arrays."""
 
     X: np.ndarray
     counterfactuals: tuple[np.ndarray, np.ndarray]
@@ -154,11 +156,11 @@ class DesignMatrix:
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.X.shape[-2]
 
     @property
     def p(self) -> int:
-        return self.X.shape[1]
+        return self.X.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -283,36 +285,56 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
 
 
 def _columns(a1: np.ndarray, W: np.ndarray, heterogeneous: bool) -> np.ndarray:
-    """The design layout, from the arm-1 indicator a1 and covariates W:
+    """The design layout, from the arm-1 indicator a1 (..., n) and the
+    covariates W (..., n, q):
 
     Homogeneous:    [I(A=1), I(A=2), W_1, ..., W_q]
     Heterogeneous:  [I(A=1), I(A=2), W_1*I(A=1), ..., W_q*I(A=1),
                      W_1*I(A=2), ..., W_q*I(A=2)]
     """
+    q = W.shape[-1]
+    X = np.empty(W.shape[:-1] + (2 + (2 * q if heterogeneous else q),))
+    a1 = np.asarray(a1, dtype=float)
     a2 = 1.0 - a1
-    if not heterogeneous:
-        return np.column_stack([a1, a2, W])
-    return np.column_stack([a1, a2, W * a1[:, None], W * a2[:, None]])
+    X[..., 0], X[..., 1] = a1, a2
+    if heterogeneous:
+        X[..., 2:2 + q], X[..., 2 + q:] = W * a1[..., None], W * a2[..., None]
+    else:
+        X[..., 2:] = W
+    return X
+
+
+def stack_designs(arm: np.ndarray, covariates: np.ndarray,
+                  covariate_names, spec: ModelSpec) -> DesignMatrix:
+    """The working-model design under ``spec`` for arm labels (..., n)
+    and covariates (..., n, q) named by ``covariate_names``, with its two
+    counterfactual designs (every arm set to 1, then to 2).  Any leading
+    axes are a batch of trials; the arrays are taken as valid."""
+    names = tuple(covariate_names)
+    unknown = [c for c in spec.covariates if c not in names]
+    if unknown:
+        raise SchemaError(f"model covariates not in dataset: {unknown}")
+    W = np.take(covariates, [names.index(c) for c in spec.covariates],
+                axis=-1)
+    if spec.heterogeneous:
+        constant = (np.ptp(W, axis=-2) == 0.0).any(
+            axis=tuple(range(W.ndim - 2)))
+        for name, c in zip(spec.covariates, constant):
+            if c:
+                warnings.warn(
+                    f"covariate {name!r} is constant; its per-arm columns "
+                    "duplicate the arm indicators", stacklevel=3)
+    X, X1, X2 = (_readonly(_columns(a1, W, spec.heterogeneous))
+                 for a1 in ((arm == 1).astype(float), 1.0, 0.0))
+    return DesignMatrix(X=X, counterfactuals=(X1, X2),
+                        column_labels=spec.column_labels, spec=spec)
 
 
 def build_design(data: TrialDataset, spec: ModelSpec) -> DesignMatrix:
     """The working-model design for ``data`` under ``spec``, with its two
     counterfactual designs (every arm set to 1, then to 2)."""
-    unknown = [c for c in spec.covariates if c not in data.covariate_names]
-    if unknown:
-        raise SchemaError(f"model covariates not in dataset: {unknown}")
-    W = data.covariates[:, [data.covariate_names.index(c)
-                            for c in spec.covariates]]
-    if spec.heterogeneous:
-        for name, spread in zip(spec.covariates, np.ptp(W, axis=0)):
-            if spread == 0.0:
-                warnings.warn(
-                    f"covariate {name!r} is constant; its per-arm columns "
-                    "duplicate the arm indicators", stacklevel=2)
-    X, X1, X2 = (_readonly(_columns(a1, W, spec.heterogeneous)) for a1 in (
-        (data.arm == 1).astype(float), np.ones(data.n), np.zeros(data.n)))
-    return DesignMatrix(X=X, counterfactuals=(X1, X2),
-                        column_labels=spec.column_labels, spec=spec)
+    return stack_designs(data.arm, data.covariates, data.covariate_names,
+                         spec)
 
 
 def counterfactual_design(design: DesignMatrix, a: int) -> np.ndarray:

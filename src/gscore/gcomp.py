@@ -15,6 +15,12 @@ rows divided by n; III is assembled cell by cell.  ``estimate_variance``
 is the one place that picks an estimator by name and applies the
 small-sample correction.  A decomposition splits estimator I into
 coefficient-noise, covariate-variation, and misspecification cross terms.
+
+Every formula is written once, over a leading batch axis of B fits (a
+``glm.fit_batch`` result and its stacked design); the ``*_batch``
+functions return it with {row: error} for the fits that cannot give a
+value.  The scalar functions run the same code on a batch of one and
+raise that error.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .dataset import DesignMatrix
 from .errors import DataError, RankDeficiencyError, check_choices
-from .glm import FittedGLM
+from .glm import FittedGLM, per_matrix
 
 ESTIMATORS = ("I", "II", "III")
 CORRECTIONS = ("HC0", "HC1")
@@ -88,51 +94,141 @@ class VarianceDecomposition:
 
 
 # ------------------------------------------------------------------ #
-# Internals
+# Kernels: arrays carry a leading batch axis of B fits
 # ------------------------------------------------------------------ #
+
+
+def _lift(fit: FittedGLM, design: DesignMatrix):
+    """``fit`` and ``design`` as a batch of one fit."""
+    return (replace(fit, bread=fit.bread[None], fitted=fit.fitted[None],
+                    residuals=fit.residuals[None],
+                    counterfactual_means=tuple(
+                        m[None] for m in fit.counterfactual_means)),
+            replace(design, X=design.X[None], counterfactuals=tuple(
+                Xa[None] for Xa in design.counterfactuals)))
+
+
+def _only(value: np.ndarray, errors: dict) -> np.ndarray:
+    """A batch-of-one result, or its fit's error raised."""
+    if errors:
+        raise errors[0]
+    return value[0]
 
 
 def _mean_gradient(fit: FittedGLM, design: DesignMatrix) -> np.ndarray:
     """G, whose row a averages m'(beta' X_i(a)) X_i(a); m' from the means."""
     d = fit.family.deriv_mu
-    return np.vstack([(X * d(m)[:, None]).mean(axis=0) for X, m in
-                      zip(design.counterfactuals, fit.counterfactual_means)])
+    return np.concatenate([d(m)[..., None, :] @ X for X, m in zip(
+        design.counterfactuals, fit.counterfactual_means)], axis=-2) \
+        / design.n
 
 
 def _centered(fit: FittedGLM) -> np.ndarray:
-    """The fit's (m1 - mean m1, m2 - mean m2) as n x 2 columns."""
-    m1, m2 = fit.counterfactual_means
-    return np.column_stack([m1 - m1.sum() / m1.size, m2 - m2.sum() / m2.size])
+    """The fit's (m1 - mean m1, m2 - mean m2) as 2 x n rows."""
+    return _demeaned(np.stack(fit.counterfactual_means, axis=-2))
 
 
-def _bread_solve(fit: FittedGLM, rhs: np.ndarray) -> np.ndarray:
-    """B^{-1} rhs by one LU solve; a singular bread is rank deficiency."""
+def _demeaned(u: np.ndarray) -> np.ndarray:
+    """Rows of u (..., k, n) minus their means."""
+    return u - u.sum(axis=-1, keepdims=True) / u.shape[-1]
+
+
+def _bread_solve(fit: FittedGLM, rhs: np.ndarray):
+    """B^{-1} rhs by one LU solve per fit; a singular bread is rank
+    deficiency."""
     if not (np.isfinite(fit.bread).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    try:
-        return np.linalg.solve(fit.bread, rhs)
-    except np.linalg.LinAlgError:
-        raise RankDeficiencyError("bread matrix is singular") from None
+    out = per_matrix(np.linalg.solve, fit.bread, rhs)
+    singular = np.flatnonzero(np.isnan(out).any(axis=(-2, -1)))
+    return out, {int(b): RankDeficiencyError("bread matrix is singular")
+                 for b in singular}
 
 
-def _cov(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sample covariance (n-1 divisor) of the columns of u and v."""
-    n = u.shape[0]
-    du = u - u.sum(axis=0) / n
-    dv = du if v is u else v - v.sum(axis=0) / n
-    return du.T @ dv / (n - 1)
+def _cov(u: np.ndarray) -> np.ndarray:
+    """Sample covariance (n-1 divisor) of the rows of u (..., k, n)."""
+    du = _demeaned(u)
+    return du @ du.mT / (u.shape[-1] - 1)
 
 
-def _resolve_pi(design: DesignMatrix, pi) -> np.ndarray:
+def _arm_cov(ind: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sample covariance (n-1 divisor) of the rows of u (..., k, n) over
+    the subjects whose 0/1 indicator ind (..., n) is 1."""
+    ind = ind[..., None, :]
+    k = ind.sum(axis=-1, keepdims=True)
+    du = (u - (u * ind).sum(axis=-1, keepdims=True) / k) * ind
+    return du @ du.mT / (k - 1)
+
+
+def _resolve_pi(design: DesignMatrix, pi):
     if pi is None:
-        out = design.X[:, :2].mean(axis=0)
+        out = design.X[..., :2].mT.mean(axis=-1)
     else:
         out = np.asarray(pi, dtype=float)
         if out.shape != (2,):
             raise DataError(f"pi must be a pair, got shape {out.shape}")
-    if not ((out > 0.0) & (out < 1.0)).all():
-        raise DataError(f"allocation probabilities must lie in (0, 1), got {out}")
-    return out
+        out = np.broadcast_to(out, design.X.shape[:-2] + (2,))
+    bad = np.flatnonzero(~((out > 0.0) & (out < 1.0)).all(axis=-1))
+    return out, {int(b): DataError("allocation probabilities must lie in "
+                                   f"(0, 1), got {out[b]}") for b in bad}
+
+
+# The influence kernels give psi as (..., 2, n): row a holds psi_a(i).
+
+def _influence_score(fit: FittedGLM, design: DesignMatrix):
+    G = _mean_gradient(fit, design)
+    solved, errors = _bread_solve(fit, G.mT)
+    # row a of solved' X' is gbar_a' B^{-1} X_i
+    return (solved.mT @ design.X.mT * fit.residuals[..., None, :]
+            + _centered(fit), errors)
+
+
+def _influence_aipw(fit: FittedGLM, design: DesignMatrix, pi):
+    pi, errors = _resolve_pi(design, pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (design.X[..., :2].mT / pi[..., None]
+                * fit.residuals[..., None, :] + _centered(fit), errors)
+
+
+def _var_influence(psi: np.ndarray) -> np.ndarray:
+    n = psi.shape[-1]
+    if n < 2:
+        raise DataError("need at least 2 subjects for a sample covariance")
+    return _cov(psi) / n
+
+
+def _var_ye(fit: FittedGLM, design: DesignMatrix, pi):
+    pi, errors = _resolve_pi(design, pi)
+    n = design.n
+    m1, m2 = fit.counterfactual_means
+    y = fit.fitted + fit.residuals
+    r = y - fit.fitted
+    in1, in2 = design.X[..., 0], design.X[..., 1]
+    for b in np.flatnonzero((in1.sum(axis=-1) < 2) | (in2.sum(axis=-1) < 2)):
+        errors.setdefault(int(b), DataError(
+            "need at least 2 subjects per arm for conditional moments"))
+    full = _cov(np.stack([m1, m2], axis=-2))
+    sigma = np.empty(full.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # rows r, y, fitted, the other arm's predictions; within arm a
+        arm = [_arm_cov(ind, np.stack([r, y, fit.fitted, other], axis=-2))
+               for ind, other in ((in1, m2), (in2, m1))]
+    for a in (0, 1):
+        sigma[..., a, a] = (arm[a][..., 0, 0] / (n * pi[..., a])
+                            + 2.0 / n * arm[a][..., 1, 2]
+                            - full[..., a, a] / n)
+    off = (arm[0][..., 1, 3] / n + arm[1][..., 1, 3] / n
+           - full[..., 0, 1] / n)
+    sigma[..., 0, 1] = sigma[..., 1, 0] = off
+    return sigma, errors
+
+
+def _corrected(sigma: np.ndarray, n: int, p: int, kind: str) -> np.ndarray:
+    check_choices("apply_correction", (kind, CORRECTIONS, "correction"))
+    if kind == "HC0":
+        return sigma
+    if n <= p:
+        raise ValueError(f"HC1 needs n > p, got n={n}, p={p}")
+    return sigma * (n / (n - p))
 
 
 # ------------------------------------------------------------------ #
@@ -140,10 +236,17 @@ def _resolve_pi(design: DesignMatrix, pi) -> np.ndarray:
 # ------------------------------------------------------------------ #
 
 
+def estimate_mu_batch(fit: FittedGLM) -> np.ndarray:
+    """(mu_1, mu_2) per fit of a batch: its predictions under both arm
+    settings, averaged."""
+    return np.stack([m.mean(axis=-1) for m in fit.counterfactual_means],
+                    axis=-1)
+
+
 def estimate_mu(fit: FittedGLM, design: DesignMatrix) -> MuEstimate:
     """Average the fit's predictions under both arm settings."""
-    m1, m2 = fit.counterfactual_means
-    return MuEstimate(mu=np.array([m1.mean(), m2.mean()]), n=design.n)
+    return MuEstimate(mu=estimate_mu_batch(_lift(fit, design)[0])[0],
+                      n=design.n)
 
 
 def influence_score(fit: FittedGLM, design: DesignMatrix) -> InfluenceMatrix:
@@ -153,10 +256,8 @@ def influence_score(fit: FittedGLM, design: DesignMatrix) -> InfluenceMatrix:
     with gbar_a the average of m'(beta' X_j(a)) X_j(a).  B^{-1} is applied
     through a linear solve, never formed.
     """
-    G = _mean_gradient(fit, design)
-    proj = design.X @ _bread_solve(fit, G.T)  # n x 2, column a is gbar_a' B^{-1} X_i
-    values = proj * fit.residuals[:, None] + _centered(fit)
-    return InfluenceMatrix(values=values, kind="score")
+    return InfluenceMatrix(values=_only(*_influence_score(
+        *_lift(fit, design))).T, kind="score")
 
 
 def influence_aipw(fit: FittedGLM, design: DesignMatrix,
@@ -167,18 +268,14 @@ def influence_aipw(fit: FittedGLM, design: DesignMatrix,
     ``pi`` defaults to the empirical arm proportions; pass a fixed pair
     to use design allocation probabilities instead.
     """
-    pi = _resolve_pi(design, pi)
-    values = design.X[:, :2] / pi * fit.residuals[:, None] + _centered(fit)
-    return InfluenceMatrix(values=values, kind="aipw")
+    return InfluenceMatrix(values=_only(*_influence_aipw(
+        *_lift(fit, design), pi)).T, kind="aipw")
 
 
 def var_from_influence(infl: InfluenceMatrix) -> VarianceEstimate:
     """Sample covariance (n-1 divisor) of influence rows, divided by n."""
-    n = infl.values.shape[0]
-    if n < 2:
-        raise DataError("need at least 2 subjects for a sample covariance")
-    sigma = _cov(infl.values, infl.values) / n
-    return VarianceEstimate(sigma=sigma, n=n, correction="HC0",
+    return VarianceEstimate(sigma=_var_influence(infl.values.T[None])[0],
+                            n=infl.values.shape[0], correction="HC0",
                             estimator="I" if infl.kind == "score" else "II")
 
 
@@ -195,24 +292,8 @@ def var_ye(fit: FittedGLM, design: DesignMatrix, pi=None) -> VarianceEstimate:
     All moments use the n-1 divisor.  ``pi`` defaults to empirical arm
     proportions; a fixed allocation pair is accepted.
     """
-    m1, m2 = fit.counterfactual_means
-    pi = _resolve_pi(design, pi)
-    in1, in2 = design.X[:, 0] == 1.0, design.X[:, 1] == 1.0
-    if in1.sum() < 2 or in2.sum() < 2:
-        raise DataError("need at least 2 subjects per arm for conditional moments")
-    y = fit.fitted + fit.residuals
-    n = design.n
-
-    sigma = np.empty((2, 2))
-    for a, mask, ma in ((0, in1, m1), (1, in2, m2)):
-        r = y[mask] - fit.fitted[mask]
-        sigma[a, a] = (_cov(r, r) / (n * pi[a])
-                       + 2.0 / n * _cov(y[mask], fit.fitted[mask])
-                       - _cov(ma, ma) / n)
-    off = (_cov(y[in1], m2[in1]) / n + _cov(y[in2], m1[in2]) / n
-           - _cov(m1, m2) / n)
-    sigma[0, 1] = sigma[1, 0] = off
-    return VarianceEstimate(sigma=sigma, estimator="III", correction="HC0", n=n)
+    return VarianceEstimate(sigma=_only(*_var_ye(*_lift(fit, design), pi)),
+                            estimator="III", correction="HC0", n=design.n)
 
 
 def variance_decomposition(fit: FittedGLM, design: DesignMatrix,
@@ -231,14 +312,15 @@ def variance_decomposition(fit: FittedGLM, design: DesignMatrix,
     """
     if ddof not in (0, 1):
         raise ValueError(f"ddof must be 0 or 1, got {ddof!r}")
+    fit, design = _lift(fit, design)
     G = _mean_gradient(fit, design)
     X = design.X
     n = design.n
-    M = (X * fit.residuals[:, None] ** 2).T @ X / n
-    BinvM = _bread_solve(fit, M)
-    sigma_beta = _bread_solve(fit, BinvM.T).T / n
-    psi_beta = _bread_solve(fit, (X * fit.residuals[:, None]).T).T
-    mt = _centered(fit)
+    M = (X * fit.residuals[..., None] ** 2).mT @ X / n
+    BinvM = _only(*_bread_solve(fit, M))[None]
+    sigma_beta = _only(*_bread_solve(fit, BinvM.mT)).T / n
+    psi_beta = _only(*_bread_solve(fit, (X * fit.residuals[..., None]).mT)).T
+    G, mt = G[0], _centered(fit)[0].T
     scale = n / (n - ddof)
     beta_term = G @ sigma_beta @ G.T * scale
     covariate_term = mt.T @ mt / n / n * scale
@@ -251,12 +333,23 @@ def variance_decomposition(fit: FittedGLM, design: DesignMatrix,
 
 def apply_correction(v: VarianceEstimate, p: int, kind: str) -> VarianceEstimate:
     """Degrees-of-freedom rescaling: HC0 is the identity, HC1 is n/(n-p)."""
-    check_choices("apply_correction", (kind, CORRECTIONS, "correction"))
-    if kind == "HC0":
-        return replace(v, correction="HC0")
-    if v.n <= p:
-        raise ValueError(f"HC1 needs n > p, got n={v.n}, p={p}")
-    return replace(v, sigma=v.sigma * (v.n / (v.n - p)), correction="HC1")
+    return replace(v, sigma=_corrected(v.sigma, v.n, p, kind), correction=kind)
+
+
+def estimate_variance_batch(fit: FittedGLM, design: DesignMatrix,
+                            estimator: str = "I", correction: str = "HC0",
+                            pi=None):
+    """Covariances of (mu_1, mu_2), (B, 2, 2), for a batch of fits by one
+    of ESTIMATORS, then one of CORRECTIONS, with {row: error}; ``pi`` as
+    in ``influence_aipw``, used by II and III."""
+    check_choices("estimate_variance", (estimator, ESTIMATORS, "estimator"))
+    if estimator == "III":
+        sigma, errors = _var_ye(fit, design, pi)
+    else:
+        values, errors = (_influence_score(fit, design) if estimator == "I"
+                          else _influence_aipw(fit, design, pi))
+        sigma = _var_influence(values)
+    return _corrected(sigma, design.n, design.p, correction), errors
 
 
 def estimate_variance(fit: FittedGLM, design: DesignMatrix,
@@ -264,11 +357,7 @@ def estimate_variance(fit: FittedGLM, design: DesignMatrix,
                       pi=None) -> VarianceEstimate:
     """Covariance of (mu_1, mu_2) by one of ESTIMATORS, then one of
     CORRECTIONS; ``pi`` as in ``influence_aipw``, used by II and III."""
-    check_choices("estimate_variance", (estimator, ESTIMATORS, "estimator"))
-    if estimator == "I":
-        v = var_from_influence(influence_score(fit, design))
-    elif estimator == "II":
-        v = var_from_influence(influence_aipw(fit, design, pi))
-    else:
-        v = var_ye(fit, design, pi)
-    return apply_correction(v, design.p, correction)
+    sigma = _only(*estimate_variance_batch(*_lift(fit, design), estimator,
+                                           correction, pi))
+    return VarianceEstimate(sigma=sigma, estimator=estimator,
+                            correction=correction, n=design.n)

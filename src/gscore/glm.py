@@ -27,6 +27,7 @@ from scipy.special import expit, logit
 from .dataset import DesignMatrix
 from .errors import (
     DataError,
+    GScoreError,
     NonConvergenceError,
     RankDeficiencyError,
     SeparationError,
@@ -34,6 +35,10 @@ from .errors import (
 
 _WEIGHT_FLOOR = 1e-12
 _EPS = np.finfo(float).eps
+# fit_batch refits a fit by ``fit`` when its bread has a larger 1-norm
+# condition number: normal equations then carry too few digits for the
+# result to be certified as the reference's.
+_COND_MAX = 1e8
 
 # What scipy.linalg.qr(pivoting=True) and solve_triangular call, called
 # directly: at trial sizes their wrappers cost more than the arithmetic.
@@ -50,8 +55,10 @@ class Family:
     """Canonical family: mean m, its derivative m' as a function of the
     mean (canonical links allow it), and the rules that differ by family:
     outcomes names and tests the valid outcomes (None: any); loglik is up
-    to terms free of beta; initial_intercept is link(arm mean), clipped
-    to stay finite; a max |beta| above separation_norm is separation.
+    to terms free of beta, summed over the last axis; initial_intercept
+    is link(arm mean), clipped to stay finite; a max |beta| above
+    separation_norm is separation.  All but validate_outcome act
+    elementwise, so they also serve a batch of fits.
     """
 
     name: str
@@ -72,23 +79,25 @@ BERNOULLI_LOGIT = Family(
     mean=expit,
     deriv_mu=lambda mu: mu * (1.0 - mu),
     outcomes=("0/1", lambda y: (y == 0.0) | (y == 1.0)),
-    loglik=lambda y, eta: float((y * eta - np.logaddexp(0.0, eta)).sum()),
-    initial_intercept=lambda ybar: float(logit(np.clip(ybar, 1e-6, 1 - 1e-6))),
+    # log(1 + e^eta) as max(eta, 0) + log1p(e^-|eta|), logaddexp's formula
+    loglik=lambda y, eta: (y * eta - np.maximum(eta, 0.0)
+                           - np.log1p(np.exp(-np.abs(eta)))).sum(axis=-1),
+    initial_intercept=lambda ybar: logit(np.clip(ybar, 1e-6, 1 - 1e-6)),
     separation_norm=30.0,
 )
 POISSON_LOG = Family(
     "poisson-log", mean=np.exp, deriv_mu=np.asarray,
     outcomes=("nonnegative", lambda y: ~(y < 0)),
-    loglik=lambda y, eta: float((y * eta - np.exp(eta)).sum()),
-    initial_intercept=lambda ybar: float(np.log(max(ybar, 1e-6))),
+    loglik=lambda y, eta: (y * eta - np.exp(eta)).sum(axis=-1),
+    initial_intercept=lambda ybar: np.log(np.maximum(ybar, 1e-6)),
 )
 GAUSSIAN_IDENTITY = Family(
     "gaussian-identity",
     mean=np.asarray,
     deriv_mu=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
     outcomes=None,
-    loglik=lambda y, eta: float(-0.5 * ((y - eta) ** 2).sum()),
-    initial_intercept=float,
+    loglik=lambda y, eta: -0.5 * ((y - eta) ** 2).sum(axis=-1),
+    initial_intercept=np.asarray,
 )
 
 _FAMILIES = {f.name: f for f in (BERNOULLI_LOGIT, POISSON_LOG, GAUSSIAN_IDENTITY)}
@@ -114,7 +123,9 @@ class FittedGLM:
 
     bread is (1/n) sum_i m'(beta' X_i) X_i X_i', the normalized negative
     score Jacobian; residuals are Y_i - fitted_i on the response scale;
-    counterfactual_means are m(beta' X_i(a)) for a = 1, 2.
+    counterfactual_means are m(beta' X_i(a)) for a = 1, 2.  A fit_batch
+    result stacks B fits: every array gains a leading batch axis, and
+    converged, iterations and score_norm hold one value per fit.
     """
 
     beta: np.ndarray
@@ -231,3 +242,149 @@ def fit(design: DesignMatrix, y: np.ndarray,
     raise NonConvergenceError(
         f"no convergence in {max_iter} iterations (max-abs score {snorm:.3e})",
         beta=beta, score_norm=snorm, iterations=max_iter)
+
+
+# ------------------------------------------------------------------ #
+# Batched fitting
+# ------------------------------------------------------------------ #
+
+
+def _matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """X_b beta_b for each b: (B, n, p) by (B, p) gives (B, n)."""
+    return np.matmul(X, beta[..., None])[..., 0]
+
+
+def per_matrix(op, *stacks):
+    """A numpy.linalg ``op`` on stacks of matrices, NaN where a matrix is
+    singular (np.linalg raises for the whole stack instead).  The result
+    has the shape of the last stack."""
+    try:
+        return op(*stacks)
+    except np.linalg.LinAlgError:
+        out = np.full(stacks[-1].shape, np.nan)
+        for b, row in enumerate(zip(*stacks)):
+            try:
+                out[b] = op(*row)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _cond1(A: np.ndarray) -> np.ndarray:
+    """1-norm condition number of each matrix of the stack A (inf if
+    singular)."""
+    inv = per_matrix(np.linalg.inv, A)
+    cond = np.abs(A).sum(axis=-2).max(axis=-1) \
+        * np.abs(inv).sum(axis=-2).max(axis=-1)
+    return np.where(np.isnan(cond), np.inf, cond)
+
+
+def fit_batch(design: DesignMatrix, y: np.ndarray,
+              family: str | Family | None = None, *, tol: float = 1e-10,
+              max_iter: int = 50):
+    """Fit B working models at once: ``design`` stacks (B, n, p) designs
+    and y is (B, n).
+
+    IRLS runs on the stack with full Newton steps from batched normal
+    equations, dropping each fit from the active set as it converges, and
+    it only ever certifies success: a fit is refit by ``fit``, the
+    reference and the only source of typed fit errors, when an arm's
+    outcomes are all equal or the outcomes are invalid, once it shows a
+    non-finite score, a singular solve, a step that would need halving,
+    max |beta| past the family's separation_norm, or no convergence in
+    max_iter steps, and when its converged bread is ill-conditioned
+    (1-norm condition number above 1e8).  Each fit depends only on its own
+    row, never on the rest of the batch.
+
+    Returns the stacked FittedGLM and {row: error} for the rows whose
+    refit raised; those rows hold zero coefficients, means and residuals,
+    counterfactual means 1/2 and an identity bread, and are not converged.
+    """
+    fam = resolve_family(family if family is not None
+                         else design.spec.family)
+    X = design.X
+    y = np.asarray(y, dtype=float)
+    B, n, p = X.shape
+    valid = np.isfinite(y).all()
+    if valid and fam.outcomes is not None:
+        valid = fam.outcomes[1](y).all()
+    refit = np.full(B, not valid)
+    beta = np.zeros((B, p))
+    for j in (0, 1):
+        if j < p:
+            rows = X[..., j] == 1.0
+            count = rows.sum(axis=-1)
+            has = count > 0
+            beta[has, j] = fam.initial_intercept(
+                (y * rows).sum(axis=-1)[has] / count[has])
+            # an arm of equal outcomes has arm means at the boundary of
+            # the family or predictions that only rounding keeps off zero
+            refit |= (np.where(rows, y, -np.inf).max(axis=-1)
+                      == np.where(rows, y, np.inf).min(axis=-1))
+
+    out_beta, out_mu = np.zeros((B, p)), np.zeros((B, n))
+    iterations, score_norm = np.zeros(B, dtype=int), np.full(B, np.nan)
+    # the active fits' transposed designs, for X' W X
+    idx = np.flatnonzero(~refit)
+    XT = np.ascontiguousarray(X[idx].transpose(0, 2, 1))
+    ya, beta = y[idx], beta[idx]
+    eta = _matvec(XT.transpose(0, 2, 1), beta)
+    ll = fam.loglik(ya, eta)
+    full_step = np.ones(idx.size, dtype=bool)
+    for it in range(max_iter + 1):
+        mu = fam.mean(eta)
+        score = _matvec(XT, ya - mu)
+        snorm = np.abs(score).max(axis=-1)
+        done = full_step & (snorm <= tol)
+        out_beta[idx[done]], out_mu[idx[done]] = beta[done], mu[done]
+        iterations[idx[done]], score_norm[idx[done]] = it, snorm[done]
+        go = full_step & ~done & np.isfinite(snorm) & (it < max_iter)
+        refit[idx[~done & ~go]] = True
+        if not go.all():
+            idx, XT, ya = idx[go], XT[go], ya[go]
+            beta, mu, score, ll = beta[go], mu[go], score[go], ll[go]
+        if not idx.size:
+            break
+        Xa = XT.transpose(0, 2, 1)
+        w = np.maximum(fam.deriv_mu(mu), _WEIGHT_FLOOR)
+        beta = beta + per_matrix(np.linalg.solve,
+                                 np.matmul(XT * w[:, None, :], Xa),
+                                 score[..., None])[..., 0]
+        eta = _matvec(Xa, beta)
+        ll_new = fam.loglik(ya, eta)
+        # a step that fit would halve, or that diverges, is left to fit
+        full_step = (np.isfinite(ll_new)
+                     & (ll_new >= ll - 1e-12 * (1.0 + np.abs(ll)))
+                     & (np.abs(beta).max(axis=-1) <= fam.separation_norm))
+        ll = ll_new
+
+    resid = y - out_mu
+    w = fam.deriv_mu(out_mu)
+    bread = np.matmul(X.transpose(0, 2, 1) * w[:, None, :], X) / n
+    ok = np.flatnonzero(~refit)
+    refit[ok[~(_cond1(bread[ok]) <= _COND_MAX)]] = True
+    cf = tuple(fam.mean(_matvec(Xc, out_beta)) for Xc in design.counterfactuals)
+    errors = {}
+    for b in np.flatnonzero(refit):
+        row = DesignMatrix(X=X[b], column_labels=design.column_labels,
+                           counterfactuals=tuple(Xc[b] for Xc in
+                                                 design.counterfactuals),
+                           spec=design.spec)
+        try:
+            f = fit(row, y[b], fam, tol=tol, max_iter=max_iter)
+        except GScoreError as err:
+            errors[int(b)] = err
+            out_beta[b], out_mu[b], resid[b] = 0.0, 0.0, 0.0
+            bread[b], cf[0][b], cf[1][b] = np.eye(p), 0.5, 0.5
+            continue
+        out_beta[b], out_mu[b], resid[b], bread[b] = (
+            f.beta, f.fitted, f.residuals, f.bread)
+        cf[0][b], cf[1][b] = f.counterfactual_means
+        iterations[b], score_norm[b] = f.iterations, f.score_norm
+    converged = np.ones(B, dtype=bool)
+    converged[list(errors)] = False
+    return FittedGLM(
+        beta=out_beta, bread=bread, fitted=out_mu, residuals=resid,
+        converged=converged, iterations=iterations, score_norm=score_norm,
+        family=fam, column_labels=design.column_labels,
+        counterfactual_means=cf), errors

@@ -106,18 +106,34 @@ class TestResult:
 # Distribution functions come from scipy.special, bit for bit what the
 # scipy.stats calls return, without the cost of importing scipy.stats:
 # chi-square-1 quantile 2 gammaincinv(1/2, q), normal tails ndtr/ndtri.
+#
+# Each test is written once, as a kernel over a leading batch axis: arm
+# means (B, 2) and covariances (B, 2, 2) from fits of n subjects give a
+# dict of (B,) arrays, with masks for the rows where the arm means are not
+# positive (ratio) or the score interval does not exist.  run_test_batch
+# runs a kernel on a batch; the scalar test functions run it on a batch
+# of one and raise what the masks say.
 
-def _chi2_sf(x: float) -> float:
+def _chi2_sf(x):
     """Upper tail of chi-square-1; 1 below the support, as chi2.sf gives."""
-    return float(chdtrc(1, max(x, 0.0)))
+    return chdtrc(1, np.maximum(x, 0.0))
 
 
-def _one_sided_p(z: float, sidedness: str, two_sided: float) -> float:
+def _one_sided_p(z, sidedness: str, two_sided):
     if sidedness == "two-sided":
         return two_sided
-    if sidedness == "greater":
-        return float(ndtr(-z))
-    return float(ndtr(z))
+    return ndtr(-z) if sidedness == "greater" else ndtr(z)
+
+
+def _chi2_p(dev, stat, h: Hypothesis):
+    """p-value of a chi-square-1 statistic signed by the deviation dev."""
+    return _one_sided_p(np.sign(dev) * np.sqrt(stat), h.sidedness,
+                        _chi2_sf(stat))
+
+
+def _diff_variance(sigma: np.ndarray) -> np.ndarray:
+    return np.maximum(
+        sigma[..., 1, 1] - 2.0 * sigma[..., 1, 0] + sigma[..., 0, 0], 0.0)
 
 
 def effect_diff_variance(v: VarianceEstimate) -> float:
@@ -127,31 +143,101 @@ def effect_diff_variance(v: VarianceEstimate) -> float:
     cellwise estimator can dip below zero in degenerate samples, in which
     case it is clipped to zero.
     """
-    s = v.sigma
-    return max(float(s[1, 1] - 2.0 * s[1, 0] + s[0, 0]), 0.0)
+    return float(_diff_variance(v.sigma[None])[0])
 
 
-def _tagged(h: Hypothesis, v: VarianceEstimate) -> dict:
-    """TestResult fields that echo the hypothesis and the variance."""
-    return dict(null_value=h.null_value, level=h.level, sidedness=h.sidedness,
-                variance_tag=(v.estimator, v.correction), n=v.n)
+def _wald_diff(mu, sigma, n: int, h: Hypothesis) -> dict:
+    diff = mu[..., 1] - mu[..., 0]
+    sd2 = _diff_variance(sigma)
+    sd = np.sqrt(sd2)
+    dev = diff - h.null_value
+    stat = np.where(dev == 0.0, 0.0,
+                    np.where(sd2 == 0.0, np.inf, dev ** 2 / sd2))
+    half = h.z_quantile * sd
+    return dict(estimate=diff, statistic=stat, p_value=_chi2_p(dev, stat, h),
+                lo=diff - half, hi=diff + half, se=sd)
+
+
+def _score_diff(mu, sigma, n: int, h: Hypothesis) -> dict:
+    diff = mu[..., 1] - mu[..., 0]
+    sd2 = _diff_variance(sigma)
+    sd = np.sqrt(sd2)
+    dev = diff - h.null_value
+    stat = np.where(dev == 0.0, 0.0, dev ** 2 / (sd2 + dev ** 2 / n))
+    c = h.chi2_quantile
+    half = sd * np.sqrt(c / (1.0 - c / n)) if n > c else np.nan
+    return dict(estimate=diff, statistic=stat, p_value=_chi2_p(dev, stat, h),
+                lo=diff - half, hi=diff + half, se=sd,
+                undefined=np.full(diff.shape, n <= c))
+
+
+def _wald_ratio(mu, sigma, n: int, h: Hypothesis) -> dict:
+    mu1, mu2, s = mu[..., 0], mu[..., 1], sigma
+    ratio = mu2 / mu1
+    ls = np.sqrt(np.maximum(s[..., 1, 1] / mu2 ** 2
+                            - 2.0 * s[..., 1, 0] / (mu1 * mu2)
+                            + s[..., 0, 0] / mu1 ** 2, 0.0))
+    log_ratio = np.log(ratio)
+    dev = log_ratio - np.log(h.null_value)
+    z = np.where(dev == 0.0, 0.0,
+                 np.where(ls == 0.0, np.sign(dev) * np.inf, dev / ls))
+    half = h.z_quantile * ls
+    return dict(estimate=ratio, statistic=z,
+                p_value=_one_sided_p(z, h.sidedness, 2.0 * ndtr(-np.abs(z))),
+                lo=np.exp(log_ratio - half), hi=np.exp(log_ratio + half),
+                se=ls, nonpositive=(mu1 <= 0.0) | (mu2 <= 0.0))
+
+
+def _score_ratio(mu, sigma, n: int, h: Hypothesis) -> dict:
+    mu1, mu2, s = mu[..., 0], mu[..., 1], sigma
+    d0 = h.null_value
+    ratio = mu2 / mu1
+    dev = mu2 - d0 * mu1
+    stat = np.where(dev == 0.0, 0.0, dev ** 2 / (
+        s[..., 1, 1] - 2.0 * d0 * s[..., 1, 0] + d0 ** 2 * s[..., 0, 0]
+        + dev ** 2 / n))
+    c = h.chi2_quantile
+    den = 1.0 - c * (s[..., 0, 0] / mu1 ** 2 + 1.0 / n)
+    a = (1.0 - c * (s[..., 1, 0] / (mu1 * mu2) + 1.0 / n)) / den
+    b = (1.0 - c * (s[..., 1, 1] / mu2 ** 2 + 1.0 / n)) / den
+    disc = a ** 2 - b
+    root = np.sqrt(disc)
+    return dict(estimate=ratio, statistic=stat, p_value=_chi2_p(dev, stat, h),
+                lo=ratio * (a - root), hi=ratio * (a + root),
+                nonpositive=(mu1 <= 0.0) | (mu2 <= 0.0),
+                undefined=(den <= 0.0) | (disc <= 0.0),
+                den=den, a=a, b=b, disc=disc)
+
+
+def _row(kernel, mu: MuEstimate, v: VarianceEstimate, h: Hypothesis) -> dict:
+    """A kernel's results for one (mu, v) as floats; DataError for a ratio
+    of non-positive arm means."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cols = kernel(mu.mu[None], v.sigma[None], v.n, h)
+    r = {k: float(x[0]) for k, x in cols.items()}
+    if r.get("nonpositive"):
+        raise DataError("ratio effects need positive arm means, got "
+                        f"({mu.mu1:.4g}, {mu.mu2:.4g})")
+    return r
+
+
+def _result(method: str, measure: str, distribution: str, r: dict,
+            h: Hypothesis, v: VarianceEstimate, **fields) -> TestResult:
+    """TestResult from a kernel row, echoing the hypothesis and variance."""
+    return TestResult(method=method, measure=measure, estimate=r["estimate"],
+                      statistic=r["statistic"], distribution=distribution,
+                      p_value=r["p_value"], null_value=h.null_value,
+                      level=h.level, sidedness=h.sidedness,
+                      variance_tag=(v.estimator, v.correction), n=v.n,
+                      **fields)
 
 
 def wald_test_diff(mu: MuEstimate, v: VarianceEstimate,
                    h: Hypothesis) -> TestResult:
     """Wald chi-square for the difference, symmetric interval."""
-    diff = mu.mu2 - mu.mu1
-    sd2 = effect_diff_variance(v)
-    sd = np.sqrt(sd2)
-    dev = diff - h.null_value
-    stat = 0.0 if dev == 0.0 else (np.inf if sd2 == 0.0 else dev ** 2 / sd2)
-    z = np.sign(dev) * np.sqrt(stat)
-    p = _one_sided_p(z, h.sidedness, _chi2_sf(stat))
-    zq = h.z_quantile
-    return TestResult(
-        method="wald", measure="difference", estimate=diff,
-        statistic=float(stat), distribution="chi-square-1", p_value=p,
-        ci=(diff - zq * sd, diff + zq * sd), se=float(sd), **_tagged(h, v))
+    r = _row(_wald_diff, mu, v, h)
+    return _result("wald", "difference", "chi-square-1", r, h, v,
+                   ci=(r["lo"], r["hi"]), se=r["se"])
 
 
 def score_test_diff(mu: MuEstimate, v: VarianceEstimate,
@@ -162,50 +248,23 @@ def score_test_diff(mu: MuEstimate, v: VarianceEstimate,
     diff +/- sd * sqrt(c / (1 - c/n)) with c the level quantile of
     chi-square-1.  Needs n > c for the interval to exist.
     """
-    diff = mu.mu2 - mu.mu1
-    n = v.n
-    sd2 = effect_diff_variance(v)
-    sd = np.sqrt(sd2)
-    dev = diff - h.null_value
-    denom = sd2 + dev ** 2 / n
-    stat = 0.0 if dev == 0.0 else dev ** 2 / denom
-    z = np.sign(dev) * np.sqrt(stat)
-    p = _one_sided_p(z, h.sidedness, _chi2_sf(stat))
-    c = h.chi2_quantile
-    partial = TestResult(
-        method="score", measure="difference", estimate=diff,
-        statistic=float(stat), distribution="chi-square-1", p_value=p,
-        ci=None, se=float(sd), **_tagged(h, v))
-    if n <= c:
+    r = _row(_score_diff, mu, v, h)
+    partial = _result("score", "difference", "chi-square-1", r, h, v,
+                      ci=None, se=r["se"])
+    if r["undefined"]:
+        c = h.chi2_quantile
         raise IntervalUndefinedError(
-            f"score interval needs n > {c:.4g}, got n={n}",
-            result=partial, diagnostics={"n": n, "critical": c})
-    half = sd * np.sqrt(c / (1.0 - c / n))
-    return replace(partial, ci=(diff - half, diff + half))
+            f"score interval needs n > {c:.4g}, got n={v.n}",
+            result=partial, diagnostics={"n": v.n, "critical": c})
+    return replace(partial, ci=(r["lo"], r["hi"]))
 
 
 def wald_test_ratio(mu: MuEstimate, v: VarianceEstimate,
                     h: Hypothesis) -> TestResult:
     """Delta-method Wald for the ratio, built on the log scale."""
-    if mu.mu1 <= 0.0 or mu.mu2 <= 0.0:
-        raise DataError("ratio effects need positive arm means, got "
-                        f"({mu.mu1:.4g}, {mu.mu2:.4g})")
-    s = v.sigma
-    ratio = mu.mu2 / mu.mu1
-    ls2 = (s[1, 1] / mu.mu2 ** 2 - 2.0 * s[1, 0] / (mu.mu1 * mu.mu2)
-           + s[0, 0] / mu.mu1 ** 2)
-    ls2 = max(float(ls2), 0.0)
-    ls = np.sqrt(ls2)
-    dev = np.log(ratio) - np.log(h.null_value)
-    z = 0.0 if dev == 0.0 else (np.sign(dev) * np.inf if ls == 0.0 else dev / ls)
-    p = _one_sided_p(z, h.sidedness, float(2.0 * ndtr(-abs(z))))
-    zq = h.z_quantile
-    return TestResult(
-        method="wald", measure="ratio", estimate=float(ratio),
-        statistic=float(z), distribution="standard-normal", p_value=p,
-        ci=(float(np.exp(np.log(ratio) - zq * ls)),
-            float(np.exp(np.log(ratio) + zq * ls))),
-        se=float(ls), meta={"scale": "log"}, **_tagged(h, v))
+    r = _row(_wald_ratio, mu, v, h)
+    return _result("wald", "ratio", "standard-normal", r, h, v,
+                   ci=(r["lo"], r["hi"]), se=r["se"], meta={"scale": "log"})
 
 
 def score_test_ratio(mu: MuEstimate, v: VarianceEstimate,
@@ -218,54 +277,34 @@ def score_test_ratio(mu: MuEstimate, v: VarianceEstimate,
     coefficient's denominator stays positive and a^2 > b, otherwise the
     error carries the partial result and the failing quantities.
     """
-    if mu.mu1 <= 0.0 or mu.mu2 <= 0.0:
-        raise DataError("ratio effects need positive arm means, got "
-                        f"({mu.mu1:.4g}, {mu.mu2:.4g})")
-    s = v.sigma
-    n = v.n
-    d0 = h.null_value
-    ratio = mu.mu2 / mu.mu1
-    dev = mu.mu2 - d0 * mu.mu1
-    denom = (s[1, 1] - 2.0 * d0 * s[1, 0] + d0 ** 2 * s[0, 0]
-             + dev ** 2 / n)
-    stat = 0.0 if dev == 0.0 else dev ** 2 / denom
-    z = np.sign(dev) * np.sqrt(stat)
-    p = _one_sided_p(z, h.sidedness, _chi2_sf(stat))
-    partial = TestResult(
-        method="score", measure="ratio", estimate=float(ratio),
-        statistic=float(stat), distribution="chi-square-1", p_value=p,
-        ci=None, **_tagged(h, v))
+    r = _row(_score_ratio, mu, v, h)
+    partial = _result("score", "ratio", "chi-square-1", r, h, v, ci=None)
     c = h.chi2_quantile
-    den = 1.0 - c * (s[0, 0] / mu.mu1 ** 2 + 1.0 / n)
-    if den <= 0.0:
+    if r["den"] <= 0.0:
         raise IntervalUndefinedError(
             "ratio interval undefined: (1 - c/n) mu_1^2 must exceed "
             "c Sigma_11", result=partial,
-            diagnostics={"denominator": float(den), "critical": c, "n": n})
-    a = (1.0 - c * (s[1, 0] / (mu.mu1 * mu.mu2) + 1.0 / n)) / den
-    b = (1.0 - c * (s[1, 1] / mu.mu2 ** 2 + 1.0 / n)) / den
-    disc = a ** 2 - b
-    if disc <= 0.0:
+            diagnostics={"denominator": r["den"], "critical": c, "n": v.n})
+    if r["disc"] <= 0.0:
         raise IntervalUndefinedError(
             "ratio interval undefined: negative discriminant",
             result=partial,
-            diagnostics={"a": float(a), "b": float(b),
-                         "discriminant": float(disc)})
-    root = np.sqrt(disc)
-    return replace(partial,
-                   ci=(float(ratio * (a - root)), float(ratio * (a + root))),
-                   meta={"a": float(a), "b": float(b)})
+            diagnostics={"a": r["a"], "b": r["b"],
+                         "discriminant": r["disc"]})
+    return replace(partial, ci=(r["lo"], r["hi"]),
+                   meta={"a": r["a"], "b": r["b"]})
 
 
 # ------------------------------------------------------------------ #
 # Pipeline composition
 # ------------------------------------------------------------------ #
 
-_TEST_FUNCS = {
-    ("difference", "wald"): wald_test_diff,
-    ("difference", "score"): score_test_diff,
-    ("ratio", "wald"): wald_test_ratio,
-    ("ratio", "score"): score_test_ratio,
+# (kernel, scalar test) per (measure, test)
+_TESTS = {
+    ("difference", "wald"): (_wald_diff, wald_test_diff),
+    ("difference", "score"): (_score_diff, score_test_diff),
+    ("ratio", "wald"): (_wald_ratio, wald_test_ratio),
+    ("ratio", "score"): (_score_ratio, score_test_ratio),
 }
 
 
@@ -273,7 +312,25 @@ def run_test(mu: MuEstimate, v: VarianceEstimate, h: Hypothesis,
              test: str) -> TestResult:
     """Run the named test ("wald" or "score") for ``h``'s effect measure."""
     check_choices("run_test", (test, TESTS, "test"))
-    return _TEST_FUNCS[(h.measure, test)](mu, v, h)
+    return _TESTS[(h.measure, test)][1](mu, v, h)
+
+
+def run_test_batch(mu: np.ndarray, sigma: np.ndarray, n: int, h: Hypothesis,
+                   test: str) -> dict:
+    """``run_test`` for a batch: arm means (B, 2) and covariances
+    (B, 2, 2) from fits of n subjects each.
+
+    Returns (B,) arrays estimate, statistic, p_value, lo and hi (the
+    interval), and ``failed``, the rows for which ``run_test`` raises:
+    non-positive arm means for a ratio, or an undefined score interval.
+    """
+    check_choices("run_test", (test, TESTS, "test"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cols = _TESTS[(h.measure, test)][0](mu, sigma, n, h)
+    cols["failed"] = (cols.get("nonpositive", False)
+                      | cols.get("undefined", False)) \
+        & np.ones(mu.shape[:-1], dtype=bool)
+    return cols
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,14 @@ proxy.
 
 Reproducibility: replication r uses the substream spawned as
 SeedSequence(seed, spawn_key=(r,)) feeding a counter-based Philox
-generator, so results depend only on (scenario, seed, reps), never on
+generator, so its data never depend on which replications are drawn
+beside it.  ``run_oc`` analyzes BATCH replications at a time: their
+designs are built as one stack, IRLS runs on the whole stack
+(``glm.fit_batch``) and hands every fit it cannot certify to the scalar
+``glm.fit``, and the arm means, variances and tests run once per batch
+over a leading batch axis, the code the scalar API runs on a batch of
+one.  Each replication's numbers depend on its own data only, so results
+depend only on (scenario, methods, seed, reps), never on batch size,
 worker count or scheduling.
 """
 
@@ -19,20 +26,32 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
 
-from .dataset import ModelSpec, TrialDataset, build_design
-from .errors import GScoreError, check_choices
-from .gcomp import CORRECTIONS, ESTIMATORS, estimate_mu, estimate_variance
-from .glm import fit as fit_glm
-from .inference import MEASURES, SIDEDNESS, TESTS, Hypothesis, run_test
+from .dataset import ModelSpec, TrialDataset, stack_designs
+from .errors import DegenerateArmError, GScoreError, check_choices
+from .gcomp import (
+    CORRECTIONS,
+    ESTIMATORS,
+    estimate_mu_batch,
+    estimate_variance_batch,
+)
+from .glm import fit_batch
+from .inference import MEASURES, SIDEDNESS, TESTS, Hypothesis, run_test_batch
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(80)
 _GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(2.0 * np.pi)
 
 _MAX_BERNOULLI_ENUM = 16
+_ARMS = np.array([1, 2])
+
+# Replications per kernel call in run_oc, and per process task.  Neither
+# changes any result.
+BATCH = 64
+_CHUNK = 250
 
 
 # ------------------------------------------------------------------ #
@@ -218,8 +237,7 @@ def randomize_complete(n: int, allocation, rng: np.random.Generator) -> np.ndarr
     the rest (including any rounding remainder) to arm 2, positions
     uniformly permuted."""
     n1 = int(np.floor(n * float(allocation[0])))
-    arms = np.array([1] * n1 + [2] * (n - n1))
-    return rng.permutation(arms)
+    return rng.permutation(np.repeat(_ARMS, (n1, n - n1)))
 
 
 def randomize_stratified_block(strata, block_size: int, allocation,
@@ -254,39 +272,61 @@ def randomize_stratified_block(strata, block_size: int, allocation,
 # ------------------------------------------------------------------ #
 
 
+class _Trials(NamedTuple):
+    """B generated trials on a leading axis; made by _draw, not re-validated."""
+
+    outcome: np.ndarray  # (B, n), 0/1
+    arm: np.ndarray  # (B, n), labels 1 and 2
+    covariates: np.ndarray  # (B, n, q)
+    covariate_names: tuple[str, ...]
+    stratum: np.ndarray | None  # (B, n)
+
+
+def _draw(s: Scenario, rngs) -> _Trials:
+    """One trial per generator in ``rngs``, each drawing its covariates,
+    then its randomization, then one uniform per subject for the outcome."""
+    B, n, q = len(rngs), s.n, len(s.covariates)
+    W = np.empty((B, n, q))
+    arm = np.empty((B, n), dtype=int)
+    u = np.empty((B, n))
+    stratum = None if s.stratify is None else np.empty((B, n), dtype=int)
+    for b, rng in enumerate(rngs):
+        for j, spec in enumerate(s.covariates):
+            W[b, :, j] = (rng.standard_normal(n)
+                          if spec.kind == "standard-normal"
+                          else rng.random(n) < spec.p)
+        if stratum is not None:
+            stratum[b] = W[b, :, s.stratify.covariate - 1] \
+                > s.stratify.threshold
+        arm[b] = (randomize_complete(n, s.allocation, rng)
+                  if s.scheme == "complete" else randomize_stratified_block(
+                      stratum[b], s.block_size, s.allocation, rng))
+        u[b] = rng.random(n)
+    for a in (1, 2):
+        if not (arm == a).any(axis=-1).all():
+            raise DegenerateArmError(f"arm {a} has no subjects")
+
+    eta = np.asarray(s.beta_A)[arm - 1] + (W @ np.asarray(s.beta_W)
+                                           if q else 0.0)
+    names = tuple(f"W{j + 1}" for j in range(q))
+    covariates = W
+    if stratum is not None:
+        covariates = np.concatenate([W, stratum[..., None].astype(float)],
+                                    axis=-1)
+        names += ("S",)
+    return _Trials(outcome=(u < expit(eta)).astype(float), arm=arm,
+                   covariates=covariates, covariate_names=names,
+                   stratum=stratum)
+
+
 def generate_trial(s: Scenario, rng: np.random.Generator) -> TrialDataset:
     """One simulated trial; the stratum (if any) is exposed both as the
     dataset's stratum labels and as a 0/1 covariate column named "S"."""
-    n = s.n
-    cols = []
-    for spec in s.covariates:
-        if spec.kind == "standard-normal":
-            cols.append(rng.standard_normal(n))
-        else:
-            cols.append((rng.random(n) < spec.p).astype(float))
-    W = np.column_stack(cols) if cols else np.empty((n, 0))
-    names = [f"W{j + 1}" for j in range(len(s.covariates))]
-
-    stratum = None
-    if s.stratify is not None:
-        stratum = (W[:, s.stratify.covariate - 1] > s.stratify.threshold
-                   ).astype(int)
-    if s.scheme == "complete":
-        arm = randomize_complete(n, s.allocation, rng)
-    else:
-        arm = randomize_stratified_block(stratum, s.block_size, s.allocation, rng)
-
-    eta = np.asarray(s.beta_A)[arm - 1] + (W @ np.asarray(s.beta_W)
-                                           if names else 0.0)
-    y = (rng.random(n) < expit(eta)).astype(float)
-
-    covariates = W
-    if stratum is not None:
-        covariates = np.column_stack([W, stratum.astype(float)])
-        names = names + ["S"]
-    return TrialDataset(outcome=y, arm=arm, covariates=covariates,
-                        covariate_names=tuple(names),
-                        stratum=stratum)
+    t = _draw(s, [rng])
+    return TrialDataset(outcome=t.outcome[0], arm=t.arm[0],
+                        covariates=t.covariates[0],
+                        covariate_names=t.covariate_names,
+                        stratum=None if t.stratum is None else t.stratum[0])
 
 
 def _marginal_mean(intercept: float, beta_W, specs) -> float:
@@ -388,38 +428,66 @@ def _plan(s: Scenario, methods, level: float):
     return tuple(plan)
 
 
-def _analyze_rep(data: TrialDataset, plan):
-    """Per-method (estimate, reject, cover_lo, cover_hi, failed) records.
+def _row_mask(errors: dict, B: int) -> np.ndarray:
+    mask = np.zeros(B, dtype=bool)
+    mask[list(errors)] = True
+    return mask
 
-    Coverage is recorded as interval endpoints so the caller can compare
-    against truth; a method failing to fit or to produce an interval is
-    marked failed and contributes nothing else.  Methods whose inputs agree
-    share fits, arm means and variances; a failure is retried, not cached.
+
+def _fit_spec(trials: _Trials, spec: ModelSpec):
+    """(design, fit, arm means, failed rows) of ``spec`` on a batch of
+    trials, or None when the design cannot be built."""
+    try:
+        design = stack_designs(trials.arm, trials.covariates,
+                               trials.covariate_names, spec)
+    except GScoreError:
+        return None
+    fitted, errors = fit_batch(design, trials.outcome)
+    return (design, fitted, estimate_mu_batch(fitted),
+            _row_mask(errors, len(trials.outcome)))
+
+
+def _analyze_batch(trials: _Trials, plan):
+    """Per-method (estimate, reject, ci_lo, ci_hi, failed) records of a
+    batch of trials, each a (B, methods) array.
+
+    A method fails on a replication where the scalar pipeline raises a
+    GScoreError for it (fit, variance or test); its estimate and interval
+    are then NaN and it does not reject.  Methods whose inputs agree share
+    fits, arm means and variances.
     """
+    B, M = len(trials.outcome), len(plan)
+    est, lo, hi = (np.full((B, M), np.nan) for _ in range(3))
+    reject = np.zeros((B, M), dtype=bool)
+    failed = np.ones((B, M), dtype=bool)
     fits, variances = {}, {}
-    out = []
-    for m, spec, h, thr in plan:
-        try:
-            if spec not in fits:
-                design = build_design(data, spec)
-                fitted = fit_glm(design, data.outcome)
-                fits[spec] = (design, fitted, estimate_mu(fitted, design))
-            design, fitted, mu = fits[spec]
-            key = (spec, m.estimator, m.correction, m.pi)
-            if key not in variances:
-                variances[key] = estimate_variance(
-                    fitted, design, m.estimator, m.correction, m.pi)
-            result = run_test(mu, variances[key], h, m.test)
-            out.append((result.estimate, result.p_value <= thr,
-                        result.ci[0], result.ci[1], False))
-        except GScoreError:
-            out.append((np.nan, False, np.nan, np.nan, True))
-    return out
+    for j, (m, spec, h, thr) in enumerate(plan):
+        if spec not in fits:
+            fits[spec] = _fit_spec(trials, spec)
+        if fits[spec] is None:
+            continue
+        design, fitted, mu, fit_failed = fits[spec]
+        key = (spec, m.estimator, m.correction, m.pi)
+        if key not in variances:
+            sigma, errors = estimate_variance_batch(
+                fitted, design, m.estimator, m.correction, m.pi)
+            variances[key] = sigma, fit_failed | _row_mask(errors, B)
+        sigma, var_failed = variances[key]
+        r = run_test_batch(mu, sigma, design.n, h, m.test)
+        ok = ~(var_failed | r["failed"])
+        for out, name in ((est, "estimate"), (lo, "lo"), (hi, "hi")):
+            out[ok, j] = r[name][ok]
+        reject[:, j] = ok & (r["p_value"] <= thr)
+        failed[:, j] = ~ok
+    return est, reject, lo, hi, failed
 
 
-def _run_chunk(s: Scenario, plan, seed: int, rep_range):
-    return [_analyze_rep(generate_trial(s, _rep_rng(seed, rep)), plan)
-            for rep in rep_range]
+def _run_chunk(s: Scenario, plan, seed: int, reps: range):
+    """Records of replications ``reps``, BATCH at a time, stacked."""
+    parts = [_analyze_batch(_draw(s, [_rep_rng(seed, r)
+                                      for r in reps[i:i + BATCH]]), plan)
+             for i in range(0, len(reps), BATCH)]
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def run_oc(s: Scenario, methods, reps: int, *, seed: int,
@@ -429,11 +497,14 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
     ``level`` drives both the two-sided interval level and the one-sided
     rejection threshold (1 - level)/2, the standard pairing (0.95 gives
     one-sided 0.025).  Failed replications are excluded per method and
-    reported in the denominator.  Results are identical for any
-    ``workers`` value (process count; 1 runs serially).
+    reported in the denominator.  ``workers`` is the process count: 1
+    runs serially, more runs chunks of replications in up to workers - 1
+    helper processes and this one.  Results are identical for any value.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     methods = tuple(methods)
     if len({m.name for m in methods}) != len(methods):
         raise ValueError("method names must be unique")
@@ -441,28 +512,30 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
     t1, t2 = true_marginal_means(s)
     truth = {"difference": t2 - t1, "ratio": t2 / t1}
 
-    if workers > 1 and reps > 1:
-        chunk = 250  # fixed so the reduction never depends on worker count
-        ranges = [range(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map yields chunks in submission order: replication order
-            all_records = [rec for recs in pool.map(
-                _run_chunk, itertools.repeat(s), itertools.repeat(plan),
-                itertools.repeat(seed), ranges) for rec in recs]
+    chunks = [range(lo, min(lo + _CHUNK, reps))
+              for lo in range(0, reps, _CHUNK)]
+    helpers = min(workers, len(chunks)) - 1
+    if helpers:
+        with ProcessPoolExecutor(max_workers=helpers) as pool:
+            # this process runs the first chunk; map yields the rest in
+            # submission order, so records stay in replication order
+            rest = pool.map(_run_chunk, itertools.repeat(s),
+                            itertools.repeat(plan), itertools.repeat(seed),
+                            chunks[1:])
+            parts = [_run_chunk(s, plan, seed, chunks[0]), *rest]
     else:
-        all_records = _run_chunk(s, plan, seed, range(reps))
+        parts = [_run_chunk(s, plan, seed, range(reps))]
+    est, rej, lo, hi, failed = (np.concatenate(a) for a in zip(*parts))
 
     summaries = []
     for j, m in enumerate(methods):
-        est, rej, lo, hi, failed = map(
-            np.array, zip(*(rec[j] for rec in all_records)))
-        ok = ~failed
+        ok = ~failed[:, j]
         n_used = int(ok.sum())
         tv = truth[m.measure]
         if n_used:
-            r_rate = float(rej[ok].mean())
-            cov = float(((lo[ok] <= tv) & (tv <= hi[ok])).mean())
-            mean_est = float(est[ok].mean())
+            r_rate = float(rej[ok, j].mean())
+            cov = float(((lo[ok, j] <= tv) & (tv <= hi[ok, j])).mean())
+            mean_est = float(est[ok, j].mean())
         else:
             r_rate = cov = mean_est = float("nan")
         summaries.append(MethodSummary(
@@ -470,7 +543,7 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
             estimator=m.estimator, correction=m.correction,
             model=m.model_label(), null_value=m.resolved_null(),
             sidedness=m.sidedness, n_total=reps,
-            n_failed=int(failed.sum()), rejection_rate=r_rate, coverage=cov,
+            n_failed=reps - n_used, rejection_rate=r_rate, coverage=cov,
             mean_estimate=mean_est,
             mc_se_rejection=float(np.sqrt(r_rate * (1 - r_rate) / n_used))
             if n_used else float("nan"),

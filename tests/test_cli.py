@@ -355,6 +355,17 @@ class TestSimulate:
                      "--out", str(tmp_path / "oc.csv")]) == 2
         assert "reps must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+        scen = write_yaml(tmp_path / "scen.yaml", scenario_doc())
+        meth = write_yaml(tmp_path / "meth.yaml", methods_doc())
+        out = tmp_path / "oc.csv"
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "5", "--seed", "1", "--workers", workers,
+                     "--out", str(out)]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
         scen = write_yaml(tmp_path / "scen.yaml",
                           {**scenario_doc(), "reps": 100})

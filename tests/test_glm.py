@@ -1,5 +1,7 @@
 """IRLS fitting: oracle equivalence, score residuals, typed failures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -7,7 +9,13 @@ from scipy.special import expit
 
 import frozen_values as fv
 from conftest import random_trial
-from gscore.dataset import ModelSpec, TrialDataset, build_design
+from gscore.dataset import (
+    DesignMatrix,
+    ModelSpec,
+    TrialDataset,
+    build_design,
+    stack_designs,
+)
 from gscore.errors import (
     DataError,
     NonConvergenceError,
@@ -19,6 +27,7 @@ from gscore.glm import (
     GAUSSIAN_IDENTITY,
     POISSON_LOG,
     fit,
+    fit_batch,
     resolve_family,
 )
 
@@ -201,3 +210,92 @@ class TestScoreResidualProperty:
                 f = fit(design, data.outcome)
                 score = design.X.T @ f.residuals
                 assert np.max(np.abs(score)) < 1e-8
+
+
+def _row(design: DesignMatrix, b: int) -> DesignMatrix:
+    return DesignMatrix(X=design.X[b], counterfactuals=tuple(
+        Xa[b] for Xa in design.counterfactuals),
+        column_labels=design.column_labels, spec=design.spec)
+
+
+class TestFitBatch:
+    """The stacked IRLS certifies clean fits and hands the rest to fit."""
+
+    def test_ill_conditioned_bread_is_refit(self):
+        """A covariate on a 1e5 scale leaves every fit well defined but
+        the bread's condition number near 1e10: those fits come from
+        fit; the others agree with it to rounding."""
+        rng = np.random.default_rng(17)
+        B, n = 6, 80
+        arm = rng.permuted(np.tile(np.repeat([1, 2], n // 2), (B, 1)),
+                           axis=1)
+        x = rng.standard_normal((B, n, 1))
+        y = (rng.random((B, n)) < expit(0.8 * x[..., 0])).astype(float)
+        x[3:] *= 1e5
+        d = stack_designs(arm, x, ("x",), ModelSpec("bernoulli-logit",
+                                                    ("x",)))
+        fb, errors = fit_batch(d, y)
+        assert not errors and fb.converged.all()
+        for b in range(B):
+            f = fit(_row(d, b), y[b])
+            if b >= 3:
+                np.testing.assert_array_equal(fb.beta[b], f.beta)
+                np.testing.assert_array_equal(fb.bread[b], f.bread)
+                assert fb.iterations[b] == f.iterations
+            else:
+                np.testing.assert_allclose(fb.beta[b], f.beta, rtol=1e-12)
+                np.testing.assert_allclose(fb.bread[b], f.bread,
+                                           rtol=1e-12)
+
+    def test_steps_fit_would_halve_are_refit(self):
+        """Poisson fits whose first full Newton step lowers the
+        log-likelihood: fit halves it, so the batch defers to fit."""
+        calls = []
+
+        def counted(y, eta):
+            calls.append(1)
+            return POISSON_LOG.loglik(y, eta)
+
+        family = replace(POISSON_LOG, loglik=counted)
+        rng = np.random.default_rng(5)
+        B, n = 8, 60
+        arm = np.tile(np.repeat([1, 2], n // 2), (B, 1))
+        x = rng.standard_normal((B, n, 1))
+        y = rng.poisson(np.exp(0.5 + 2.5 * x[..., 0])).astype(float)
+        d = stack_designs(arm, x, ("x",), ModelSpec("poisson-log", ("x",)))
+        fb, errors = fit_batch(d, y)
+        assert not errors
+        halved = 0
+        for b in range(B):
+            calls.clear()
+            f = fit(_row(d, b), y[b], family)
+            if len(calls) > 1 + f.iterations:  # a step was halved
+                halved += 1
+                np.testing.assert_array_equal(fb.beta[b], f.beta)
+                np.testing.assert_array_equal(
+                    fb.counterfactual_means[0][b], f.counterfactual_means[0])
+            else:
+                np.testing.assert_allclose(fb.beta[b], f.beta, rtol=1e-12)
+        assert halved
+
+    def test_typed_errors_come_from_fit(self):
+        """Separated and rank-deficient rows fail with fit's own errors
+        and hold placeholders; the clean row is unaffected."""
+        rng = np.random.default_rng(9)
+        n = 40
+        arm = np.tile(np.repeat([1, 2], n // 2), (3, 1))
+        x = rng.standard_normal((3, n, 2))
+        y = (rng.random((3, n)) < 0.4).astype(float)
+        y[1] = (x[1, :, 0] > 0.0).astype(float)
+        x[2, :, 1] = x[2, :, 0]
+        d = stack_designs(arm, x, ("a", "b"), ModelSpec("bernoulli-logit",
+                                                        ("a", "b")))
+        fb, errors = fit_batch(d, y)
+        assert sorted(errors) == [1, 2]
+        assert isinstance(errors[1], SeparationError)
+        assert isinstance(errors[2], RankDeficiencyError)
+        assert errors[2].columns == ("b",)
+        assert fb.converged.tolist() == [True, False, False]
+        np.testing.assert_array_equal(fb.bread[1], np.eye(4))
+        np.testing.assert_allclose(fb.beta[0], fit(_row(d, 0), y[0]).beta,
+                                   rtol=1e-12)

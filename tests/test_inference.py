@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2, norm
 
 import frozen_values as fv
@@ -27,6 +29,7 @@ from gscore import (
     wald_test_diff,
     wald_test_ratio,
 )
+from gscore.inference import TESTS, run_test_batch
 
 
 def _estimate(mu, sigma, n):
@@ -530,3 +533,66 @@ class TestUnadjustedAnalysis:
         data = random_trial(rng, n=30, family="gaussian-identity", q=1)
         res = unadjusted_analysis(data, Hypothesis(measure="difference"))
         assert np.isfinite(res.statistic)
+
+
+@st.composite
+def mean_batches(draw):
+    """(mu (B, 2), Sigma (B, 2, 2), n): arm means in (0, 1) and positive
+    definite covariances of order 1/n, as fits of n subjects give."""
+    B = draw(st.integers(1, 12))
+    n = draw(st.integers(10, 5000))
+    unit = st.floats(0.02, 0.98)
+    mu = np.array(draw(st.lists(st.tuples(unit, unit), min_size=B,
+                                max_size=B)))
+    cells = np.array(draw(st.lists(
+        st.tuples(st.floats(0.05, 1.0), st.floats(-1.0, 1.0),
+                  st.floats(0.05, 1.0)), min_size=B, max_size=B)))
+    a, c, d = cells.T  # Sigma = L L' / n, L lower triangular [[a, 0], [c, d]]
+    sigma = np.stack([np.stack([a * a, a * c], -1),
+                      np.stack([a * c, c * c + d * d], -1)], -2) / n
+    return mu, sigma, n
+
+
+hypotheses = st.builds(
+    Hypothesis, measure=st.sampled_from(("difference", "ratio")),
+    level=st.sampled_from((0.8, 0.9, 0.95, 0.99)),
+    sidedness=st.sampled_from(("two-sided", "greater", "less")))
+
+
+class TestBatchKernels:
+    """The batch-axis test kernels: the paper's dominance row by row, and
+    the scalar tests as their batch-of-one rows."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mean_batches(), st.floats(-0.5, 0.5),
+           st.sampled_from((0.8, 0.9, 0.95, 0.99)))
+    def test_score_within_wald_row_by_row(self, batch, null, level):
+        mu, sigma, n = batch
+        h = Hypothesis(measure="difference", null_value=null, level=level)
+        wald = run_test_batch(mu, sigma, n, h, "wald")
+        score = run_test_batch(mu, sigma, n, h, "score")
+        assert not wald["failed"].any() and not score["failed"].any()
+        assert (score["statistic"] <= wald["statistic"]).all()
+        assert (score["lo"] <= wald["lo"]).all()
+        assert (score["hi"] >= wald["hi"]).all()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mean_batches(), hypotheses)
+    def test_scalar_tests_are_batch_rows(self, batch, h):
+        mu, sigma, n = batch
+        for test in TESTS:
+            cols = run_test_batch(mu, sigma, n, h, test)
+            for b in range(len(mu)):
+                m, v = _estimate(mu[b], sigma[b], n)
+                try:
+                    r = run_test(m, v, h, test)
+                except IntervalUndefinedError as err:
+                    assert cols["failed"][b]
+                    r = err.result
+                    assert r.ci is None
+                else:
+                    assert not cols["failed"][b]
+                    assert r.ci == (cols["lo"][b], cols["hi"][b])
+                assert (r.estimate, r.statistic, r.p_value) == (
+                    cols["estimate"][b], cols["statistic"][b],
+                    cols["p_value"][b])

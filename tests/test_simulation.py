@@ -8,22 +8,37 @@ from scipy.special import expit
 
 from gscore import (
     CovariateSpec,
+    GScoreError,
     MethodSpec,
     ModelSpec,
     Scenario,
     StratificationRule,
+    TrialDataset,
+    build_design,
     calibrate_intercepts,
     covariate_spec_from_config,
+    estimate_mu,
+    estimate_variance,
+    fit,
     generate_trial,
     method_spec_from_config,
     methods_from_config,
     randomize_complete,
     randomize_stratified_block,
     run_oc,
+    run_test,
     scenario_from_config,
     true_marginal_means,
 )
-from gscore.simulation import _marginal_mean, _rep_rng
+from gscore import simulation
+from gscore.simulation import (
+    _analyze_batch,
+    _draw,
+    _marginal_mean,
+    _plan,
+    _rep_rng,
+    _run_chunk,
+)
 
 THREE_NORMALS = (CovariateSpec(kind="standard-normal"),) * 3
 BETA_W3 = (np.sqrt(np.log(2.0) ** 2 / 3),) * 3
@@ -427,7 +442,7 @@ class TestRunOC:
         def no_trials(*args):
             raise AssertionError("a trial was generated")
 
-        monkeypatch.setattr("gscore.simulation.generate_trial", no_trials)
+        monkeypatch.setattr("gscore.simulation._draw", no_trials)
         s = Scenario(n=n, covariates=(CovariateSpec(kind="standard-normal"),),
                      beta_W=(0.5,), beta_A=(0.0, 0.0))
         model = ModelSpec(family="bernoulli-logit", covariates=("W1",),
@@ -437,13 +452,24 @@ class TestRunOC:
         with pytest.raises(ValueError, match="HC1 needs n > p"):
             run_oc(s, methods, reps=2, seed=1)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected_before_any_trial(self, monkeypatch,
+                                                         workers):
+        def no_trials(*args):
+            raise AssertionError("a trial was generated")
+
+        monkeypatch.setattr("gscore.simulation._draw", no_trials)
+        methods = (MethodSpec(name="m", test="wald"),)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_oc(scenario1(n=60), methods, reps=5, seed=1, workers=workers)
+
     @pytest.mark.parametrize("reps", [0, -3])
     def test_reps_below_one_rejected_before_any_trial(self, monkeypatch,
                                                       reps):
         def no_trials(*args):
             raise AssertionError("a trial was generated")
 
-        monkeypatch.setattr("gscore.simulation.generate_trial", no_trials)
+        monkeypatch.setattr("gscore.simulation._draw", no_trials)
         methods = (MethodSpec(name="m", test="wald"),)
         with pytest.raises(ValueError, match="reps must be at least 1"):
             run_oc(scenario1(n=60), methods, reps=reps, seed=1)
@@ -641,3 +667,95 @@ class TestConfigParsers:
         assert len(methods_from_config({"methods": lst})) == 2
         with pytest.raises(ValueError):
             methods_from_config({"methods": lst, "seed": 1})
+
+
+STRATIFIED40 = scenario1(n=40, scheme="stratified-block", block_size=4,
+                         stratify=StratificationRule(covariate=3,
+                                                     threshold=0.25))
+
+
+class TestBatchedEngine:
+    """run_oc analyzes BATCH replications per kernel call; neither the
+    batch size nor the worker count may change a result, and every
+    replication the batch cannot certify gets the scalar pipeline's
+    numbers."""
+
+    def test_results_independent_of_batch_size_and_workers(
+            self, monkeypatch):
+        methods = PINNED_METHODS + (
+            MethodSpec("I-wald-diff-per-arm", "wald", ModelSpec(
+                "bernoulli-logit", ("W1",), heterogeneous=True)),)
+        plan = _plan(STRATIFIED40, methods, 0.95)
+        results, records = [], []
+        for batch in (1, 7, 64):
+            monkeypatch.setattr(simulation, "BATCH", batch)
+            records.append(_run_chunk(STRATIFIED40, plan, 3, range(260)))
+            results.append(run_oc(STRATIFIED40, methods, reps=260, seed=3))
+        # two chunks: one in a helper process, one in this one
+        results.append(run_oc(STRATIFIED40, methods, reps=260, seed=3,
+                              workers=2))
+        assert all(r == results[0] for r in results[1:])
+        for other in records[1:]:
+            for a, b in zip(records[0], other):
+                np.testing.assert_array_equal(a, b)
+        # the run covers failed method-replications, so the failure
+        # masks are compared too, not only clean numbers
+        assert records[0][4].any() and not records[0][4].all()
+
+    def test_fallback_rows_match_the_scalar_pipeline(self):
+        """One batch mixes clean replications with a separated, a
+        rank-deficient and a zero-event-arm trial and with trials whose
+        score ratio interval is undefined."""
+        methods = PINNED_METHODS + (
+            MethodSpec("I-wald-diff-W1", "wald",
+                       ModelSpec("bernoulli-logit", ("W1",))),
+            MethodSpec("III-score-diff-per-arm", "score", ModelSpec(
+                "bernoulli-logit", ("W1",), heterogeneous=True),
+                estimator="III"),
+        )
+        plan = _plan(STRATIFIED40, methods, 0.95)
+        t = _draw(STRATIFIED40, [_rep_rng(3, r) for r in range(16)])
+        W1 = t.covariates[..., 0]
+        t.outcome[1] = (W1[1] > 0.0).astype(float)       # separated
+        t.covariates[2, :, 1] = t.covariates[2, :, 0]    # W2 == W1
+        t.outcome[3][t.arm[3] == 1] = 0.0                # no arm-1 events
+        est, reject, lo, hi, failed = _analyze_batch(t, plan)
+
+        for b in range(16):
+            data = TrialDataset(outcome=t.outcome[b], arm=t.arm[b],
+                                covariates=t.covariates[b],
+                                covariate_names=t.covariate_names,
+                                stratum=t.stratum[b])
+            for j, (m, spec, h, thr) in enumerate(plan):
+                try:
+                    design = build_design(data, spec)
+                    fitted = fit(design, data.outcome)
+                    r = run_test(estimate_mu(fitted, design),
+                                 estimate_variance(fitted, design,
+                                                   m.estimator,
+                                                   m.correction, m.pi),
+                                 h, m.test)
+                except GScoreError:
+                    assert failed[b, j], (b, m.name)
+                    assert not reject[b, j]
+                    assert np.isnan([est[b, j], lo[b, j], hi[b, j]]).all()
+                    continue
+                assert not failed[b, j], (b, m.name)
+                assert reject[b, j] == (r.p_value <= thr), (b, m.name)
+                want = (r.estimate, *r.ci)
+                got = (est[b, j], lo[b, j], hi[b, j])
+                if b == 3:  # every model refit by glm.fit: same numbers
+                    assert got == want, (b, m.name)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+        names = [m.name for m in methods]
+        adjusted = [names.index(n) for n in ("I-score-diff", "I-wald-ratio")]
+        assert failed[1, adjusted].all()      # separation
+        assert failed[2, adjusted].all()      # rank deficiency
+        assert not failed[3, adjusted].any()  # zero events: converges
+        assert est[3, names.index("I-wald-ratio")] > 1e6
+        ratio = names.index("I-score-ratio")
+        clean = [b for b in range(16) if b not in (1, 2, 3)]
+        assert failed[clean, ratio].any()     # undefined intervals
+        assert not failed[clean, ratio].all()
