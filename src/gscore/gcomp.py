@@ -16,11 +16,12 @@ is the one place that picks an estimator by name and applies the
 small-sample correction.  A decomposition splits estimator I into
 coefficient-noise, covariate-variation, and misspecification cross terms.
 
-Every formula is written once, over a leading batch axis of B fits (a
-``glm.fit_batch`` result and its stacked design); the ``*_batch``
-functions return it with {row: error} for the fits that cannot give a
-value.  The scalar functions run the same code on a batch of one and
-raise that error.
+Every formula is written once, as a kernel over any leading shape of
+fits: none for one ``glm.fit`` result and its design, (B,) for a
+``glm.fit_batch`` result and its stacked design.  ``estimate_mu`` serves
+both; ``estimate_variance_batch`` returns the covariances with {row:
+error} for the fits that cannot give one.  The single-fit functions call
+the kernels with no leading axis and raise that error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ CORRECTIONS = ("HC0", "HC1")
 
 @dataclass(frozen=True)
 class MuEstimate:
-    """Standardized arm means, index 0 for arm 1 and index 1 for arm 2."""
+    """Standardized arm means (..., 2), index 0 for arm 1 and index 1 for
+    arm 2; mu1 and mu2 read a single fit's pair."""
 
     mu: np.ndarray
     n: int
@@ -94,25 +96,15 @@ class VarianceDecomposition:
 
 
 # ------------------------------------------------------------------ #
-# Kernels: arrays carry a leading batch axis of B fits
+# Kernels: arrays carry any leading shape of fits
 # ------------------------------------------------------------------ #
 
 
-def _lift(fit: FittedGLM, design: DesignMatrix):
-    """``fit`` and ``design`` as a batch of one fit."""
-    return (replace(fit, bread=fit.bread[None], fitted=fit.fitted[None],
-                    residuals=fit.residuals[None],
-                    counterfactual_means=tuple(
-                        m[None] for m in fit.counterfactual_means)),
-            replace(design, X=design.X[None], counterfactuals=tuple(
-                Xa[None] for Xa in design.counterfactuals)))
-
-
-def _only(value: np.ndarray, errors: dict) -> np.ndarray:
-    """A batch-of-one result, or its fit's error raised."""
+def _only(value, errors: dict):
+    """A single fit's result, or its error raised."""
     if errors:
         raise errors[0]
-    return value[0]
+    return value
 
 
 def _mean_gradient(fit: FittedGLM, design: DesignMatrix) -> np.ndarray:
@@ -169,7 +161,8 @@ def _resolve_pi(design: DesignMatrix, pi):
         out = np.broadcast_to(out, design.X.shape[:-2] + (2,))
     bad = np.flatnonzero(~((out > 0.0) & (out < 1.0)).all(axis=-1))
     return out, {int(b): DataError("allocation probabilities must lie in "
-                                   f"(0, 1), got {out[b]}") for b in bad}
+                                   f"(0, 1), got {out.reshape(-1, 2)[b]}")
+                 for b in bad}
 
 
 # The influence kernels give psi as (..., 2, n): row a holds psi_a(i).
@@ -236,16 +229,10 @@ def _corrected(sigma: np.ndarray, n: int, p: int, kind: str) -> np.ndarray:
 # ------------------------------------------------------------------ #
 
 
-def estimate_mu_batch(fit: FittedGLM) -> np.ndarray:
-    """(mu_1, mu_2) per fit of a batch: its predictions under both arm
-    settings, averaged."""
-    return np.stack([m.mean(axis=-1) for m in fit.counterfactual_means],
-                    axis=-1)
-
-
 def estimate_mu(fit: FittedGLM, design: DesignMatrix) -> MuEstimate:
     """Average the fit's predictions under both arm settings."""
-    return MuEstimate(mu=estimate_mu_batch(_lift(fit, design)[0])[0],
+    return MuEstimate(mu=np.stack([m.mean(axis=-1) for m in
+                                   fit.counterfactual_means], axis=-1),
                       n=design.n)
 
 
@@ -256,8 +243,8 @@ def influence_score(fit: FittedGLM, design: DesignMatrix) -> InfluenceMatrix:
     with gbar_a the average of m'(beta' X_j(a)) X_j(a).  B^{-1} is applied
     through a linear solve, never formed.
     """
-    return InfluenceMatrix(values=_only(*_influence_score(
-        *_lift(fit, design))).T, kind="score")
+    return InfluenceMatrix(values=_only(*_influence_score(fit, design)).T,
+                           kind="score")
 
 
 def influence_aipw(fit: FittedGLM, design: DesignMatrix,
@@ -268,13 +255,13 @@ def influence_aipw(fit: FittedGLM, design: DesignMatrix,
     ``pi`` defaults to the empirical arm proportions; pass a fixed pair
     to use design allocation probabilities instead.
     """
-    return InfluenceMatrix(values=_only(*_influence_aipw(
-        *_lift(fit, design), pi)).T, kind="aipw")
+    return InfluenceMatrix(values=_only(*_influence_aipw(fit, design, pi)).T,
+                           kind="aipw")
 
 
 def var_from_influence(infl: InfluenceMatrix) -> VarianceEstimate:
     """Sample covariance (n-1 divisor) of influence rows, divided by n."""
-    return VarianceEstimate(sigma=_var_influence(infl.values.T[None])[0],
+    return VarianceEstimate(sigma=_var_influence(infl.values.T),
                             n=infl.values.shape[0], correction="HC0",
                             estimator="I" if infl.kind == "score" else "II")
 
@@ -292,7 +279,7 @@ def var_ye(fit: FittedGLM, design: DesignMatrix, pi=None) -> VarianceEstimate:
     All moments use the n-1 divisor.  ``pi`` defaults to empirical arm
     proportions; a fixed allocation pair is accepted.
     """
-    return VarianceEstimate(sigma=_only(*_var_ye(*_lift(fit, design), pi)),
+    return VarianceEstimate(sigma=_only(*_var_ye(fit, design, pi)),
                             estimator="III", correction="HC0", n=design.n)
 
 
@@ -312,15 +299,14 @@ def variance_decomposition(fit: FittedGLM, design: DesignMatrix,
     """
     if ddof not in (0, 1):
         raise ValueError(f"ddof must be 0 or 1, got {ddof!r}")
-    fit, design = _lift(fit, design)
     G = _mean_gradient(fit, design)
     X = design.X
     n = design.n
     M = (X * fit.residuals[..., None] ** 2).mT @ X / n
-    BinvM = _only(*_bread_solve(fit, M))[None]
+    BinvM = _only(*_bread_solve(fit, M))
     sigma_beta = _only(*_bread_solve(fit, BinvM.mT)).T / n
     psi_beta = _only(*_bread_solve(fit, (X * fit.residuals[..., None]).mT)).T
-    G, mt = G[0], _centered(fit)[0].T
+    mt = _centered(fit).T
     scale = n / (n - ddof)
     beta_term = G @ sigma_beta @ G.T * scale
     covariate_term = mt.T @ mt / n / n * scale
@@ -339,9 +325,9 @@ def apply_correction(v: VarianceEstimate, p: int, kind: str) -> VarianceEstimate
 def estimate_variance_batch(fit: FittedGLM, design: DesignMatrix,
                             estimator: str = "I", correction: str = "HC0",
                             pi=None):
-    """Covariances of (mu_1, mu_2), (B, 2, 2), for a batch of fits by one
-    of ESTIMATORS, then one of CORRECTIONS, with {row: error}; ``pi`` as
-    in ``influence_aipw``, used by II and III."""
+    """Covariances of (mu_1, mu_2), (..., 2, 2), for fits of any leading
+    shape by one of ESTIMATORS, then one of CORRECTIONS, with {row:
+    error}; ``pi`` as in ``influence_aipw``, used by II and III."""
     check_choices("estimate_variance", (estimator, ESTIMATORS, "estimator"))
     if estimator == "III":
         sigma, errors = _var_ye(fit, design, pi)
@@ -357,7 +343,7 @@ def estimate_variance(fit: FittedGLM, design: DesignMatrix,
                       pi=None) -> VarianceEstimate:
     """Covariance of (mu_1, mu_2) by one of ESTIMATORS, then one of
     CORRECTIONS; ``pi`` as in ``influence_aipw``, used by II and III."""
-    sigma = _only(*estimate_variance_batch(*_lift(fit, design), estimator,
+    sigma = _only(*estimate_variance_batch(fit, design, estimator,
                                            correction, pi))
     return VarianceEstimate(sigma=sigma, estimator=estimator,
                             correction=correction, n=design.n)

@@ -16,7 +16,7 @@ function beyond m' appears anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -34,6 +34,8 @@ from .errors import (
 )
 
 _WEIGHT_FLOOR = 1e-12
+# Max-abs score tolerance and iteration limit: fit's defaults, fit_batch's
+_TOL, _MAX_ITER = 1e-10, 50
 _EPS = np.finfo(float).eps
 # fit_batch refits a fit by ``fit`` when its bread has a larger 1-norm
 # condition number: normal equations then carry too few digits for the
@@ -65,8 +67,8 @@ class Family:
     mean: Callable[[np.ndarray], np.ndarray]
     deriv_mu: Callable[[np.ndarray], np.ndarray]
     outcomes: tuple[str, Callable[[np.ndarray], np.ndarray]] | None
-    loglik: Callable[[np.ndarray, np.ndarray], float]
-    initial_intercept: Callable[[float], float]
+    loglik: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    initial_intercept: Callable[[np.ndarray], np.ndarray]
     separation_norm: float = np.inf
 
     def validate_outcome(self, y: np.ndarray) -> None:
@@ -175,8 +177,8 @@ def _solve_newton(X, w, score, labels):
 
 
 def fit(design: DesignMatrix, y: np.ndarray,
-        family: str | Family | None = None, *, tol: float = 1e-10,
-        max_iter: int = 50) -> FittedGLM:
+        family: str | Family | None = None, *, tol: float = _TOL,
+        max_iter: int = _MAX_ITER) -> FittedGLM:
     """Fit the working model by IRLS; raises rather than returning junk.
 
     Initialization puts each arm indicator at link(its arm's mean
@@ -255,33 +257,22 @@ def _matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def per_matrix(op, *stacks):
-    """A numpy.linalg ``op`` on stacks of matrices, NaN where a matrix is
-    singular (np.linalg raises for the whole stack instead).  The result
-    has the shape of the last stack."""
+    """A numpy.linalg ``op`` on matrices with the same leading shape (none
+    included), NaN where a matrix is singular (np.linalg raises for the
+    whole stack instead).  The result has the shape of the last stack."""
     try:
         return op(*stacks)
     except np.linalg.LinAlgError:
         out = np.full(stacks[-1].shape, np.nan)
-        for b, row in enumerate(zip(*stacks)):
+        for i in np.ndindex(stacks[0].shape[:-2]):
             try:
-                out[b] = op(*row)
+                out[i] = op(*(a[i] for a in stacks))
             except np.linalg.LinAlgError:
                 pass
         return out
 
 
-def _cond1(A: np.ndarray) -> np.ndarray:
-    """1-norm condition number of each matrix of the stack A (inf if
-    singular)."""
-    inv = per_matrix(np.linalg.inv, A)
-    cond = np.abs(A).sum(axis=-2).max(axis=-1) \
-        * np.abs(inv).sum(axis=-2).max(axis=-1)
-    return np.where(np.isnan(cond), np.inf, cond)
-
-
-def fit_batch(design: DesignMatrix, y: np.ndarray,
-              family: str | Family | None = None, *, tol: float = 1e-10,
-              max_iter: int = 50):
+def fit_batch(design: DesignMatrix, y: np.ndarray):
     """Fit B working models at once: ``design`` stacks (B, n, p) designs
     and y is (B, n).
 
@@ -292,7 +283,7 @@ def fit_batch(design: DesignMatrix, y: np.ndarray,
     outcomes are all equal or the outcomes are invalid, once it shows a
     non-finite score, a singular solve, a step that would need halving,
     max |beta| past the family's separation_norm, or no convergence in
-    max_iter steps, and when its converged bread is ill-conditioned
+    fit's iteration limit, and when its converged bread is ill-conditioned
     (1-norm condition number above 1e8).  Each fit depends only on its own
     row, never on the rest of the batch.
 
@@ -300,8 +291,7 @@ def fit_batch(design: DesignMatrix, y: np.ndarray,
     refit raised; those rows hold zero coefficients, means and residuals,
     counterfactual means 1/2 and an identity bread, and are not converged.
     """
-    fam = resolve_family(family if family is not None
-                         else design.spec.family)
+    fam = resolve_family(design.spec.family)
     X = design.X
     y = np.asarray(y, dtype=float)
     B, n, p = X.shape
@@ -331,14 +321,14 @@ def fit_batch(design: DesignMatrix, y: np.ndarray,
     eta = _matvec(XT.transpose(0, 2, 1), beta)
     ll = fam.loglik(ya, eta)
     full_step = np.ones(idx.size, dtype=bool)
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         mu = fam.mean(eta)
         score = _matvec(XT, ya - mu)
         snorm = np.abs(score).max(axis=-1)
-        done = full_step & (snorm <= tol)
+        done = full_step & (snorm <= _TOL)
         out_beta[idx[done]], out_mu[idx[done]] = beta[done], mu[done]
         iterations[idx[done]], score_norm[idx[done]] = it, snorm[done]
-        go = full_step & ~done & np.isfinite(snorm) & (it < max_iter)
+        go = full_step & ~done & np.isfinite(snorm) & (it < _MAX_ITER)
         refit[idx[~done & ~go]] = True
         if not go.all():
             idx, XT, ya = idx[go], XT[go], ya[go]
@@ -362,16 +352,14 @@ def fit_batch(design: DesignMatrix, y: np.ndarray,
     w = fam.deriv_mu(out_mu)
     bread = np.matmul(X.transpose(0, 2, 1) * w[:, None, :], X) / n
     ok = np.flatnonzero(~refit)
-    refit[ok[~(_cond1(bread[ok]) <= _COND_MAX)]] = True
+    refit[ok[~(np.linalg.cond(bread[ok], 1) <= _COND_MAX)]] = True
     cf = tuple(fam.mean(_matvec(Xc, out_beta)) for Xc in design.counterfactuals)
     errors = {}
     for b in np.flatnonzero(refit):
-        row = DesignMatrix(X=X[b], column_labels=design.column_labels,
-                           counterfactuals=tuple(Xc[b] for Xc in
-                                                 design.counterfactuals),
-                           spec=design.spec)
+        row = replace(design, X=X[b], counterfactuals=tuple(
+            Xc[b] for Xc in design.counterfactuals))
         try:
-            f = fit(row, y[b], fam, tol=tol, max_iter=max_iter)
+            f = fit(row, y[b])
         except GScoreError as err:
             errors[int(b)] = err
             out_beta[b], out_mu[b], resid[b] = 0.0, 0.0, 0.0

@@ -107,12 +107,13 @@ class TestResult:
 # scipy.stats calls return, without the cost of importing scipy.stats:
 # chi-square-1 quantile 2 gammaincinv(1/2, q), normal tails ndtr/ndtri.
 #
-# Each test is written once, as a kernel over a leading batch axis: arm
-# means (B, 2) and covariances (B, 2, 2) from fits of n subjects give a
-# dict of (B,) arrays, with masks for the rows where the arm means are not
-# positive (ratio) or the score interval does not exist.  run_test_batch
-# runs a kernel on a batch; the scalar test functions run it on a batch
-# of one and raise what the masks say.
+# Each test is written once, as a kernel over any leading shape: arm
+# means (..., 2) and covariances (..., 2, 2) from fits of n subjects give
+# a dict of arrays of that shape, with masks for the rows where the arm
+# means are not positive (ratio) or the score interval does not exist.
+# run_test_batch runs a kernel on a batch; the single-fit test functions
+# run it with no leading axis and raise what the masks say.  x * x, not
+# x ** 2: numpy scalars (one fit) compute ** by pow, off by an ulp at times.
 
 def _chi2_sf(x):
     """Upper tail of chi-square-1; 1 below the support, as chi2.sf gives."""
@@ -143,7 +144,7 @@ def effect_diff_variance(v: VarianceEstimate) -> float:
     cellwise estimator can dip below zero in degenerate samples, in which
     case it is clipped to zero.
     """
-    return float(_diff_variance(v.sigma[None])[0])
+    return float(_diff_variance(v.sigma))
 
 
 def _wald_diff(mu, sigma, n: int, h: Hypothesis) -> dict:
@@ -152,7 +153,7 @@ def _wald_diff(mu, sigma, n: int, h: Hypothesis) -> dict:
     sd = np.sqrt(sd2)
     dev = diff - h.null_value
     stat = np.where(dev == 0.0, 0.0,
-                    np.where(sd2 == 0.0, np.inf, dev ** 2 / sd2))
+                    np.where(sd2 == 0.0, np.inf, dev * dev / sd2))
     half = h.z_quantile * sd
     return dict(estimate=diff, statistic=stat, p_value=_chi2_p(dev, stat, h),
                 lo=diff - half, hi=diff + half, se=sd)
@@ -163,7 +164,7 @@ def _score_diff(mu, sigma, n: int, h: Hypothesis) -> dict:
     sd2 = _diff_variance(sigma)
     sd = np.sqrt(sd2)
     dev = diff - h.null_value
-    stat = np.where(dev == 0.0, 0.0, dev ** 2 / (sd2 + dev ** 2 / n))
+    stat = np.where(dev == 0.0, 0.0, dev * dev / (sd2 + dev * dev / n))
     c = h.chi2_quantile
     half = sd * np.sqrt(c / (1.0 - c / n)) if n > c else np.nan
     return dict(estimate=diff, statistic=stat, p_value=_chi2_p(dev, stat, h),
@@ -174,9 +175,9 @@ def _score_diff(mu, sigma, n: int, h: Hypothesis) -> dict:
 def _wald_ratio(mu, sigma, n: int, h: Hypothesis) -> dict:
     mu1, mu2, s = mu[..., 0], mu[..., 1], sigma
     ratio = mu2 / mu1
-    ls = np.sqrt(np.maximum(s[..., 1, 1] / mu2 ** 2
+    ls = np.sqrt(np.maximum(s[..., 1, 1] / (mu2 * mu2)
                             - 2.0 * s[..., 1, 0] / (mu1 * mu2)
-                            + s[..., 0, 0] / mu1 ** 2, 0.0))
+                            + s[..., 0, 0] / (mu1 * mu1), 0.0))
     log_ratio = np.log(ratio)
     dev = log_ratio - np.log(h.null_value)
     z = np.where(dev == 0.0, 0.0,
@@ -193,14 +194,14 @@ def _score_ratio(mu, sigma, n: int, h: Hypothesis) -> dict:
     d0 = h.null_value
     ratio = mu2 / mu1
     dev = mu2 - d0 * mu1
-    stat = np.where(dev == 0.0, 0.0, dev ** 2 / (
+    stat = np.where(dev == 0.0, 0.0, dev * dev / (
         s[..., 1, 1] - 2.0 * d0 * s[..., 1, 0] + d0 ** 2 * s[..., 0, 0]
-        + dev ** 2 / n))
+        + dev * dev / n))
     c = h.chi2_quantile
-    den = 1.0 - c * (s[..., 0, 0] / mu1 ** 2 + 1.0 / n)
+    den = 1.0 - c * (s[..., 0, 0] / (mu1 * mu1) + 1.0 / n)
     a = (1.0 - c * (s[..., 1, 0] / (mu1 * mu2) + 1.0 / n)) / den
-    b = (1.0 - c * (s[..., 1, 1] / mu2 ** 2 + 1.0 / n)) / den
-    disc = a ** 2 - b
+    b = (1.0 - c * (s[..., 1, 1] / (mu2 * mu2) + 1.0 / n)) / den
+    disc = a * a - b
     root = np.sqrt(disc)
     return dict(estimate=ratio, statistic=stat, p_value=_chi2_p(dev, stat, h),
                 lo=ratio * (a - root), hi=ratio * (a + root),
@@ -213,8 +214,8 @@ def _row(kernel, mu: MuEstimate, v: VarianceEstimate, h: Hypothesis) -> dict:
     """A kernel's results for one (mu, v) as floats; DataError for a ratio
     of non-positive arm means."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        cols = kernel(mu.mu[None], v.sigma[None], v.n, h)
-    r = {k: float(x[0]) for k, x in cols.items()}
+        cols = kernel(mu.mu, v.sigma, v.n, h)
+    r = {k: float(x) for k, x in cols.items()}
     if r.get("nonpositive"):
         raise DataError("ratio effects need positive arm means, got "
                         f"({mu.mu1:.4g}, {mu.mu2:.4g})")
@@ -317,12 +318,13 @@ def run_test(mu: MuEstimate, v: VarianceEstimate, h: Hypothesis,
 
 def run_test_batch(mu: np.ndarray, sigma: np.ndarray, n: int, h: Hypothesis,
                    test: str) -> dict:
-    """``run_test`` for a batch: arm means (B, 2) and covariances
-    (B, 2, 2) from fits of n subjects each.
+    """``run_test`` for a batch: arm means (..., 2) and covariances
+    (..., 2, 2) from fits of n subjects each.
 
-    Returns (B,) arrays estimate, statistic, p_value, lo and hi (the
-    interval), and ``failed``, the rows for which ``run_test`` raises:
-    non-positive arm means for a ratio, or an undefined score interval.
+    Returns arrays of the leading shape: estimate, statistic, p_value, lo
+    and hi (the interval), and ``failed``, the rows for which
+    ``run_test`` raises: non-positive arm means for a ratio, or an
+    undefined score interval.
     """
     check_choices("run_test", (test, TESTS, "test"))
     with np.errstate(divide="ignore", invalid="ignore"):

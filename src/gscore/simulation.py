@@ -14,11 +14,11 @@ generator, so its data never depend on which replications are drawn
 beside it.  ``run_oc`` analyzes BATCH replications at a time: their
 designs are built as one stack, IRLS runs on the whole stack
 (``glm.fit_batch``) and hands every fit it cannot certify to the scalar
-``glm.fit``, and the arm means, variances and tests run once per batch
-over a leading batch axis, the code the scalar API runs on a batch of
-one.  Each replication's numbers depend on its own data only, so results
-depend only on (scenario, methods, seed, reps), never on batch size,
-worker count or scheduling.
+``glm.fit``, and the arm means, variances and tests run once per batch:
+kernels take any leading shape; single-fit functions call them with
+none.  Each replication's numbers depend on its own data only, so
+results depend only on (scenario, methods, seed, reps), never on batch
+size, worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import ModelSpec, TrialDataset, stack_designs
-from .errors import DegenerateArmError, GScoreError, check_choices
+from .errors import GScoreError, check_choices
 from .gcomp import (
     CORRECTIONS,
     ESTIMATORS,
-    estimate_mu_batch,
+    estimate_mu,
     estimate_variance_batch,
 )
 from .glm import fit_batch
@@ -134,6 +134,13 @@ class Scenario:
                 raise ValueError("stratified-block scheme needs a stratify rule")
             if self.block_size < 2:
                 raise ValueError("block size must be >= 2")
+            # two strata that each fit in one arm's slots of a block can
+            # both fill only that arm
+            b1 = round(self.block_size * self.allocation[0])
+            most = 2 * max(b1, self.block_size - b1)
+            if self.n <= most:
+                raise ValueError(f"stratified blocks of {self.block_size} "
+                                 f"can leave an arm empty at n <= {most}")
         if self.stratify is not None \
                 and self.stratify.covariate > len(self.covariates):
             raise ValueError("stratify rule names a covariate beyond the list")
@@ -284,7 +291,8 @@ class _Trials(NamedTuple):
 
 def _draw(s: Scenario, rngs) -> _Trials:
     """One trial per generator in ``rngs``, each drawing its covariates,
-    then its randomization, then one uniform per subject for the outcome."""
+    then its randomization, then one uniform per subject for the outcome.
+    Scenario validation ensures that no randomization empties an arm."""
     B, n, q = len(rngs), s.n, len(s.covariates)
     W = np.empty((B, n, q))
     arm = np.empty((B, n), dtype=int)
@@ -302,9 +310,6 @@ def _draw(s: Scenario, rngs) -> _Trials:
                   if s.scheme == "complete" else randomize_stratified_block(
                       stratum[b], s.block_size, s.allocation, rng))
         u[b] = rng.random(n)
-    for a in (1, 2):
-        if not (arm == a).any(axis=-1).all():
-            raise DegenerateArmError(f"arm {a} has no subjects")
 
     eta = np.asarray(s.beta_A)[arm - 1] + (W @ np.asarray(s.beta_W)
                                            if q else 0.0)
@@ -429,9 +434,7 @@ def _plan(s: Scenario, methods, level: float):
 
 
 def _row_mask(errors: dict, B: int) -> np.ndarray:
-    mask = np.zeros(B, dtype=bool)
-    mask[list(errors)] = True
-    return mask
+    return np.isin(np.arange(B), list(errors))
 
 
 def _fit_spec(trials: _Trials, spec: ModelSpec):
@@ -443,7 +446,7 @@ def _fit_spec(trials: _Trials, spec: ModelSpec):
     except GScoreError:
         return None
     fitted, errors = fit_batch(design, trials.outcome)
-    return (design, fitted, estimate_mu_batch(fitted),
+    return (design, fitted, estimate_mu(fitted, design).mu,
             _row_mask(errors, len(trials.outcome)))
 
 

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_trial
 from frozen_values import (
@@ -21,6 +23,7 @@ from frozen_values import (
 from gscore import (
     BERNOULLI_LOGIT,
     DataError,
+    GScoreError,
     ModelSpec,
     RankDeficiencyError,
     TrialDataset,
@@ -36,6 +39,9 @@ from gscore import (
     var_ye,
     variance_decomposition,
 )
+from gscore.dataset import stack_designs
+from gscore.gcomp import estimate_variance_batch
+from gscore.glm import fit_batch
 
 FAMILIES = ("bernoulli-logit", "poisson-log", "gaussian-identity")
 
@@ -356,3 +362,140 @@ class TestCorrections:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             apply_correction(self._estimate(), p=5, kind="HC3")
+
+
+class TestProperties:
+    """Identities of the paper's estimators over random trials in all
+    three families."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(FAMILIES),
+           n=st.integers(20, 150), q=st.integers(0, 3),
+           heterogeneous=st.booleans())
+    def test_decomposition_sums_to_influence_covariance(
+            self, seed, family, n, q, heterogeneous):
+        """The ddof=1 pieces sum to estimator I and the ddof=0 pieces to
+        the n-divisor covariance of the influence rows over n."""
+        data = random_trial(np.random.default_rng(seed), n, family, q)
+        design = build_design(data, ModelSpec(
+            family, data.covariate_names, heterogeneous))
+        try:
+            fitted = fit(design, data.outcome)
+        except GScoreError:
+            assume(False)
+        infl = influence_score(fitted, design)
+        psi, sigma = infl.values, var_from_influence(infl).sigma
+        atol = 1e-12 * np.abs(sigma).max()
+        np.testing.assert_allclose(
+            variance_decomposition(fitted, design, ddof=1).total(), sigma,
+            rtol=0, atol=atol)
+        np.testing.assert_allclose(
+            variance_decomposition(fitted, design, ddof=0).total(),
+            np.cov(psi.T, bias=True) / n, rtol=0, atol=atol)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 200),
+           rate=st.floats(0.05, 0.95))
+    def test_arm_only_collapse_on_binary_outcomes(self, seed, n, rate):
+        """Arm-only fits of 0/1 outcomes: mu is the raw arm means,
+        estimator I equals II, and bernoulli-logit, poisson-log and
+        gaussian-identity give the same mu and covariances."""
+        rng = np.random.default_rng(seed)
+        arm = rng.permutation(np.repeat([1, 2], [n // 2, n - n // 2]))
+        y = (rng.random(n) < rate).astype(float)
+        # both outcomes in each arm, else logit and poisson arm means sit
+        # on the boundary of the family
+        assume(all(0.0 < y[arm == a].mean() < 1.0 for a in (1, 2)))
+        data = TrialDataset(outcome=y, arm=arm, covariates=np.empty((n, 0)),
+                            covariate_names=())
+        means = [y[arm == a].mean() for a in (1, 2)]
+        per_family = []
+        for family in FAMILIES:
+            design = build_design(data, ModelSpec(family))
+            fitted = fit(design, y)
+            mu = estimate_mu(fitted, design).mu
+            sigmas = [estimate_variance(fitted, design, est).sigma
+                      for est in ("I", "II", "III")]
+            np.testing.assert_allclose(mu, means, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sigmas[0], sigmas[1], rtol=0,
+                                       atol=1e-12 * np.abs(sigmas[0]).max())
+            per_family.append((mu, sigmas))
+        for mu, sigmas in per_family[1:]:
+            np.testing.assert_allclose(mu, per_family[0][0], rtol=1e-12)
+            for sigma, first in zip(sigmas, per_family[0][1]):
+                np.testing.assert_allclose(sigma, first, rtol=0,
+                                           atol=1e-12 * np.abs(first).max())
+
+
+def _stacked_fit(family, heterogeneous, B=6, n=40, seed=0):
+    """fit_batch on B trials of ``family``: row 1 has a lone arm-1
+    subject, and row 2's bread is replaced by zeros (singular)."""
+    rng = np.random.default_rng(seed)
+    arm = rng.permuted(np.tile(np.repeat([1, 2], n // 2), (B, 1)), axis=1)
+    arm[1] = 2
+    arm[1, 0] = 1
+    x = rng.standard_normal((B, n, 2))
+    eta = 0.3 * (arm == 2) + 0.5 * x.sum(axis=-1)
+    if family == "bernoulli-logit":
+        y = (rng.random((B, n)) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    elif family == "poisson-log":
+        y = rng.poisson(np.exp(eta)).astype(float)
+    else:
+        y = eta + rng.standard_normal((B, n))
+    design = stack_designs(arm, x, ("a", "b"), ModelSpec(
+        family, ("a", "b"), heterogeneous))
+    fitted, _ = fit_batch(design, y)
+    bread = fitted.bread.copy()
+    bread[2] = 0.0
+    return design, replace(fitted, bread=bread)
+
+
+def _row_of(fitted, design, b):
+    """Row b of a stacked fit and design, as a single fit."""
+    return (replace(fitted, beta=fitted.beta[b], bread=fitted.bread[b],
+                    fitted=fitted.fitted[b], residuals=fitted.residuals[b],
+                    converged=bool(fitted.converged[b]),
+                    iterations=int(fitted.iterations[b]),
+                    score_norm=float(fitted.score_norm[b]),
+                    counterfactual_means=tuple(
+                        m[b] for m in fitted.counterfactual_means)),
+            replace(design, X=design.X[b], counterfactuals=tuple(
+                Xa[b] for Xa in design.counterfactuals)))
+
+
+class TestBatchKernels:
+    """estimate_mu and estimate_variance_batch on stacked fits give, row
+    by row, what the single-fit functions give on that row's slice of
+    the fit, and fail on the same rows with the same error types."""
+
+    @pytest.mark.parametrize("heterogeneous", [False, True])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_match_single_fit_calls(self, family, heterogeneous):
+        design, fitted = _stacked_fit(family, heterogeneous)
+        B = len(fitted.beta)
+        rows = [_row_of(fitted, design, b) for b in range(B)]
+        mu = estimate_mu(fitted, design).mu
+        for b, (f, d) in enumerate(rows):
+            np.testing.assert_allclose(mu[b], estimate_mu(f, d).mu,
+                                       rtol=1e-13, atol=0)
+        raised = set()
+        for estimator in ("I", "II", "III"):
+            for correction in ("HC0", "HC1"):
+                for pi in (None, (0.4, 0.6)):
+                    sigma, errors = estimate_variance_batch(
+                        fitted, design, estimator, correction, pi)
+                    assert sigma.shape == (B, 2, 2)
+                    for b, (f, d) in enumerate(rows):
+                        try:
+                            single = estimate_variance(f, d, estimator,
+                                                       correction, pi).sigma
+                        except GScoreError as err:
+                            assert type(errors.get(b)) is type(err)
+                            raised.add((b, type(err)))
+                            continue
+                        assert b not in errors
+                        np.testing.assert_allclose(
+                            sigma[b], single, rtol=0,
+                            atol=1e-13 * np.abs(single).max())
+        assert (2, RankDeficiencyError) in raised
+        assert (1, DataError) in raised

@@ -88,6 +88,26 @@ class TestScenarioValidation:
             Scenario(n=5, beta_A=(0.0, 0.0), allocation=(0.1, 0.9))
         Scenario(n=10, beta_A=(0.0, 0.0), allocation=(0.1, 0.9))
 
+    def test_stratified_blocks_must_fill_both_arms(self):
+        """Two strata that each fit in one arm's slots of a block can give
+        a trial with an empty arm: n <= 2 max(b1, block_size - b1) is
+        rejected when the scenario is built, where run_oc used to abort
+        at the first such replication."""
+        def stratified(n, allocation=(0.5, 0.5)):
+            return Scenario(n=n, beta_A=(0.0, 0.0), beta_W=(0.5,),
+                            covariates=(CovariateSpec("standard-normal"),),
+                            allocation=allocation, scheme="stratified-block",
+                            block_size=4, stratify=StratificationRule(1, 0.0))
+
+        for n, allocation in ((3, (0.5, 0.5)), (4, (0.5, 0.5)),
+                              (6, (0.25, 0.75))):
+            with pytest.raises(ValueError, match="arm empty"):
+                stratified(n, allocation)
+        stratified(7, (0.25, 0.75))
+        res = run_oc(stratified(5), [MethodSpec(name="u", test="wald")],
+                     500, seed=1)
+        assert res.reps == 500
+
     def test_stratified_scheme_needs_rule(self):
         with pytest.raises(ValueError):
             scenario1(scheme="stratified-block")
