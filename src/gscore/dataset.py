@@ -227,14 +227,48 @@ def _canonical_arm(token: str, arm_map: dict | None, row: int) -> int:
     raise DataError(f"arm value {raw!r} outside {{1, 2}} after mapping, data row {row}")
 
 
+def _float_or_nan(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return np.nan
+
+
+def _number_column(tokens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, missing, bad) for one numeric column: the tokens as float()
+    reads them, the missing tokens, and the tokens float() rejects that are
+    not missing.  Only tokens that read as NaN are looked at one by one."""
+    n = len(tokens)
+    try:
+        values = np.fromiter(map(float, tokens), float, n)
+    except ValueError:
+        values = np.fromiter(map(_float_or_nan, tokens), float, n)
+    missing = np.zeros(n, dtype=bool)
+    bad = np.zeros(n, dtype=bool)
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        if _is_missing(tokens[i]):
+            missing[i] = True
+            continue
+        try:
+            float(tokens[i])
+        except ValueError:
+            bad[i] = True
+    return values, missing, bad
+
+
 def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
     """Read a trial CSV under ``schema``; complete cases only.
 
     Rows with a missing value in any used column are dropped; the count of
     dropped rows is returned alongside the dataset.  Non-numeric tokens in
-    numeric columns are rejected outright rather than coerced.
+    numeric columns are rejected outright rather than coerced.  The file
+    is read whole and parsed column by column; an error names the first
+    bad row in file order (a wrong field count, then the outcome, arm and
+    covariates in schema order).  A UTF-8 byte-order mark is skipped, and
+    a used column named twice in the header is a SchemaError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    read_error = None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
             header = next(reader)
@@ -247,36 +281,81 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
         missing_cols = [c for c in used if c not in header]
         if missing_cols:
             raise SchemaError(f"{path}: missing columns {missing_cols}")
-        idx = {c: header.index(c) for c in used}
+        repeated = [c for c in used if header.count(c) > 1]
+        if repeated:
+            raise SchemaError(f"{path}: columns {repeated} are named more "
+                              "than once in the header")
+        rows = []
+        try:
+            rows.extend(reader)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            # raised only if no row read before it has an error
+            read_error = exc
 
-        y, arm, cov, strat = [], [], [], []
-        dropped = 0
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: data row {rownum} has {len(row)} fields, "
-                    f"header has {len(header)}")
-            tokens = {c: row[idx[c]] for c in used}
-            if any(_is_missing(tokens[c]) for c in used):
-                dropped += 1
-                continue
-            y.append(_parse_number(tokens[schema.outcome], schema.outcome, rownum))
-            arm.append(_canonical_arm(tokens[schema.arm], schema.arm_map, rownum))
-            cov.append([_parse_number(tokens[c], c, rownum)
-                        for c in schema.covariates])
-            if schema.stratum is not None:
-                strat.append(tokens[schema.stratum].strip())
+    # rows past the first with a wrong field count are never looked at
+    width = len(header)
+    lengths = np.fromiter(map(len, rows), int, len(rows))
+    ragged = np.flatnonzero(lengths != width)
+    n = int(ragged[0]) if ragged.size else len(rows)
+    del rows[n:]
+    cols = {}
+    for c in used:
+        j = header.index(c)
+        cols[c] = [row[j] for row in rows]
+    del rows
 
-    if not y:
+    y, missing, bad = _number_column(cols[schema.outcome])
+    arm_code = {}  # each distinct token: its arm, 0 if missing, -1 if bad
+    for token in dict.fromkeys(cols[schema.arm]):
+        try:
+            arm_code[token] = 0 if _is_missing(token) else \
+                _canonical_arm(token, schema.arm_map, 0)
+        except DataError:
+            arm_code[token] = -1
+    arm = np.fromiter(map(arm_code.__getitem__, cols[schema.arm]), int, n)
+    missing |= arm == 0
+    bad |= arm == -1
+    cov = np.empty((n, len(schema.covariates)))
+    for j, c in enumerate(schema.covariates):
+        cov[:, j], c_missing, c_bad = _number_column(cols[c])
+        missing |= c_missing
+        bad |= c_bad
+    if schema.stratum is not None:
+        strat_missing = {t: _is_missing(t)
+                         for t in dict.fromkeys(cols[schema.stratum])}
+        missing |= np.fromiter(map(strat_missing.__getitem__,
+                                   cols[schema.stratum]), bool, n)
+
+    bad &= ~missing
+    if bad.any():
+        i = int(np.argmax(bad))
+        # the helpers raise for the first bad token in schema order
+        _parse_number(cols[schema.outcome][i], schema.outcome, i + 1)
+        _canonical_arm(cols[schema.arm][i], schema.arm_map, i + 1)
+        for c in schema.covariates:
+            _parse_number(cols[c][i], c, i + 1)
+    if ragged.size:
+        raise DataError(
+            f"{path}: data row {n + 1} has {lengths[n]} fields, "
+            f"header has {width}")
+    if read_error is not None:
+        raise read_error
+
+    keep = ~missing
+    if not keep.any():
         raise EmptyDataError(f"{path}: no usable rows after dropping incomplete ones")
+    strat = None
+    if schema.stratum is not None:
+        strat = np.array([t.strip() for t, k in
+                          zip(cols[schema.stratum], keep.tolist()) if k])
     data = TrialDataset(
-        outcome=np.array(y),
-        arm=np.array(arm),
-        covariates=np.array(cov, dtype=float).reshape(len(y), len(schema.covariates)),
+        outcome=y[keep],
+        arm=arm[keep],
+        covariates=cov[keep],
         covariate_names=schema.covariates,
-        stratum=np.array(strat) if schema.stratum is not None else None,
+        stratum=strat,
     )
-    return data, dropped
+    return data, int(n - keep.sum())
 
 
 # ------------------------------------------------------------------ #

@@ -95,7 +95,11 @@ class StratificationRule:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete description of one data-generating process."""
+    """Complete description of one data-generating process.
+
+    ``covariates`` entries may be CovariateSpecs or any form that
+    covariate_spec_from_config reads.
+    """
 
     n: int
     beta_A: tuple[float, float]
@@ -110,7 +114,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "block_size", int(self.block_size))
-        object.__setattr__(self, "covariates", tuple(self.covariates))
+        object.__setattr__(self, "covariates", tuple(
+            map(covariate_spec_from_config, self.covariates)))
         object.__setattr__(self, "beta_W", tuple(float(b) for b in self.beta_W))
         object.__setattr__(self, "beta_A", tuple(float(b) for b in self.beta_A))
         object.__setattr__(self, "allocation",
@@ -136,7 +141,7 @@ class Scenario:
                 raise ValueError("block size must be >= 2")
             # two strata that each fit in one arm's slots of a block can
             # both fill only that arm
-            b1 = round(self.block_size * self.allocation[0])
+            b1 = _block_arm1_count(self.block_size, self.allocation)
             most = 2 * max(b1, self.block_size - b1)
             if self.n <= most:
                 raise ValueError(f"stratified blocks of {self.block_size} "
@@ -247,6 +252,18 @@ def randomize_complete(n: int, allocation, rng: np.random.Generator) -> np.ndarr
     return rng.permutation(np.repeat(_ARMS, (n1, n - n1)))
 
 
+def _block_arm1_count(block_size: int, allocation) -> int:
+    """Arm-1 slots in one permuted block: block_size * share_1, which must
+    be integral (within 1e-9) and leave both arms a slot."""
+    b1_exact = block_size * float(allocation[0])
+    b1 = int(round(b1_exact))
+    if abs(b1_exact - b1) > 1e-9 or not 0 < b1 < block_size:
+        raise ValueError(
+            f"block size {block_size} is incompatible with allocation "
+            f"{tuple(allocation)}: blocks need an integral arm-1 count")
+    return b1
+
+
 def randomize_stratified_block(strata, block_size: int, allocation,
                                rng: np.random.Generator) -> np.ndarray:
     """Permuted blocks within each stratum.
@@ -256,12 +273,7 @@ def randomize_stratified_block(strata, block_size: int, allocation,
     one more fully permuted block.
     """
     strata = np.asarray(strata)
-    b1_exact = block_size * float(allocation[0])
-    b1 = int(round(b1_exact))
-    if abs(b1_exact - b1) > 1e-9 or not 0 < b1 < block_size:
-        raise ValueError(
-            f"block size {block_size} is incompatible with allocation "
-            f"{tuple(allocation)}: blocks need an integral arm-1 count")
+    b1 = _block_arm1_count(block_size, allocation)
     base = np.array([1] * b1 + [2] * (block_size - b1))
     arms = np.empty(strata.shape[0], dtype=int)
     for label in np.unique(strata):
@@ -603,7 +615,10 @@ def from_config(cls, d, what: str, **parse):
 
 
 def covariate_spec_from_config(obj) -> CovariateSpec:
-    """"standard-normal" | {"bernoulli": p} | {"kind": ..., "p": ...}"""
+    """"standard-normal" | {"bernoulli": p} | {"kind": ..., "p": ...};
+    a CovariateSpec is returned unchanged."""
+    if isinstance(obj, CovariateSpec):
+        return obj
     if isinstance(obj, str):
         return CovariateSpec(kind=obj)
     if isinstance(obj, dict) and set(obj) == {"bernoulli"}:
@@ -616,7 +631,6 @@ def scenario_from_config(d: dict) -> Scenario:
     reads them, stratify as a {covariate, threshold} mapping or null."""
     return from_config(
         Scenario, d, "scenario",
-        covariates=lambda cs: tuple(map(covariate_spec_from_config, cs)),
         stratify=lambda sd: sd if sd is None else from_config(
             StratificationRule, sd, "stratify"))
 

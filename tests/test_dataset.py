@@ -1,12 +1,20 @@
 """Loading, validation, design construction, counterfactual substitution."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gscore.dataset import (
     ColumnSchema,
     ModelSpec,
     TrialDataset,
+    _canonical_arm,
+    _is_missing,
+    _parse_number,
     build_design,
     counterfactual_design,
     load_csv,
@@ -24,6 +32,127 @@ def write_csv(tmp_path, text, name="d.csv"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def reference_load_csv(path: str, schema: ColumnSchema):
+    """The row-by-row loader that the column-wise load_csv replaced, kept
+    as its reference: each row is checked, dropped or parsed in file order
+    with the same token helpers."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyDataError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        used = [schema.outcome, schema.arm, *schema.covariates]
+        if schema.stratum is not None:
+            used.append(schema.stratum)
+        missing_cols = [c for c in used if c not in header]
+        if missing_cols:
+            raise SchemaError(f"{path}: missing columns {missing_cols}")
+        idx = {c: header.index(c) for c in used}
+
+        y, arm, cov, strat = [], [], [], []
+        dropped = 0
+        for rownum, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: data row {rownum} has {len(row)} fields, "
+                    f"header has {len(header)}")
+            tokens = {c: row[idx[c]] for c in used}
+            if any(_is_missing(tokens[c]) for c in used):
+                dropped += 1
+                continue
+            y.append(_parse_number(tokens[schema.outcome], schema.outcome, rownum))
+            arm.append(_canonical_arm(tokens[schema.arm], schema.arm_map, rownum))
+            cov.append([_parse_number(tokens[c], c, rownum)
+                        for c in schema.covariates])
+            if schema.stratum is not None:
+                strat.append(tokens[schema.stratum].strip())
+
+    if not y:
+        raise EmptyDataError(f"{path}: no usable rows after dropping incomplete ones")
+    data = TrialDataset(
+        outcome=np.array(y),
+        arm=np.array(arm),
+        covariates=np.array(cov, dtype=float).reshape(len(y), len(schema.covariates)),
+        covariate_names=schema.covariates,
+        stratum=np.array(strat) if schema.stratum is not None else None,
+    )
+    return data, dropped
+
+
+def load_outcome(loader, path, schema):
+    """What ``loader`` gives on the file: each array's dtype, shape and
+    bytes, the covariate names and the dropped count; or the exception's
+    type and message."""
+    try:
+        data, dropped = loader(path, schema)
+    except Exception as exc:  # the outcome compared is the exception
+        return type(exc), str(exc)
+    arrays = (data.outcome, data.arm, data.covariates, data.stratum)
+    return ([None if a is None else (a.dtype.str, a.shape, a.tobytes())
+             for a in arrays], data.covariate_names, dropped)
+
+
+# Tokens for the differential test.  float() reads the numbers, including
+# padded ones, "1_0", infinities and signed NaNs (kept, not missing); the
+# missing tokens are every spelling of _MISSING_TOKENS in mixed case.
+NUMBERS = ["0", "1", "-2.5", " 3 ", "4e-1", "1_0", "0.1", "-0", "7.25"]
+SPECIAL_NUMBERS = ["inf", "-Inf", "-nan", "+nan", "+NaN"]
+MISSING = ["", " ", "NA", "na", "nA", "nan", "NaN", " NAN ", "N/A", "n/a",
+           "null", "NULL", "Null"]
+NON_NUMERIC = ["oops", "1,5", "1.2.3", "--1", "x y", 'say "hi"', "1 2"]
+# (arm_map, tokens that map into {1, 2}); 1.0 is arm 1 with no map
+ARM_MAPS = [
+    (None, ["1", "2", "1.0", " 2 ", "2.0"]),
+    ({0: 1, 1: 2}, ["0", "1", "1.0", " 0 "]),
+    ({"a": 1, "b": 2}, ["a", "b", " b "]),
+    ({"1.0": 2, 2: 1}, ["1.0", "2", " 2.0"]),
+    ({"ctl": 1, 7: 2, "x": 3}, ["ctl", "7", "7.0"]),
+]
+BAD_ARMS = ["3", "0", "x", "2.5", "-1", "arm", "1e9"]
+STRATA = ["a", "b", " a ", "site 3", "c"]
+
+
+@st.composite
+def csv_files(draw):
+    """(text, schema): a random trial CSV and the schema to read it with.
+    Most cells are clean; a row may have one or two cells replaced by a
+    missing, non-numeric or special token, and one row may be ragged."""
+    arm_map, arms = draw(st.sampled_from(ARM_MAPS))
+    covariates = draw(st.sampled_from([(), ("w1",), ("w2", "w1")]))
+    stratum = draw(st.sampled_from([None, "site"]))
+    columns = draw(st.permutations(["y", "arm", "w1", "w2", "site", "x"]))
+    clean = dict.fromkeys(columns, NUMBERS) | {"arm": arms, "site": STRATA}
+    taints = {"missing": dict.fromkeys(columns, MISSING),
+              "bad": dict.fromkeys(columns, NON_NUMERIC) | {"arm": BAD_ARMS},
+              "special": dict.fromkeys(columns, SPECIAL_NUMBERS)}
+    used = ["y", "arm", *covariates] + ([stratum] if stratum else [])
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = {c: draw(st.sampled_from(clean[c])) for c in columns}
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2]))):
+            taint = taints[draw(st.sampled_from(list(taints)))]
+            c = draw(st.sampled_from(used * 3 + columns))
+            row[c] = draw(st.sampled_from(taint[c]))
+        rows.append([row[c] for c in columns])
+    if rows and draw(st.sampled_from([False, False, False, True])):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.booleans()):
+            row.append("1")
+        else:
+            row.pop()
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    header = [draw(st.sampled_from([c, f" {c}"])) for c in columns]
+    buf = io.StringIO()
+    csv.writer(buf, delimiter=delimiter, quoting=quoting).writerows(
+        [header, *rows])
+    schema = ColumnSchema("y", "arm", covariates, stratum=stratum,
+                          arm_map=arm_map, delimiter=delimiter)
+    return buf.getvalue(), schema
 
 
 class TestLoadCsv:
@@ -93,6 +222,72 @@ class TestLoadCsv:
     def test_schema_role_collision(self):
         with pytest.raises(SchemaError):
             ColumnSchema(outcome="y", arm="y")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """Excel writes UTF-8 CSVs with a BOM before the first name."""
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,arm\n1,1\n0,2\n")
+        data, dropped = load_csv(str(path), ColumnSchema("y", "arm"))
+        assert (data.n, dropped) == (2, 0)
+
+    def test_used_column_named_twice_is_a_schema_error(self, tmp_path):
+        path = write_csv(tmp_path, "y,arm,y\n1,1,0\n0,2,1\n")
+        with pytest.raises(SchemaError, match="'y'"):
+            load_csv(path, ColumnSchema("y", "arm"))
+        # a repeated column the schema does not use is no error
+        path = write_csv(tmp_path, "y,arm,x,x\n1,1,0,0\n0,2,1,1\n")
+        assert load_csv(path, ColumnSchema("y", "arm"))[0].n == 2
+
+    @pytest.mark.parametrize("text, covariates, message", [
+        ("y,arm,w\n1,1,0.5\n1,2\noops,2,0.1\n", ("w",),
+         "data row 2 has 2 fields"),
+        ("y,arm,w\n1,1,0.5\noops,2,0.1\n1,2\n", ("w",),
+         "'oops' in column 'y', data row 2"),
+        ("y,arm,w\n1,1,0.5\noops,2,bad\n", ("w",), "column 'y'"),
+        ("y,arm,w\n1,1,0.5\n0,9,bad\n", ("w",), "arm value '9'"),
+        ("y,arm,w,v\n1,1,0.5,1\n0,2,bad,worse\n", ("v", "w"),
+         "'worse' in column 'v'"),
+        ("y,arm,w\n1,1,0.5\noops,2,NA\n0,9,0.1\n", ("w",),
+         "arm value '9' .* data row 3"),
+    ], ids=["ragged-first", "parse-first", "outcome-then-covariate",
+            "arm-then-covariate", "covariates-in-schema-order",
+            "dropped-row-not-parsed"])
+    def test_first_bad_row_wins(self, tmp_path, text, covariates, message):
+        """The first bad row in file order is reported; within a row a
+        wrong field count, then outcome, arm and covariates in schema
+        order.  A row with a missing token is dropped unparsed."""
+        path = write_csv(tmp_path, text)
+        schema = ColumnSchema("y", "arm", covariates)
+        with pytest.raises(DataError, match=message):
+            load_csv(path, schema)
+        assert load_outcome(load_csv, path, schema) \
+            == load_outcome(reference_load_csv, path, schema)
+
+    @pytest.mark.parametrize("first_row", ["oops,1,0.5", "1,1,0.5"])
+    def test_read_error_after_a_bad_row(self, tmp_path, first_row):
+        """A byte that is not UTF-8 past the first read-ahead chunk is
+        raised only when no row read before it is bad."""
+        path = tmp_path / "late.csv"
+        path.write_bytes(f"y,arm,w\n{first_row}\n".encode()
+                         + b"1,2,0.5\n" * 4000 + b"0,2,\xff\n")
+        schema = ColumnSchema("y", "arm", ("w",))
+        got = load_outcome(load_csv, str(path), schema)
+        assert got[0] is (DataError if first_row.startswith("oops")
+                          else UnicodeDecodeError)
+        assert got == load_outcome(reference_load_csv, str(path), schema)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(csv_files())
+    def test_matches_the_row_by_row_reference(self, tmp_path_factory, case):
+        """Bit-identical arrays and dropped counts, or the same exception
+        type and message, on random files of clean, padded, special,
+        missing and non-numeric tokens, ragged rows, relabel maps,
+        quoting, delimiters and a stratum column."""
+        text, schema = case
+        path = tmp_path_factory.mktemp("diff") / "d.csv"
+        path.write_bytes(text.encode())
+        assert load_outcome(load_csv, str(path), schema) \
+            == load_outcome(reference_load_csv, str(path), schema)
 
 
 class TestTrialDataset:

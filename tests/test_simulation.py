@@ -108,6 +108,28 @@ class TestScenarioValidation:
                      500, seed=1)
         assert res.reps == 500
 
+    def test_stratified_blocks_need_an_integral_arm1_count(self):
+        """Blocks of 3 at 1:1 have no integral arm-1 count: rejected when
+        the scenario is built, not when run_oc draws its first trial."""
+        with pytest.raises(ValueError, match="integral arm-1 count"):
+            scenario1(n=40, scheme="stratified-block", block_size=3,
+                      stratify=StratificationRule(1, 0.0))
+        scenario1(n=40, scheme="stratified-block", block_size=3,
+                  allocation=(1 / 3, 2 / 3),
+                  stratify=StratificationRule(1, 0.0))
+
+    def test_covariate_entries_read_when_built(self):
+        """Config forms of a covariate become CovariateSpecs, and a bad
+        entry fails when the scenario is built, not inside run_oc."""
+        s = Scenario(n=40, beta_A=(0, 0), beta_W=(0.5, 0.5),
+                     covariates=("standard-normal", {"bernoulli": 0.3}))
+        assert s.covariates == (CovariateSpec("standard-normal"),
+                                CovariateSpec("bernoulli", 0.3))
+        for bad in ("uniform", 42, {"bernoulli": 2.0}):
+            with pytest.raises(ValueError):
+                Scenario(n=40, beta_A=(0, 0), beta_W=(0.5,),
+                         covariates=(bad,))
+
     def test_stratified_scheme_needs_rule(self):
         with pytest.raises(ValueError):
             scenario1(scheme="stratified-block")
