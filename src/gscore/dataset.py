@@ -16,8 +16,10 @@ scope; callers precompute derived columns and name them in the schema.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,6 +35,9 @@ FAMILY_NAMES = ("bernoulli-logit", "poisson-log", "gaussian-identity")
 # tokens treated as missing (case-insensitive, after strip); anything else
 # non-numeric in a numeric column is a hard error, not a silent drop
 _MISSING_TOKENS = frozenset({"", "na", "nan", "n/a", "null"})
+
+# rows load_csv reads and parses at a time
+_BLOCK = 256
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -234,26 +239,78 @@ def _float_or_nan(token: str) -> float:
         return np.nan
 
 
-def _number_column(tokens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, missing, bad) for one numeric column: the tokens as float()
-    reads them, the missing tokens, and the tokens float() rejects that are
-    not missing.  Only tokens that read as NaN are looked at one by one."""
-    n = len(tokens)
+def _block_numbers(rows, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, missing, bad) for column j of a block of rows: the tokens
+    as float() reads them, the missing tokens, and the tokens float()
+    rejects that are not missing.  Only tokens that read as NaN are looked
+    at one by one."""
+    m = len(rows)
     try:
-        values = np.fromiter(map(float, tokens), float, n)
+        values = np.fromiter(map(float, map(itemgetter(j), rows)), float, m)
     except ValueError:
-        values = np.fromiter(map(_float_or_nan, tokens), float, n)
-    missing = np.zeros(n, dtype=bool)
-    bad = np.zeros(n, dtype=bool)
+        values = np.fromiter(map(_float_or_nan, map(itemgetter(j), rows)),
+                             float, m)
+    missing = np.zeros(m, dtype=bool)
+    bad = np.zeros(m, dtype=bool)
     for i in np.flatnonzero(np.isnan(values)).tolist():
-        if _is_missing(tokens[i]):
+        token = rows[i][j]
+        if _is_missing(token):
             missing[i] = True
             continue
         try:
-            float(tokens[i])
+            float(token)
         except ValueError:
             bad[i] = True
     return values, missing, bad
+
+
+def _parse_block(rows, first: int, idx: dict, schema: ColumnSchema,
+                 arm_code: dict, strat_code: dict):
+    """(outcome, arm, covariates, strata) of the complete rows of a block
+    whose rows all have the header's field count; strata is None without
+    a stratum column.  The first bad row raises, numbered from ``first``
+    (outcome, then arm, then covariates in schema order).  arm_code and
+    strat_code carry each distinct token's reading from block to block."""
+    m = len(rows)
+    y, missing, bad = _block_numbers(rows, idx[schema.outcome])
+    arms = list(map(itemgetter(idx[schema.arm]), rows))
+    for token in set(arms).difference(arm_code):
+        # the token's arm, 0 if missing, -1 if bad
+        try:
+            arm_code[token] = 0 if _is_missing(token) else \
+                _canonical_arm(token, schema.arm_map, 0)
+        except DataError:
+            arm_code[token] = -1
+    arm = np.fromiter(map(arm_code.__getitem__, arms), int, m)
+    missing |= arm == 0
+    bad |= arm == -1
+    cov = np.empty((m, len(schema.covariates)))
+    for k, c in enumerate(schema.covariates):
+        cov[:, k], c_missing, c_bad = _block_numbers(rows, idx[c])
+        missing |= c_missing
+        bad |= c_bad
+    strata = None
+    if schema.stratum is not None:
+        tokens = list(map(itemgetter(idx[schema.stratum]), rows))
+        for token in set(tokens).difference(strat_code):
+            # a missing token reads as "", which no other token strips to
+            strat_code[token] = "" if _is_missing(token) else token.strip()
+        strata = list(map(strat_code.__getitem__, tokens))
+        missing |= np.fromiter(map(len, strata), int, m) == 0
+
+    bad &= ~missing
+    if bad.any():
+        i = int(np.argmax(bad))
+        row, rownum = rows[i], first + i
+        # the helpers raise for the first bad token in schema order
+        _parse_number(row[idx[schema.outcome]], schema.outcome, rownum)
+        _canonical_arm(row[idx[schema.arm]], schema.arm_map, rownum)
+        for c in schema.covariates:
+            _parse_number(row[idx[c]], c, rownum)
+    keep = ~missing
+    if strata is not None:
+        strata = list(itertools.compress(strata, keep.tolist()))
+    return y[keep], arm[keep], cov[keep], strata
 
 
 def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
@@ -262,12 +319,18 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
     Rows with a missing value in any used column are dropped; the count of
     dropped rows is returned alongside the dataset.  Non-numeric tokens in
     numeric columns are rejected outright rather than coerced.  The file
-    is read whole and parsed column by column; an error names the first
-    bad row in file order (a wrong field count, then the outcome, arm and
-    covariates in schema order).  A UTF-8 byte-order mark is skipped, and
-    a used column named twice in the header is a SchemaError.
+    is read and parsed in blocks of _BLOCK rows, each column of a block in
+    one pass, and only the parsed values of a block's complete rows are
+    kept, so the tokens held at once are bounded by one block, not the
+    file.  A block's row lists are also fewer than the collector's
+    young-generation threshold (700 tracked objects) and are freed before
+    the next block is read, so a large file sets off no collection passes
+    over them.  An error names the first bad row in file order (within a
+    row: a wrong field count, then the outcome, arm and covariates in
+    schema order), and reading stops at it; an encoding or CSV error is
+    raised only when no row before it is bad.  A UTF-8 byte-order mark is
+    skipped, and a used column named twice in the header is a SchemaError.
     """
-    read_error = None
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
@@ -285,77 +348,46 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
         if repeated:
             raise SchemaError(f"{path}: columns {repeated} are named more "
                               "than once in the header")
-        rows = []
-        try:
-            rows.extend(reader)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            # raised only if no row read before it has an error
-            read_error = exc
+        idx = {c: header.index(c) for c in used}
+        width = len(header)
+        arm_code, strat_code = {}, {}
+        parts = []  # per block: its complete rows' parsed columns
+        n = 0  # data rows before the block
+        while True:
+            block, read_error = [], None
+            try:
+                block.extend(itertools.islice(reader, _BLOCK))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                read_error = exc  # the rows read before it are kept
+            lengths = np.fromiter(map(len, block), int, len(block))
+            ragged = np.flatnonzero(lengths != width)
+            if ragged.size:
+                del block[ragged[0]:]
+            parts.append(_parse_block(block, n + 1, idx, schema,
+                                      arm_code, strat_code))
+            n += len(block)
+            if ragged.size:
+                raise DataError(
+                    f"{path}: data row {n + 1} has {lengths[ragged[0]]} "
+                    f"fields, header has {width}")
+            if read_error is not None:
+                raise read_error
+            if len(block) < _BLOCK:
+                break
 
-    # rows past the first with a wrong field count are never looked at
-    width = len(header)
-    lengths = np.fromiter(map(len, rows), int, len(rows))
-    ragged = np.flatnonzero(lengths != width)
-    n = int(ragged[0]) if ragged.size else len(rows)
-    del rows[n:]
-    cols = {}
-    for c in used:
-        j = header.index(c)
-        cols[c] = [row[j] for row in rows]
-    del rows
-
-    y, missing, bad = _number_column(cols[schema.outcome])
-    arm_code = {}  # each distinct token: its arm, 0 if missing, -1 if bad
-    for token in dict.fromkeys(cols[schema.arm]):
-        try:
-            arm_code[token] = 0 if _is_missing(token) else \
-                _canonical_arm(token, schema.arm_map, 0)
-        except DataError:
-            arm_code[token] = -1
-    arm = np.fromiter(map(arm_code.__getitem__, cols[schema.arm]), int, n)
-    missing |= arm == 0
-    bad |= arm == -1
-    cov = np.empty((n, len(schema.covariates)))
-    for j, c in enumerate(schema.covariates):
-        cov[:, j], c_missing, c_bad = _number_column(cols[c])
-        missing |= c_missing
-        bad |= c_bad
-    if schema.stratum is not None:
-        strat_missing = {t: _is_missing(t)
-                         for t in dict.fromkeys(cols[schema.stratum])}
-        missing |= np.fromiter(map(strat_missing.__getitem__,
-                                   cols[schema.stratum]), bool, n)
-
-    bad &= ~missing
-    if bad.any():
-        i = int(np.argmax(bad))
-        # the helpers raise for the first bad token in schema order
-        _parse_number(cols[schema.outcome][i], schema.outcome, i + 1)
-        _canonical_arm(cols[schema.arm][i], schema.arm_map, i + 1)
-        for c in schema.covariates:
-            _parse_number(cols[c][i], c, i + 1)
-    if ragged.size:
-        raise DataError(
-            f"{path}: data row {n + 1} has {lengths[n]} fields, "
-            f"header has {width}")
-    if read_error is not None:
-        raise read_error
-
-    keep = ~missing
-    if not keep.any():
+    y, arm, cov, strata = zip(*parts)
+    kept = sum(map(len, y))
+    if not kept:
         raise EmptyDataError(f"{path}: no usable rows after dropping incomplete ones")
-    strat = None
-    if schema.stratum is not None:
-        strat = np.array([t.strip() for t, k in
-                          zip(cols[schema.stratum], keep.tolist()) if k])
     data = TrialDataset(
-        outcome=y[keep],
-        arm=arm[keep],
-        covariates=cov[keep],
+        outcome=np.concatenate(y),
+        arm=np.concatenate(arm),
+        covariates=np.concatenate(cov),
         covariate_names=schema.covariates,
-        stratum=strat,
+        stratum=None if schema.stratum is None
+        else np.array(list(itertools.chain.from_iterable(strata))),
     )
-    return data, int(n - keep.sum())
+    return data, n - kept
 
 
 # ------------------------------------------------------------------ #

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import ModelSpec, TrialDataset, stack_designs
-from .errors import GScoreError, check_choices
+from .errors import check_choices
 from .gcomp import (
     CORRECTIONS,
     ESTIMATORS,
@@ -301,6 +301,12 @@ class _Trials(NamedTuple):
     stratum: np.ndarray | None  # (B, n)
 
 
+def _covariate_names(s: Scenario) -> tuple[str, ...]:
+    """The covariate columns of s's trials: W1..Wq, then S if stratified."""
+    names = tuple(f"W{j + 1}" for j in range(len(s.covariates)))
+    return names if s.stratify is None else names + ("S",)
+
+
 def _draw(s: Scenario, rngs) -> _Trials:
     """One trial per generator in ``rngs``, each drawing its covariates,
     then its randomization, then one uniform per subject for the outcome.
@@ -325,14 +331,12 @@ def _draw(s: Scenario, rngs) -> _Trials:
 
     eta = np.asarray(s.beta_A)[arm - 1] + (W @ np.asarray(s.beta_W)
                                            if q else 0.0)
-    names = tuple(f"W{j + 1}" for j in range(q))
     covariates = W
     if stratum is not None:
         covariates = np.concatenate([W, stratum[..., None].astype(float)],
                                     axis=-1)
-        names += ("S",)
     return _Trials(outcome=(u < expit(eta)).astype(float), arm=arm,
-                   covariates=covariates, covariate_names=names,
+                   covariates=covariates, covariate_names=_covariate_names(s),
                    stratum=stratum)
 
 
@@ -430,9 +434,14 @@ def _plan(s: Scenario, methods, level: float):
     """Per method (method, model spec, hypothesis, rejection threshold),
     fixed across replications, so built and checked before any trial."""
     plan = []
+    names = _covariate_names(s)
     for m in methods:
         spec = m.model if isinstance(m.model, ModelSpec) \
             else ModelSpec(family="bernoulli-logit")
+        unknown = [c for c in spec.covariates if c not in names]
+        if unknown:
+            raise ValueError(f"method {m.name!r}: model covariates {unknown} "
+                             f"are not among the scenario's {list(names)}")
         p = len(spec.column_labels)
         if m.correction == "HC1" and p >= s.n:
             raise ValueError(f"method {m.name!r}: HC1 needs n > p, got "
@@ -451,12 +460,9 @@ def _row_mask(errors: dict, B: int) -> np.ndarray:
 
 def _fit_spec(trials: _Trials, spec: ModelSpec):
     """(design, fit, arm means, failed rows) of ``spec`` on a batch of
-    trials, or None when the design cannot be built."""
-    try:
-        design = stack_designs(trials.arm, trials.covariates,
-                               trials.covariate_names, spec)
-    except GScoreError:
-        return None
+    trials; _plan has checked the model's covariates."""
+    design = stack_designs(trials.arm, trials.covariates,
+                           trials.covariate_names, spec)
     fitted, errors = fit_batch(design, trials.outcome)
     return (design, fitted, estimate_mu(fitted, design).mu,
             _row_mask(errors, len(trials.outcome)))
@@ -479,8 +485,6 @@ def _analyze_batch(trials: _Trials, plan):
     for j, (m, spec, h, thr) in enumerate(plan):
         if spec not in fits:
             fits[spec] = _fit_spec(trials, spec)
-        if fits[spec] is None:
-            continue
         design, fitted, mu, fit_failed = fits[spec]
         key = (spec, m.estimator, m.correction, m.pi)
         if key not in variances:

@@ -8,7 +8,8 @@ score-vs-Wald dominance, large-n agreement of the three variance
 estimators, one-sided type I error control, calibration reproduction
 through the CLI, arm-only collapse, GLM score/bread correctness,
 reproduction of an external clinical-trial analysis (skipped unless the
-data extract is supplied), and the covariate-adjustment power trend.
+data extract is supplied), the covariate-adjustment power trend, and
+the score-vs-Wald nesting under stratified permuted blocks.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from gscore import (
     MethodSpec,
     ModelSpec,
     Scenario,
+    StratificationRule,
     analyze_trial,
     build_design,
     calibrate_intercepts,
@@ -48,7 +50,7 @@ from gscore import (
     wald_test_ratio,
 )
 from gscore.cli import main as cli_main
-from gscore.simulation import _rep_rng
+from gscore.simulation import _plan, _rep_rng, _run_chunk
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 NIDA_ENV = "GSCORE_NIDA_CSV"
@@ -392,3 +394,39 @@ def test_criterion_9_power_gain_trend():
               f"{ascore0.rejection_rate:.4f}, deficit {deficit:+.4f}")
         assert abs(deficit) <= 2 * gain_se(us0, ascore0)
         assert time.perf_counter() - start < 900.0
+
+
+def test_criterion_10_stratified_blocks_score_within_wald():
+    """Under stratified permuted blocks (blocks of 4 within S = I(W3 >
+    0.25)) at the null, n = 100, 6,000 replications: for estimators I,
+    II and III, with and without S in the model, every replication's
+    score interval contains its Wald interval and a score rejection
+    (one-sided 0.025) implies a Wald rejection."""
+    with criterion(10, "stratified blocks: score interval contains Wald, "
+                       "score rejection implies Wald, 6,000 reps"):
+        start = time.perf_counter()
+        s = Scenario(n=100, covariates=THREE_NORMALS, beta_W=BETA_W3,
+                     beta_A=(-0.9355, -0.9355), scheme="stratified-block",
+                     block_size=4, stratify=StratificationRule(
+                         covariate=3, threshold=0.25))
+        models = {"W": ADJUSTED3, "W+S": ModelSpec(
+            family="bernoulli-logit", covariates=("W1", "W2", "W3", "S"))}
+        methods = tuple(
+            MethodSpec(name=f"{est}-{label}-{test}", test=test, model=model,
+                       estimator=est)
+            for est in ("I", "II", "III") for label, model in models.items()
+            for test in ("wald", "score"))
+        _, reject, lo, hi, failed = _run_chunk(
+            s, _plan(s, methods, 0.95), 20261018, range(6000))
+        assert not failed.any()
+        print()
+        for w in range(0, len(methods), 2):
+            wald, score = w, w + 1
+            assert (lo[:, score] <= lo[:, wald]).all(), methods[w].name
+            assert (hi[:, wald] <= hi[:, score]).all(), methods[w].name
+            assert (reject[:, wald] | ~reject[:, score]).all(), \
+                methods[w].name
+            print(f"  {methods[w].name.rsplit('-', 1)[0]:>7}: type I error "
+                  f"wald {reject[:, wald].mean():.4f}, "
+                  f"score {reject[:, score].mean():.4f}")
+        assert time.perf_counter() - start < 60.0

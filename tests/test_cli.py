@@ -291,11 +291,14 @@ class TestSimulate:
                                                        capsys):
         """Each JSON methods entry is its CSV row's first 16 columns, in
         order; the run-level columns after them sit at the top level."""
-        scen = write_yaml(tmp_path / "scen.yaml", scenario_doc())
+        scen = write_yaml(tmp_path / "scen.yaml", {
+            **scenario_doc(), "n": 40, "scheme": "stratified-block",
+            "stratify": {"covariate": 3, "threshold": 0.25}})
+        # at n = 40 some score ratio intervals are undefined: that row
+        # has failed replications
         meth = write_yaml(tmp_path / "meth.yaml", {"methods": [
             *methods_doc()["methods"],
-            {"name": "bad", "test": "score", "measure": "ratio",
-             "model": {"family": "bernoulli-logit", "covariates": ["W9"]}}]})
+            {"name": "score-ratio", "test": "score", "measure": "ratio"}]})
         out = tmp_path / "oc.csv"
         assert main(["simulate", "--scenario", scen, "--methods", meth,
                      "--reps", "20", "--seed", "3", "--out", str(out)]) == 0
@@ -309,6 +312,7 @@ class TestSimulate:
             assert list(entry) == header[:16]
             assert [str(v) for v in entry.values()] == row[:16]
         assert header[16:] == ["true_value", "seed", "level", "n"]
+        assert report["methods"][2]["n_failed"] > 0
 
     def test_output_is_deterministic(self, tmp_path, capsys):
         """Same scenario, methods, reps, and seed give byte-identical
@@ -364,6 +368,19 @@ class TestSimulate:
                      "--reps", "5", "--seed", "1", "--workers", workers,
                      "--out", str(out)]) == 2
         assert "workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_covariate_the_scenario_lacks_exits_2(self, tmp_path,
+                                                        capsys):
+        scen = write_yaml(tmp_path / "scen.yaml", scenario_doc())
+        meth = write_yaml(tmp_path / "meth.yaml", {"methods": [
+            {"name": "bad", "test": "score",
+             "model": {"family": "bernoulli-logit", "covariates": ["W9"]}}]})
+        out = tmp_path / "oc.csv"
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "20", "--seed", "1", "--out", str(out)]) == 2
+        assert "method 'bad': model covariates ['W9']" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_scenario_exits_2(self, tmp_path, capsys):

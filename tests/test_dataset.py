@@ -1,13 +1,17 @@
 """Loading, validation, design construction, counterfactual substitution."""
 
 import csv
+import gc
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gscore import dataset
 from gscore.dataset import (
     ColumnSchema,
     ModelSpec,
@@ -94,6 +98,22 @@ def load_outcome(loader, path, schema):
     arrays = (data.outcome, data.arm, data.covariates, data.stratum)
     return ([None if a is None else (a.dtype.str, a.shape, a.tobytes())
              for a in arrays], data.covariate_names, dropped)
+
+
+# load_csv parses the file in blocks of dataset._BLOCK rows; the block
+# sizes every reference comparison runs at, so that small files cross
+# block boundaries too
+BLOCK_SIZES = (1, 3, dataset._BLOCK)
+
+
+def assert_loads_as_reference(path, schema):
+    """load_csv gives the reference's outcome at every block size; that
+    outcome is returned."""
+    want = load_outcome(reference_load_csv, path, schema)
+    for block in BLOCK_SIZES:
+        with mock.patch.object(dataset, "_BLOCK", block):
+            assert load_outcome(load_csv, path, schema) == want, block
+    return want
 
 
 # Tokens for the differential test.  float() reads the numbers, including
@@ -260,8 +280,7 @@ class TestLoadCsv:
         schema = ColumnSchema("y", "arm", covariates)
         with pytest.raises(DataError, match=message):
             load_csv(path, schema)
-        assert load_outcome(load_csv, path, schema) \
-            == load_outcome(reference_load_csv, path, schema)
+        assert_loads_as_reference(path, schema)
 
     @pytest.mark.parametrize("first_row", ["oops,1,0.5", "1,1,0.5"])
     def test_read_error_after_a_bad_row(self, tmp_path, first_row):
@@ -271,10 +290,9 @@ class TestLoadCsv:
         path.write_bytes(f"y,arm,w\n{first_row}\n".encode()
                          + b"1,2,0.5\n" * 4000 + b"0,2,\xff\n")
         schema = ColumnSchema("y", "arm", ("w",))
-        got = load_outcome(load_csv, str(path), schema)
+        got = assert_loads_as_reference(str(path), schema)
         assert got[0] is (DataError if first_row.startswith("oops")
                           else UnicodeDecodeError)
-        assert got == load_outcome(reference_load_csv, str(path), schema)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(csv_files())
@@ -286,8 +304,128 @@ class TestLoadCsv:
         text, schema = case
         path = tmp_path_factory.mktemp("diff") / "d.csv"
         path.write_bytes(text.encode())
-        assert load_outcome(load_csv, str(path), schema) \
-            == load_outcome(reference_load_csv, str(path), schema)
+        assert_loads_as_reference(str(path), schema)
+
+
+class TestLoadCsvBlocks:
+    """load_csv reads blocks of rows in turn; a block boundary must not
+    change a result, an error or its row number.  Each case runs at
+    blocks of 3 rows, where the boundaries sit after rows 3, 6, 9, ...,
+    and at the other BLOCK_SIZES."""
+
+    @pytest.mark.parametrize("rows, message", [
+        (["1,1,0.5"] * 3 + ["0,2"], "data row 4 has 2 fields"),
+        (["1,1,0.5", "0,2,0.1", "oops,2,0.1", "0,2"],
+         "'oops' in column 'y', data row 3"),
+    ], ids=["ragged-row-opens-a-block", "bad-last-row-then-ragged"])
+    def test_errors_across_a_block_boundary(self, tmp_path, rows, message):
+        path = write_csv(tmp_path, "y,arm,w\n" + "\n".join(rows) + "\n")
+        schema = ColumnSchema("y", "arm", ("w",))
+        with mock.patch.object(dataset, "_BLOCK", 3), \
+                pytest.raises(DataError, match=message):
+            load_csv(path, schema)
+        assert_loads_as_reference(path, schema)
+
+    def test_arm_token_first_seen_in_a_later_block(self, tmp_path):
+        """Each distinct arm token is read once and its reading shared by
+        later blocks: a new valid token maps, and a bad token met first
+        in a dropped row still fails where it is next used."""
+        schema = ColumnSchema("y", "arm", ("w",), arm_map={"a": 1, "b": 2})
+        clean = "y,arm,w\n1,a,0\n0,a,1\n1,a,2\n0,b,3\n1,b,4\n0,a,5\n"
+        path = write_csv(tmp_path, clean)
+        with mock.patch.object(dataset, "_BLOCK", 3):
+            data, dropped = load_csv(path, schema)
+        assert data.arm.tolist() == [1, 1, 1, 2, 2, 1] and dropped == 0
+        assert_loads_as_reference(path, schema)
+
+        path = write_csv(tmp_path, "y,arm,w\n1,a,0\nNA,z,1\n1,b,2\n"
+                         "0,a,3\n1,z,4\n", name="late.csv")
+        with mock.patch.object(dataset, "_BLOCK", 3), \
+                pytest.raises(DataError, match="'z' not in relabel map, "
+                                               "data row 5"):
+            load_csv(path, schema)
+        assert_loads_as_reference(path, schema)
+
+    def test_block_with_every_row_dropped(self, tmp_path):
+        rows = ["1,1,0.5,a", "0,2,0.1,b", "1,2,0.3,a",
+                "NA,1,0.5,a", "1,,0.2,b", "0,2,0.4,null",
+                "0,1,0.7,b", "1,2,0.9, c "]
+        path = write_csv(tmp_path, "y,arm,w,site\n" + "\n".join(rows)
+                         + "\n")
+        schema = ColumnSchema("y", "arm", ("w",), stratum="site")
+        with mock.patch.object(dataset, "_BLOCK", 3):
+            data, dropped = load_csv(path, schema)
+        assert dropped == 3
+        assert data.outcome.tolist() == [1, 0, 1, 0, 1]
+        assert data.stratum.tolist() == ["a", "b", "a", "b", "c"]
+        assert_loads_as_reference(path, schema)
+
+    def test_decode_error_in_a_later_block(self, tmp_path):
+        """A byte that is not UTF-8 after many clean blocks is raised, and
+        no row after it is looked at."""
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"y,arm,w\n" + b"1,2,0.5\n0,1,0.25\n" * 2000
+                         + b"0,2,\xff\noops,1,0.5\n")
+        got = assert_loads_as_reference(str(path),
+                                        ColumnSchema("y", "arm", ("w",)))
+        assert got[0] is UnicodeDecodeError
+
+    @pytest.mark.parametrize("second_row", ["oops,2,0.1", "0,2,0.1"])
+    def test_csv_error_keeps_the_rows_read_before_it(self, tmp_path,
+                                                     second_row):
+        """A field over csv's size limit stops reading; a bad row of the
+        same block read before it is still the error reported."""
+        huge = "9" * (csv.field_size_limit() + 1)
+        path = write_csv(tmp_path, f"y,arm,w\n1,1,0.5\n{second_row}\n"
+                         f"1,2,{huge}\n0,1,0.2\n")
+        got = assert_loads_as_reference(path, ColumnSchema("y", "arm", ("w",)))
+        assert got[0] is (DataError if second_row.startswith("oops")
+                          else csv.Error)
+
+    def test_large_file_starts_no_collection_and_holds_no_tokens(
+            self, tmp_path):
+        """On a 20,000-row file no row list outlives its block, so after
+        a full collection a load starts no collection of any generation
+        at CPython's default thresholds, and its traced peak stays within
+        3x the arrays it returns (the tokens of the whole file, as a
+        whole-file read holds them, take about 10x)."""
+        n = 20000
+        rng = np.random.default_rng(7)
+        W = rng.standard_normal((n, 4))
+        W[:, 3] = W[:, 3] > 0.25
+        y = (rng.random(n) < 0.3).astype(float)
+        arm = rng.integers(1, 3, n)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["y", "arm", "W1", "W2", "W3", "W4"])
+        writer.writerows([repr(float(y[i])), int(arm[i]),
+                          *map(repr, W[i].tolist())] for i in range(n))
+        path = tmp_path / "large.csv"
+        path.write_text(buf.getvalue())
+        schema = ColumnSchema("y", "arm", ("W1", "W2", "W3", "W4"))
+
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        thresholds = gc.get_threshold()
+        gc.set_threshold(700, 10, 10)
+        gc.collect()
+        gc.callbacks.append(count)
+        tracemalloc.start()
+        try:
+            data, dropped = load_csv(str(path), schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.callbacks.remove(count)
+            gc.set_threshold(*thresholds)
+        assert (data.n, dropped) == (n, 0)
+        assert starts == []
+        result = data.outcome.nbytes + data.arm.nbytes + data.covariates.nbytes
+        assert peak < 3 * result, (peak, result)
 
 
 class TestTrialDataset:

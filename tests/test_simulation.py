@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -59,6 +61,11 @@ CALIBRATION_TABLE = [
 def scenario1(beta_A=(-0.9355, -0.2224), n=326, **kw):
     return Scenario(n=n, covariates=THREE_NORMALS, beta_W=BETA_W3,
                     beta_A=beta_A, **kw)
+
+
+STRATIFIED40 = scenario1(n=40, scheme="stratified-block", block_size=4,
+                         stratify=StratificationRule(covariate=3,
+                                                     threshold=0.25))
 
 
 class TestScenarioValidation:
@@ -444,20 +451,46 @@ class TestRunOC:
         assert score.coverage >= wald.coverage
 
     def test_failures_counted_and_excluded(self):
-        """A method naming a covariate the generator never produces
-        fails every replication and reports NaN rates."""
-        s = scenario1(n=60)
-        bad = ModelSpec(family="bernoulli-logit", covariates=("W9",))
+        """Replications whose score ratio interval is undefined (n = 40)
+        fail that method only: they are counted in n_failed and left out
+        of its rates, and the other method uses every replication."""
         methods = (
-            MethodSpec(name="bad", test="score", model=bad),
+            MethodSpec(name="ratio", test="score", measure="ratio"),
             MethodSpec(name="ok", test="score", model="unadjusted"),
         )
-        res = run_oc(s, methods, reps=10, seed=5)
-        assert res.methods[0].n_failed == 10
-        assert res.methods[0].n_used == 0
-        assert np.isnan(res.methods[0].rejection_rate)
-        assert res.methods[1].n_failed == 0
-        assert np.isfinite(res.methods[1].rejection_rate)
+        est, reject, lo, hi, failed = _run_chunk(
+            STRATIFIED40, _plan(STRATIFIED40, methods, 0.95), 5, range(60))
+        res = run_oc(STRATIFIED40, methods, reps=60, seed=5)
+        ratio, ok = res.methods
+        used = ~failed[:, 0]
+        assert 0 < ratio.n_failed == int(failed[:, 0].sum()) < 60
+        assert ratio.n_used == int(used.sum())
+        assert not reject[~used, 0].any()
+        assert np.isnan(est[~used, 0]).all()
+        assert ratio.rejection_rate == reject[used, 0].mean() \
+            > reject[:, 0].mean()
+        assert ratio.mean_estimate == est[used, 0].mean()
+        assert ok.n_failed == 0
+        assert ok.rejection_rate == reject[:, 1].mean()
+
+    @pytest.mark.parametrize("s, covariates, unknown", [
+        (scenario1(n=60), ("W1", "W9"), ["W9"]),
+        # S exists only in stratified scenarios
+        (scenario1(n=60), ("S", "W3"), ["S"]),
+        (STRATIFIED40, ("W4", "S", "T"), ["W4", "T"]),
+    ])
+    def test_model_covariates_the_scenario_lacks_rejected_before_any_trial(
+            self, monkeypatch, s, covariates, unknown):
+        def no_trials(*args):
+            raise AssertionError("a trial was generated")
+
+        monkeypatch.setattr("gscore.simulation._draw", no_trials)
+        methods = (MethodSpec(name="ok", test="wald"),
+                   MethodSpec(name="bad", test="score", model=ModelSpec(
+                       family="bernoulli-logit", covariates=covariates)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"method 'bad': model covariates {unknown}")):
+            run_oc(s, methods, reps=2, seed=1)
 
     def test_mc_se_formula(self):
         s = scenario1(n=60)
@@ -709,11 +742,6 @@ class TestConfigParsers:
         assert len(methods_from_config({"methods": lst})) == 2
         with pytest.raises(ValueError):
             methods_from_config({"methods": lst, "seed": 1})
-
-
-STRATIFIED40 = scenario1(n=40, scheme="stratified-block", block_size=4,
-                         stratify=StratificationRule(covariate=3,
-                                                     threshold=0.25))
 
 
 class TestBatchedEngine:
