@@ -21,7 +21,9 @@ fits: none for one ``glm.fit`` result and its design, (B,) for a
 ``glm.fit_batch`` result and its stacked design.  ``estimate_mu`` serves
 both; ``estimate_variance_batch`` returns the covariances with {row:
 error} for the fits that cannot give one.  The single-fit functions call
-the kernels with no leading axis and raise that error.
+the kernels with no leading axis and raise that error.  As ``glm.fit``
+is fit_batch's loop on one row too, a single fit's numbers equal its
+row's in a batch bit for bit.
 """
 
 from __future__ import annotations

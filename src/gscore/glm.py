@@ -2,10 +2,11 @@
 
 Three families: bernoulli-logit, poisson-log, gaussian-identity.  The
 fit solves the score equation sum_i X_i (Y_i - m(beta' X_i)) = 0 by
-Newton steps; each step solves the weighted normal equations through a
-column-pivoted QR so rank loss is detected and reported by column name
-instead of silently inverted away.  Convergence is declared on the raw
-max-abs score component (default 1e-10); step halving on the
+Newton steps on the weighted normal equations.  A fit whose first normal
+equations are ill-conditioned, or whose solve fails, steps by a
+column-pivoted QR instead, so rank loss is detected and reported by
+column name instead of silently inverted away.  Convergence is declared
+on the raw max-abs score component (1e-10); step halving on the
 log-likelihood guards the rare overshooting step.
 
 Because the left-hand side of the score equation is exactly the
@@ -15,36 +16,27 @@ function beyond m' appears anywhere.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import qr, solve_triangular
 from scipy.special import expit, logit
 
 from .dataset import DesignMatrix
 from .errors import (
     DataError,
-    GScoreError,
     NonConvergenceError,
     RankDeficiencyError,
     SeparationError,
 )
 
 _WEIGHT_FLOOR = 1e-12
-# Max-abs score tolerance and iteration limit: fit's defaults, fit_batch's
+# Max-abs score tolerance and iteration limit
 _TOL, _MAX_ITER = 1e-10, 50
-_EPS = np.finfo(float).eps
-# fit_batch refits a fit by ``fit`` when its bread has a larger 1-norm
-# condition number: normal equations then carry too few digits for the
-# result to be certified as the reference's.
+# A fit steps by pivoted QR when a lower bound on the condition number of
+# its first normal equations exceeds this: they carry too few digits.
 _COND_MAX = 1e8
-
-# What scipy.linalg.qr(pivoting=True) and solve_triangular call, called
-# directly: at trial sizes their wrappers cost more than the arithmetic.
-_GEQP3, _TRTRS = get_lapack_funcs(("geqp3", "trtrs"), (np.empty((1, 1)),))
 
 
 # ------------------------------------------------------------------ #
@@ -56,9 +48,9 @@ _GEQP3, _TRTRS = get_lapack_funcs(("geqp3", "trtrs"), (np.empty((1, 1)),))
 class Family:
     """Canonical family: mean m, its derivative m' as a function of the
     mean (canonical links allow it), and the rules that differ by family:
-    outcomes names and tests the valid outcomes (None: any); loglik is up
-    to terms free of beta, summed over the last axis; initial_intercept
-    is link(arm mean), clipped to stay finite; a max |beta| above
+    outcomes names and tests the valid outcomes; loglik is up to terms
+    free of beta, summed over the last axis; initial_intercept is
+    link(arm mean), clipped to stay finite; a max |beta| above
     separation_norm is separation.  All but validate_outcome act
     elementwise, so they also serve a batch of fits.
     """
@@ -66,13 +58,15 @@ class Family:
     name: str
     mean: Callable[[np.ndarray], np.ndarray]
     deriv_mu: Callable[[np.ndarray], np.ndarray]
-    outcomes: tuple[str, Callable[[np.ndarray], np.ndarray]] | None
+    outcomes: tuple[str, Callable[[np.ndarray], np.ndarray]]
     loglik: Callable[[np.ndarray, np.ndarray], np.ndarray]
     initial_intercept: Callable[[np.ndarray], np.ndarray]
     separation_norm: float = np.inf
 
     def validate_outcome(self, y: np.ndarray) -> None:
-        if self.outcomes is not None and not self.outcomes[1](y).all():
+        if not np.isfinite(y).all():
+            raise DataError("y contains non-finite values")
+        if not self.outcomes[1](y).all():
             raise DataError(f"{self.name} requires {self.outcomes[0]} outcomes")
 
 
@@ -97,7 +91,7 @@ GAUSSIAN_IDENTITY = Family(
     "gaussian-identity",
     mean=np.asarray,
     deriv_mu=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
-    outcomes=None,
+    outcomes=("finite", np.isfinite),
     loglik=lambda y, eta: -0.5 * ((y - eta) ** 2).sum(axis=-1),
     initial_intercept=np.asarray,
 )
@@ -142,113 +136,42 @@ class FittedGLM:
     counterfactual_means: tuple[np.ndarray, np.ndarray]
 
 
-@lru_cache(maxsize=None)
-def _geqp3_lwork(p: int) -> int:
-    """Optimal geqp3 workspace; LAPACK sizes it from the column count."""
-    return int(_GEQP3(np.empty((p, p), order="F"), lwork=-1)[3][0])
-
-
 def _solve_newton(X, w, score, labels):
     """delta solving (X' diag(w) X) delta = score, via pivoted QR."""
     n, p = X.shape
-    A = np.multiply(np.sqrt(w)[:, None], X, order="F")
-    if not np.isfinite(A).all():
-        raise ValueError("array must not contain infs or NaNs")
-    qr, piv, _, _, info = _GEQP3(A, lwork=_geqp3_lwork(p), overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of geqp3")
-    piv -= 1
-    diag = np.abs(qr.diagonal())
-    rank_tol = (diag[0] if diag.size else 0.0) * max(n, p) * _EPS
-    rank = int(np.count_nonzero(diag > rank_tol))
+    _, R, piv = qr(np.sqrt(w)[:, None] * X, mode="raw", pivoting=True)
+    diag = np.abs(R.diagonal())
+    rank = np.count_nonzero(diag > diag[0] * max(n, p) * np.finfo(float).eps)
     if rank < p:
         dependent = tuple(labels[j] for j in piv[rank:])
         raise RankDeficiencyError(
             f"design is rank deficient (rank {rank} of {p}); "
             f"dependent columns: {list(dependent)}", columns=dependent)
-    Rt = qr[:p].T  # lower triangle is R'; solve_triangular's two calls:
-    u, info_u = _TRTRS(Rt, score[piv], lower=1, trans=0)  # R' u = score
-    dp, info_d = _TRTRS(Rt, u, lower=1, trans=1)  # R dp = u
-    if info_u or info_d:
-        raise np.linalg.LinAlgError("singular triangular factor")
-    delta = np.empty_like(dp)
-    delta[piv] = dp
+    delta = np.empty_like(score)
+    delta[piv] = solve_triangular(R, solve_triangular(R, score[piv],
+                                                      trans="T"))
     return delta
 
 
 def fit(design: DesignMatrix, y: np.ndarray,
-        family: str | Family | None = None, *, tol: float = _TOL,
-        max_iter: int = _MAX_ITER) -> FittedGLM:
+        family: str | Family | None = None) -> FittedGLM:
     """Fit the working model by IRLS; raises rather than returning junk.
 
-    Initialization puts each arm indicator at link(its arm's mean
-    outcome) and every other coefficient at zero, so arm-only models
-    start at their solution.  Non-convergence, rank deficiency, and
-    logistic separation raise typed errors carrying diagnostics.
+    This is fit_batch on a stack of one, so it equals the fit's row in
+    any stack bit for bit, or raises that row's typed error (outcomes,
+    non-convergence, rank deficiency, separation).
     """
     fam = resolve_family(family if family is not None
                          else design.spec.family)
-    X, labels = design.X, design.column_labels
-    y = np.asarray(y, dtype=float)
-    n, p = X.shape
-    if y.shape != (n,):
-        raise DataError(f"y has shape {y.shape}, expected ({n},)")
-    if not np.isfinite(y).all():
-        raise DataError("y contains non-finite values")
-    fam.validate_outcome(y)
-
-    beta = np.zeros(p)
-    for j in (0, 1):
-        if j < p:
-            rows = X[:, j] == 1.0
-            if rows.any():
-                beta[j] = fam.initial_intercept(float(y[rows].mean()))
-
-    eta = X @ beta
-    ll = fam.loglik(y, eta)
-    snorm = np.inf
-    for it in range(max_iter + 1):
-        mu = fam.mean(eta)
-        resid = y - mu
-        score = X.T @ resid
-        if not np.isfinite(score).all():
-            raise NonConvergenceError(
-                "score became non-finite", beta=beta, score_norm=float("nan"),
-                iterations=it)
-        snorm = float(np.abs(score).max()) if p else 0.0
-        if snorm <= tol:
-            w = fam.deriv_mu(mu)
-            bread = (X * w[:, None]).T @ X / n
-            return FittedGLM(
-                beta=beta, bread=bread, fitted=mu, residuals=resid,
-                converged=True, iterations=it, score_norm=snorm,
-                family=fam, column_labels=labels, counterfactual_means=tuple(
-                    fam.mean(Xa @ beta) for Xa in design.counterfactuals))
-        if it == max_iter:
-            break
-        w = np.maximum(fam.deriv_mu(mu), _WEIGHT_FLOOR)
-        delta = _solve_newton(X, w, score, labels)
-        step = 1.0
-        for _ in range(30):
-            cand = beta + step * delta
-            eta_c = X @ cand
-            ll_c = fam.loglik(y, eta_c)
-            if math.isfinite(ll_c) and ll_c >= ll - 1e-12 * (1.0 + abs(ll)):
-                break
-            step *= 0.5
-        beta, eta, ll = cand, eta_c, ll_c
-        if np.abs(beta).max() > fam.separation_norm:
-            raise SeparationError(
-                f"coefficients diverged (max |beta| > {fam.separation_norm:g}); "
-                "data are separated or nearly so")
-    raise NonConvergenceError(
-        f"no convergence in {max_iter} iterations (max-abs score {snorm:.3e})",
-        beta=beta, score_norm=snorm, iterations=max_iter)
-
-
-# ------------------------------------------------------------------ #
-# Batched fitting
-# ------------------------------------------------------------------ #
+    f, errors = _irls(design, y, fam)
+    if errors:
+        raise errors[0]
+    return FittedGLM(
+        beta=f.beta[0], bread=f.bread[0], fitted=f.fitted[0],
+        residuals=f.residuals[0], converged=True,
+        iterations=int(f.iterations[0]), score_norm=float(f.score_norm[0]),
+        family=fam, column_labels=f.column_labels,
+        counterfactual_means=tuple(m[0] for m in f.counterfactual_means))
 
 
 def _matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -274,105 +197,114 @@ def per_matrix(op, *stacks):
 
 def fit_batch(design: DesignMatrix, y: np.ndarray):
     """Fit B working models at once: ``design`` stacks (B, n, p) designs
-    and y is (B, n).
+    and y is (B, n).  This is the one IRLS loop; every rule applies per
+    row, so a fit depends only on its own row.
 
-    IRLS runs on the stack with full Newton steps from batched normal
-    equations, dropping each fit from the active set as it converges, and
-    it only ever certifies success: a fit is refit by ``fit``, the
-    reference and the only source of typed fit errors, when an arm's
-    outcomes are all equal or the outcomes are invalid, once it shows a
-    non-finite score, a singular solve, a step that would need halving,
-    max |beta| past the family's separation_norm, or no convergence in
-    fit's iteration limit, and when its converged bread is ill-conditioned
-    (1-norm condition number above 1e8).  Each fit depends only on its own
-    row, never on the rest of the batch.
-
-    Returns the stacked FittedGLM and {row: error} for the rows whose
-    refit raised; those rows hold zero coefficients, means and residuals,
+    Returns the stacked FittedGLM and {row: typed error} for the rows
+    that failed; those rows hold zero coefficients, means and residuals,
     counterfactual means 1/2 and an identity bread, and are not converged.
     """
-    fam = resolve_family(design.spec.family)
-    X = design.X
+    return _irls(design, y, resolve_family(design.spec.family))
+
+
+def _irls(design: DesignMatrix, y, fam: Family):
+    """fit_batch under ``fam``; a design without a batch axis is one row."""
+    X, labels = design.X, design.column_labels
+    n, p = X.shape[-2:]
     y = np.asarray(y, dtype=float)
-    B, n, p = X.shape
-    valid = np.isfinite(y).all()
-    if valid and fam.outcomes is not None:
-        valid = fam.outcomes[1](y).all()
-    refit = np.full(B, not valid)
-    beta = np.zeros((B, p))
-    for j in (0, 1):
-        if j < p:
-            rows = X[..., j] == 1.0
-            count = rows.sum(axis=-1)
-            has = count > 0
-            beta[has, j] = fam.initial_intercept(
-                (y * rows).sum(axis=-1)[has] / count[has])
-            # an arm of equal outcomes has arm means at the boundary of
-            # the family or predictions that only rounding keeps off zero
-            refit |= (np.where(rows, y, -np.inf).max(axis=-1)
-                      == np.where(rows, y, np.inf).min(axis=-1))
+    if y.shape != X.shape[:-1]:
+        raise DataError(f"y has shape {y.shape}, expected {X.shape[:-1]}")
+    X, y = X.reshape(-1, n, p), y.reshape(-1, n)
+    B = len(y)
+    valid = (np.isfinite(y) & fam.outcomes[1](y)).all(axis=-1)
+    errors = {}
+    for b in (~valid).nonzero()[0]:
+        try:
+            fam.validate_outcome(y[b])
+        except DataError as err:
+            errors[int(b)] = err
 
     out_beta, out_mu = np.zeros((B, p)), np.zeros((B, n))
     iterations, score_norm = np.zeros(B, dtype=int), np.full(B, np.nan)
     # the active fits' transposed designs, for X' W X
-    idx = np.flatnonzero(~refit)
-    XT = np.ascontiguousarray(X[idx].transpose(0, 2, 1))
-    ya, beta = y[idx], beta[idx]
-    eta = _matvec(XT.transpose(0, 2, 1), beta)
+    idx = valid.nonzero()[0]
+    XT = X.mT.take(idx, axis=0)  # C-contiguous, one copy
+    ya, beta = y[idx], np.zeros((idx.size, p))
+    # arm indicators start at link(arm mean): arm-only models start solved
+    for j in range(min(p, 2)):
+        rows = XT[:, j] == 1.0
+        count = rows.sum(axis=-1)
+        has = count > 0
+        beta[has, j] = fam.initial_intercept(
+            (ya * rows).sum(axis=-1)[has] / count[has])
+    eta = _matvec(XT.mT, beta)
     ll = fam.loglik(ya, eta)
-    full_step = np.ones(idx.size, dtype=bool)
+    failed, by_qr = np.zeros((2, idx.size), dtype=bool)
     for it in range(_MAX_ITER + 1):
         mu = fam.mean(eta)
         score = _matvec(XT, ya - mu)
         snorm = np.abs(score).max(axis=-1)
-        done = full_step & (snorm <= _TOL)
+        done = ~failed & (snorm <= _TOL)
         out_beta[idx[done]], out_mu[idx[done]] = beta[done], mu[done]
         iterations[idx[done]], score_norm[idx[done]] = it, snorm[done]
-        go = full_step & ~done & np.isfinite(snorm) & (it < _MAX_ITER)
-        refit[idx[~done & ~go]] = True
+        go = ~failed & ~done
+        for i in (go & ~(np.isfinite(snorm) & (it < _MAX_ITER))).nonzero()[0]:
+            errors[int(idx[i])] = NonConvergenceError(
+                f"no convergence in {it} iterations (max-abs score "
+                f"{snorm[i]:.3e})" if np.isfinite(snorm[i]) else
+                "score became non-finite", beta=beta[i].copy(),
+                score_norm=float(snorm[i]), iterations=it)
+        go &= np.isfinite(snorm) & (it < _MAX_ITER)
         if not go.all():
             idx, XT, ya = idx[go], XT[go], ya[go]
             beta, mu, score, ll = beta[go], mu[go], score[go], ll[go]
+            failed, by_qr = failed[go], by_qr[go]
         if not idx.size:
             break
-        Xa = XT.transpose(0, 2, 1)
+
         w = np.maximum(fam.deriv_mu(mu), _WEIGHT_FLOOR)
-        beta = beta + per_matrix(np.linalg.solve,
-                                 np.matmul(XT * w[:, None, :], Xa),
-                                 score[..., None])[..., 0]
-        eta = _matvec(Xa, beta)
+        A = np.matmul(XT * w[:, None, :], XT.mT)
+        delta = per_matrix(np.linalg.solve, A, score[..., None])[..., 0]
+        if it == 0:  # conditioning, judged once, for by_qr: cond(A) >=
+            # max_j A_jj / min_j L_jj^2 for A = L L' (NaN: no factor L)
+            piv = per_matrix(np.linalg.cholesky, A).diagonal(0, -2, -1)
+            by_qr = ~(A.diagonal(0, -2, -1).max(axis=-1)
+                      <= _COND_MAX * piv.min(axis=-1) ** 2)
+        for i in (by_qr | ~np.isfinite(delta).all(axis=-1)).nonzero()[0]:
+            try:
+                delta[i] = _solve_newton(XT[i].T, w[i], score[i], labels)
+            except RankDeficiencyError as err:
+                errors[int(idx[i])], failed[i], delta[i] = err, True, 0.0
+
+        # halve a step while the log-likelihood falls, 29 times at most
+        cand = beta + delta
+        eta = _matvec(XT.mT, cand)
         ll_new = fam.loglik(ya, eta)
-        # a step that fit would halve, or that diverges, is left to fit
-        full_step = (np.isfinite(ll_new)
-                     & (ll_new >= ll - 1e-12 * (1.0 + np.abs(ll)))
-                     & (np.abs(beta).max(axis=-1) <= fam.separation_norm))
-        ll = ll_new
+        for _ in range(29):
+            short = (~(np.isfinite(ll_new) & (
+                ll_new >= ll - 1e-12 * (1.0 + np.abs(ll))))).nonzero()[0]
+            if not short.size:
+                break
+            delta[short] *= 0.5
+            cand[short] = beta[short] + delta[short]
+            eta[short] = _matvec(XT[short].mT, cand[short])
+            ll_new[short] = fam.loglik(ya[short], eta[short])
+        beta, ll = cand, ll_new
+        for i in (~failed & (np.abs(beta).max(axis=-1)
+                             > fam.separation_norm)).nonzero()[0]:
+            errors[int(idx[i])], failed[i] = SeparationError(
+                f"coefficients diverged (max |beta| > {fam.separation_norm:g}"
+                "); data are separated or nearly so"), True
 
     resid = y - out_mu
     w = fam.deriv_mu(out_mu)
     bread = np.matmul(X.transpose(0, 2, 1) * w[:, None, :], X) / n
-    ok = np.flatnonzero(~refit)
-    refit[ok[~(np.linalg.cond(bread[ok], 1) <= _COND_MAX)]] = True
-    cf = tuple(fam.mean(_matvec(Xc, out_beta)) for Xc in design.counterfactuals)
-    errors = {}
-    for b in np.flatnonzero(refit):
-        row = replace(design, X=X[b], counterfactuals=tuple(
-            Xc[b] for Xc in design.counterfactuals))
-        try:
-            f = fit(row, y[b])
-        except GScoreError as err:
-            errors[int(b)] = err
-            out_beta[b], out_mu[b], resid[b] = 0.0, 0.0, 0.0
-            bread[b], cf[0][b], cf[1][b] = np.eye(p), 0.5, 0.5
-            continue
-        out_beta[b], out_mu[b], resid[b], bread[b] = (
-            f.beta, f.fitted, f.residuals, f.bread)
-        cf[0][b], cf[1][b] = f.counterfactual_means
-        iterations[b], score_norm[b] = f.iterations, f.score_norm
-    converged = np.ones(B, dtype=bool)
-    converged[list(errors)] = False
+    cf = tuple(fam.mean(_matvec(Xc.reshape(-1, n, p), out_beta))
+               for Xc in design.counterfactuals)
+    bad = sorted(errors)
+    resid[bad], bread[bad], cf[0][bad], cf[1][bad] = 0.0, np.eye(p), 0.5, 0.5
     return FittedGLM(
         beta=out_beta, bread=bread, fitted=out_mu, residuals=resid,
-        converged=converged, iterations=iterations, score_norm=score_norm,
-        family=fam, column_labels=design.column_labels,
+        converged=~np.isnan(score_norm), iterations=iterations,
+        score_norm=score_norm, family=fam, column_labels=labels,
         counterfactual_means=cf), errors

@@ -13,8 +13,8 @@ SeedSequence(seed, spawn_key=(r,)) feeding a counter-based Philox
 generator, so its data never depend on which replications are drawn
 beside it.  ``run_oc`` analyzes BATCH replications at a time: their
 designs are built as one stack, IRLS runs on the whole stack
-(``glm.fit_batch``) and hands every fit it cannot certify to the scalar
-``glm.fit``, and the arm means, variances and tests run once per batch:
+(``glm.fit_batch``, the loop ``glm.fit`` runs on one dataset), and the
+arm means, variances and tests run once per batch:
 kernels take any leading shape; single-fit functions call them with
 none.  Each replication's numbers depend on its own data only, so
 results depend only on (scenario, methods, seed, reps), never on batch
@@ -443,6 +443,10 @@ def _plan(s: Scenario, methods, level: float):
             raise ValueError(f"method {m.name!r}: model covariates {unknown} "
                              f"are not among the scenario's {list(names)}")
         p = len(spec.column_labels)
+        if p > s.n:
+            raise ValueError(f"method {m.name!r}: the model has p={p} "
+                             f"columns but a trial has n={s.n} subjects, so "
+                             "every fit is rank deficient")
         if m.correction == "HC1" and p >= s.n:
             raise ValueError(f"method {m.name!r}: HC1 needs n > p, got "
                              f"n={s.n}, p={p}")

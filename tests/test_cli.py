@@ -383,6 +383,20 @@ class TestSimulate:
             in capsys.readouterr().err
         assert not out.exists()
 
+    def test_more_model_columns_than_subjects_exits_2(self, tmp_path,
+                                                      capsys):
+        scen = write_yaml(tmp_path / "scen.yaml", {**scenario_doc(), "n": 6})
+        meth = write_yaml(tmp_path / "meth.yaml", {"methods": [
+            {"name": "wide", "test": "score",
+             "model": {"family": "bernoulli-logit", "heterogeneous": True,
+                       "covariates": ["W1", "W2", "W3"]}}]})
+        out = tmp_path / "oc.csv"
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "20", "--seed", "1", "--out", str(out)]) == 2
+        assert "method 'wide': the model has p=8 columns" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
         scen = write_yaml(tmp_path / "scen.yaml",
                           {**scenario_doc(), "reps": 100})

@@ -527,6 +527,26 @@ class TestRunOC:
         with pytest.raises(ValueError, match="HC1 needs n > p"):
             run_oc(s, methods, reps=2, seed=1)
 
+    @pytest.mark.parametrize("correction", ["HC0", "HC1"])
+    def test_more_columns_than_subjects_rejected_before_any_trial(
+            self, monkeypatch, correction):
+        """A per-arm model on three covariates has p = 8 columns; with
+        n = 6 every fit would be rank deficient, whatever the correction,
+        so run_oc refuses before generating a trial."""
+        def no_trials(*args):
+            raise AssertionError("a trial was generated")
+
+        monkeypatch.setattr("gscore.simulation._draw", no_trials)
+        model = ModelSpec(family="bernoulli-logit",
+                          covariates=("W1", "W2", "W3"), heterogeneous=True)
+        methods = (MethodSpec(name="ok", test="wald"),
+                   MethodSpec(name="wide", test="score", model=model,
+                              correction=correction))
+        with pytest.raises(ValueError, match=re.escape(
+                "method 'wide': the model has p=8 columns but a trial has "
+                "n=6 subjects")):
+            run_oc(scenario1(n=6), methods, reps=2, seed=1)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected_before_any_trial(self, monkeypatch,
                                                          workers):
@@ -747,8 +767,7 @@ class TestConfigParsers:
 class TestBatchedEngine:
     """run_oc analyzes BATCH replications per kernel call; neither the
     batch size nor the worker count may change a result, and every
-    replication the batch cannot certify gets the scalar pipeline's
-    numbers."""
+    replication gets the scalar pipeline's numbers bit for bit."""
 
     def test_results_independent_of_batch_size_and_workers(
             self, monkeypatch):
@@ -775,7 +794,8 @@ class TestBatchedEngine:
     def test_fallback_rows_match_the_scalar_pipeline(self):
         """One batch mixes clean replications with a separated, a
         rank-deficient and a zero-event-arm trial and with trials whose
-        score ratio interval is undefined."""
+        score ratio interval is undefined; every number equals the
+        scalar pipeline's, since one IRLS loop serves both."""
         methods = PINNED_METHODS + (
             MethodSpec("I-wald-diff-W1", "wald",
                        ModelSpec("bernoulli-logit", ("W1",))),
@@ -814,10 +834,7 @@ class TestBatchedEngine:
                 assert reject[b, j] == (r.p_value <= thr), (b, m.name)
                 want = (r.estimate, *r.ci)
                 got = (est[b, j], lo[b, j], hi[b, j])
-                if b == 3:  # every model refit by glm.fit: same numbers
-                    assert got == want, (b, m.name)
-                else:
-                    np.testing.assert_allclose(got, want, rtol=1e-12)
+                assert got == want, (b, m.name)
 
         names = [m.name for m in methods]
         adjusted = [names.index(n) for n in ("I-score-diff", "I-wald-ratio")]
