@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -60,13 +61,24 @@ def _load_document(path: str) -> dict:
 
 
 def _json_ready(obj):
+    """obj with numpy scalars as Python values and every non-finite float
+    as None, so that it is strict JSON (null where a number is NaN)."""
     if isinstance(obj, dict):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     if hasattr(obj, "item"):  # numpy scalar
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
+
+
+def _write_json(path: str, obj) -> None:
+    """obj as strict JSON (no NaN or Infinity tokens), indented, at path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_json_ready(obj), fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 # ------------------------------------------------------------------ #
@@ -149,9 +161,7 @@ def cmd_analyze(args) -> int:
         "tests": {name: t.to_dict() for name, t in res.tests.items()},
         "undefined_intervals": dict(res.undefined_intervals),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(_json_ready(report), fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, report)
 
     n1, n2 = data.arm_sizes()
     print(f"n used: {data.n} (dropped {dropped})   arms: {n1}/{n2}")
@@ -223,9 +233,7 @@ def cmd_simulate(args) -> int:
         "true_ratio": result.true_ratio,
         "methods": [dict(zip(_METHOD_COLS, r)) for r in rows],
     }
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(_json_ready(report), fh, indent=2)
-        fh.write("\n")
+    _write_json(report_path, report)
 
     print(f"scenario: n={result.n}, true mu = ({result.true_mu[0]:.6f}, "
           f"{result.true_mu[1]:.6f}), true diff = {result.true_diff:.6f}")
@@ -268,9 +276,7 @@ def cmd_calibrate(args) -> int:
             "precision": args.precision,
             "beta_A": [b1, b2],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, payload)
         print(f"written to {args.out}")
     return EXIT_OK
 

@@ -150,9 +150,12 @@ class ModelSpec:
 class DesignMatrix:
     """A design as build_design makes it: observed X and the (arm 1, arm 2)
     counterfactuals with every subject's arm set to that arm, all
-    read-only; columns as column_labels, 0 and 1 the arm indicators.
-    Designs of B trials stacked by stack_designs carry a leading batch
-    axis on all three arrays."""
+    read-only and (..., n, p); columns as column_labels, 0 and 1 the arm
+    indicators.  Designs of B trials stacked by stack_designs carry a
+    leading batch axis on all three arrays.  build_design and
+    stack_designs store each array as a C-contiguous (..., p, n) array,
+    so X.mT is one column per row with no copy; the fit and the variance
+    kernels read it that way."""
 
     X: np.ndarray
     counterfactuals: tuple[np.ndarray, np.ndarray]
@@ -395,23 +398,24 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
 # ------------------------------------------------------------------ #
 
 
-def _columns(a1: np.ndarray, W: np.ndarray, heterogeneous: bool) -> np.ndarray:
-    """The design layout, from the arm-1 indicator a1 (..., n) and the
-    covariates W (..., n, q):
+def _columns(a1, Wt: np.ndarray, heterogeneous: bool) -> np.ndarray:
+    """The design, from the arm-1 indicator a1 (..., n), or 1 or 0 for
+    every subject, and the covariates Wt (..., q, n), one row each, as
+    one C-contiguous array (..., p, n) whose row j is design column j:
 
     Homogeneous:    [I(A=1), I(A=2), W_1, ..., W_q]
     Heterogeneous:  [I(A=1), I(A=2), W_1*I(A=1), ..., W_q*I(A=1),
                      W_1*I(A=2), ..., W_q*I(A=2)]
     """
-    q = W.shape[-1]
-    X = np.empty(W.shape[:-1] + (2 + (2 * q if heterogeneous else q),))
-    a1 = np.asarray(a1, dtype=float)
-    a2 = 1.0 - a1
-    X[..., 0], X[..., 1] = a1, a2
+    q, n = Wt.shape[-2:]
+    X = np.empty(Wt.shape[:-2] + (2 + (2 * q if heterogeneous else q), n))
+    X[..., 0, :] = a1
+    np.subtract(1.0, X[..., 0, :], out=X[..., 1, :])
     if heterogeneous:
-        X[..., 2:2 + q], X[..., 2 + q:] = W * a1[..., None], W * a2[..., None]
+        np.multiply(Wt, X[..., :1, :], out=X[..., 2:2 + q, :])
+        np.multiply(Wt, X[..., 1:2, :], out=X[..., 2 + q:, :])
     else:
-        X[..., 2:] = W
+        X[..., 2:, :] = Wt
     return X
 
 
@@ -425,18 +429,18 @@ def stack_designs(arm: np.ndarray, covariates: np.ndarray,
     unknown = [c for c in spec.covariates if c not in names]
     if unknown:
         raise SchemaError(f"model covariates not in dataset: {unknown}")
-    W = np.take(covariates, [names.index(c) for c in spec.covariates],
-                axis=-1)
+    Wt = np.take(np.asarray(covariates).mT,
+                 [names.index(c) for c in spec.covariates], axis=-2)
     if spec.heterogeneous:
-        constant = (np.ptp(W, axis=-2) == 0.0).any(
-            axis=tuple(range(W.ndim - 2)))
+        constant = (np.ptp(Wt, axis=-1) == 0.0).any(
+            axis=tuple(range(Wt.ndim - 2)))
         for name, c in zip(spec.covariates, constant):
             if c:
                 warnings.warn(
                     f"covariate {name!r} is constant; its per-arm columns "
                     "duplicate the arm indicators", stacklevel=3)
-    X, X1, X2 = (_readonly(_columns(a1, W, spec.heterogeneous))
-                 for a1 in ((arm == 1).astype(float), 1.0, 0.0))
+    X, X1, X2 = (_readonly(_columns(a1, Wt, spec.heterogeneous)).mT
+                 for a1 in (arm == 1, 1.0, 0.0))
     return DesignMatrix(X=X, counterfactuals=(X1, X2),
                         column_labels=spec.column_labels, spec=spec)
 

@@ -270,7 +270,9 @@ def randomize_stratified_block(strata, block_size: int, allocation,
 
     Each full block holds exactly block_size * share_1 arm-1 slots (that
     product must be integral); a final short block is the truncation of
-    one more fully permuted block.
+    one more fully permuted block.  A stratum's blocks are permuted by one
+    rng.permuted call, which draws as one rng.permutation per block
+    would, in block order.
     """
     strata = np.asarray(strata)
     b1 = _block_arm1_count(block_size, allocation)
@@ -278,11 +280,8 @@ def randomize_stratified_block(strata, block_size: int, allocation,
     arms = np.empty(strata.shape[0], dtype=int)
     for label in np.unique(strata):
         idx = np.flatnonzero(strata == label)
-        seq = np.concatenate([
-            rng.permutation(base)
-            for _ in range(-(-idx.size // block_size))
-        ])
-        arms[idx] = seq[: idx.size]
+        blocks = np.tile(base, (-(-idx.size // block_size), 1))
+        arms[idx] = rng.permuted(blocks, axis=1).ravel()[: idx.size]
     return arms
 
 

@@ -397,6 +397,37 @@ class TestSimulate:
             in capsys.readouterr().err
         assert not out.exists()
 
+    def test_report_is_strict_json_when_a_method_fails_every_time(
+            self, tmp_path, capsys):
+        """A method whose every replication fails from the data has no
+        rates: the report holds null for them, never a NaN token.  Here
+        the stratum S = I(W1 > 50) is 0 for every subject, so a model on
+        S is rank deficient in every trial."""
+        scen = write_yaml(tmp_path / "scen.yaml", {
+            **scenario_doc(), "n": 12, "scheme": "stratified-block",
+            "stratify": {"covariate": 1, "threshold": 50.0}})
+        meth = write_yaml(tmp_path / "meth.yaml", {"methods": [
+            methods_doc()["methods"][0],
+            {"name": "on-s", "test": "score",
+             "model": {"family": "bernoulli-logit", "covariates": ["S"]}}]})
+        out = tmp_path / "oc.csv"
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "20", "--seed", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        with open(tmp_path / "oc.json", encoding="utf-8") as fh:
+            report = json.loads(fh.read(), parse_constant=refuse)
+        assert report["schema_version"] == 1
+        ok, failed = report["methods"]
+        assert failed["n_failed"] == 20 and failed["n_used"] == 0
+        for key in ("rejection_rate", "mc_se_rejection", "coverage",
+                    "mc_se_coverage", "mean_estimate"):
+            assert failed[key] is None, key
+            assert isinstance(ok[key], float), key
+
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
         scen = write_yaml(tmp_path / "scen.yaml",
                           {**scenario_doc(), "reps": 100})

@@ -22,6 +22,7 @@ from gscore.dataset import (
     build_design,
     counterfactual_design,
     load_csv,
+    stack_designs,
 )
 from gscore.errors import (
     DataError,
@@ -504,6 +505,31 @@ class TestBuildDesign:
     def test_arm_only_design(self, fixture_data):
         d = build_design(fixture_data, ModelSpec("bernoulli-logit"))
         assert d.p == 2
+
+    @pytest.mark.parametrize("heterogeneous", [False, True])
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    def test_stored_one_column_per_row(self, heterogeneous, batch):
+        """Each array is the (..., n, p) view of a read-only C-contiguous
+        (..., p, n) array, and the same numbers as a row-major build."""
+        rng = np.random.default_rng(5)
+        n = 7
+        arm = rng.permuted(np.tile([1, 2, 1, 2, 1, 2, 2], batch + (1,)),
+                           axis=-1)
+        w = rng.standard_normal(batch + (n, 3))
+        spec = ModelSpec("gaussian-identity", ("c", "a"), heterogeneous)
+        d = stack_designs(arm, w, ("a", "b", "c"), spec)
+        a1 = (arm == 1)[..., None]
+        cols = w[..., [2, 0]]
+        for Xa, ind in ((d.X, a1), (d.counterfactuals[0], True),
+                        (d.counterfactuals[1], False)):
+            assert Xa.shape == batch + (n, d.p)
+            assert Xa.mT.flags.c_contiguous
+            assert not Xa.flags.writeable and not Xa.mT.flags.writeable
+            ind = np.broadcast_to(ind, batch + (n, 1)).astype(float)
+            want = np.concatenate(
+                [ind, 1.0 - ind, cols * ind, cols * (1.0 - ind)]
+                if heterogeneous else [ind, 1.0 - ind, cols], axis=-1)
+            np.testing.assert_array_equal(Xa, want)
 
 
 class TestCounterfactual:

@@ -1,5 +1,6 @@
 """IRLS fitting: oracle equivalence, score residuals, typed failures."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -35,10 +36,15 @@ from gscore.glm import (
 )
 
 
+def _logistic(eta):
+    """The logit family's mean as its formula: 1 / (1 + exp(-eta))."""
+    return 1.0 / (1.0 + np.exp(-eta))
+
+
 # m'(eta) written as a function of eta: the reference for Family.deriv_mu,
 # which gives the same derivative from the mean m(eta).
 DERIV_OF_ETA = {
-    BERNOULLI_LOGIT.name: lambda eta: expit(eta) * (1.0 - expit(eta)),
+    BERNOULLI_LOGIT.name: lambda eta: _logistic(eta) * (1.0 - _logistic(eta)),
     POISSON_LOG.name: np.exp,
     GAUSSIAN_IDENTITY.name: lambda eta: np.ones_like(eta),
 }
@@ -67,6 +73,23 @@ class TestFamilies:
                               np.random.default_rng(8).normal(0, 3, 1000)])
         np.testing.assert_array_equal(family.deriv_mu(family.mean(eta)),
                                       DERIV_OF_ETA[family.name](eta))
+
+    def test_logit_mean_is_expit_to_rounding(self):
+        """The logit mean is 1 / (1 + exp(-eta)): within 1e-15 relative
+        of scipy's expit wherever both are normal numbers."""
+        eta = np.concatenate([np.linspace(-700.0, 700.0, 140001),
+                              np.random.default_rng(3).normal(0, 5, 10000)])
+        np.testing.assert_allclose(BERNOULLI_LOGIT.mean(eta), expit(eta),
+                                   rtol=1e-15, atol=0)
+
+    def test_logit_mean_saturates_without_warning(self):
+        """Where exp(-eta) overflows the mean is exactly 0, and silently;
+        at the other end it is exactly 1."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = BERNOULLI_LOGIT.mean(np.array([-800.0, -1e308, 800.0,
+                                               np.inf, -np.inf]))
+        assert m.tolist() == [0.0, 0.0, 1.0, 1.0, 0.0]
 
     def test_resolve_by_name_and_instance(self):
         assert resolve_family("poisson-log") is POISSON_LOG
@@ -224,8 +247,9 @@ def _row(design: DesignMatrix, b: int) -> DesignMatrix:
         column_labels=design.column_labels, spec=design.spec)
 
 
-def _mixed_stack(family: str):
-    """(design, y) of a stack whose rows meet every rule of the IRLS loop:
+def _mixed_stack(family: str, heterogeneous: bool = False):
+    """(design, y) of a stack whose rows meet every rule of the IRLS loop
+    (under the homogeneous model on a and b; per-arm on request):
     0-1 clean; 2 a covariate on a 1e5 scale (ill-conditioned normal
     equations); 3-4 heavy-tailed covariates (Poisson steps get halved);
     5 outcomes separated by a covariate; 6 two equal columns (rank
@@ -247,8 +271,21 @@ def _mixed_stack(family: str):
     x[6, :, 1] = x[6, :, 0]
     y[7][arm[7] == 1] = 0.0
     y[8, 0] = np.nan
-    design = stack_designs(arm, x, ("a", "b"), ModelSpec(family, ("a", "b")))
+    design = stack_designs(arm, x, ("a", "b"),
+                           ModelSpec(family, ("a", "b"), heterogeneous))
     return design, y
+
+
+def _assert_same_fit(f, g):
+    """Every field of two FittedGLMs equal, bit for bit."""
+    for name in ("beta", "bread", "fitted", "residuals", "converged",
+                 "iterations", "score_norm"):
+        np.testing.assert_array_equal(getattr(f, name), getattr(g, name),
+                                      err_msg=name)
+    for a in (0, 1):
+        np.testing.assert_array_equal(f.counterfactual_means[a],
+                                      g.counterfactual_means[a])
+    assert (f.family, f.column_labels) == (g.family, g.column_labels)
 
 
 def _heavy_logit_stack():
@@ -381,6 +418,25 @@ class TestFitBatch:
                 np.testing.assert_allclose(fb.beta[b],
                                            fit_logistic(d.X[b], y[b]),
                                            rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("heterogeneous", [False, True],
+                             ids=["homogeneous", "per-arm"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_fits_do_not_depend_on_the_design_layout(self, family,
+                                                     heterogeneous):
+        """fit_batch and fit give the same bits on C-contiguous (B, n, p)
+        copies of the designs as on stack_designs' own storage, in every
+        field and error, failed rows included."""
+        d, y = _mixed_stack(family, heterogeneous)
+        copy = replace(d, X=np.ascontiguousarray(d.X),
+                       counterfactuals=tuple(np.ascontiguousarray(Xa)
+                                             for Xa in d.counterfactuals))
+        assert copy.X.flags.c_contiguous and not d.X.flags.c_contiguous
+        (f, errors), (g, copy_errors) = fit_batch(d, y), fit_batch(copy, y)
+        assert {b: (type(e), str(e)) for b, e in errors.items()} == \
+            {b: (type(e), str(e)) for b, e in copy_errors.items()}
+        _assert_same_fit(f, g)
+        _assert_same_fit(fit(_row(d, 0), y[0]), fit(_row(copy, 0), y[0]))
 
     def test_failed_rows_carry_typed_errors(self):
         """Failed rows hold placeholders and are not converged; the

@@ -160,8 +160,45 @@ class TestScenarioValidation:
             CovariateSpec(kind="standard-normal", p=0.5)
 
 
+def _sequential_blocks(strata, block_size, allocation, rng):
+    """Reference permuted blocks: one rng.permutation call per block, each
+    stratum's blocks in turn."""
+    b1 = round(block_size * allocation[0])
+    base = np.array([1] * b1 + [2] * (block_size - b1))
+    arms = np.empty(len(strata), dtype=int)
+    for label in np.unique(strata):
+        idx = np.flatnonzero(strata == label)
+        seq = np.concatenate([rng.permutation(base) for _ in
+                              range(-(-idx.size // block_size))])
+        arms[idx] = seq[: idx.size]
+    return arms
+
+
 class TestRandomization:
     """Assignment generators."""
+
+    @pytest.mark.parametrize("block_size, allocation", [
+        (2, (0.5, 0.5)), (4, (0.5, 0.5)), (6, (0.5, 0.5)), (8, (0.5, 0.5)),
+        (4, (0.25, 0.75)), (6, (2 / 3, 1 / 3)), (8, (0.375, 0.625)),
+    ])
+    def test_blocks_draw_as_one_permutation_per_block(self, block_size,
+                                                      allocation):
+        """The same arms as the sequential reference, bit for bit, and the
+        generator left where the reference leaves it, over stratum
+        sizes that end in a short block and ones that do not."""
+        cases = np.random.default_rng(block_size)
+        for seed in range(40):
+            n = int(cases.integers(1, 9)) * block_size \
+                + seed % block_size
+            strata = cases.integers(0, 3, n)
+            for make in (np.random.default_rng,
+                         lambda s: _rep_rng(s, block_size)):
+                rng, ref = make(seed), make(seed)
+                np.testing.assert_array_equal(
+                    randomize_stratified_block(strata, block_size,
+                                               allocation, rng),
+                    _sequential_blocks(strata, block_size, allocation, ref))
+                assert rng.random() == ref.random()
 
     def test_complete_split_is_exact(self):
         rng = np.random.default_rng(1)
