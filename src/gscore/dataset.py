@@ -316,23 +316,76 @@ def _parse_block(rows, first: int, idx: dict, schema: ColumnSchema,
     return y[keep], arm[keep], cov[keep], strata
 
 
+def _plain_block(lines, usecols, width: int, delimiter: str):
+    """(outcome, arm, covariates, None) of a block of raw lines, read by
+    NumPy's C reader, or None when the token path must read the block.
+
+    A block is *plain*, and taken, when the token path would read it with
+    no dropped row and no error:
+    - it has lines, and none holds a quote character or a NUL (which csv
+      before Python 3.11 rejects), so csv would split each line at every
+      delimiter;
+    - every line has ``width`` fields, none longer than csv's field size
+      limit (NumPy reads an oversize field, csv raises);
+    - NumPy converts every used field: it rejects missing tokens such as
+      "NA" and "", and the tokens only float() reads, such as "1_0";
+      what it reads, it reads with CPython's PyOS_string_to_double, as
+      float() does;
+    - no value is NaN (a missing token, or a value the token path
+      reports) and every arm is exactly 1 or 2."""
+    text = "".join(lines)
+    if ('"' in text or "\0" in text
+            or set(map(str.count, lines, itertools.repeat(delimiter)))
+            != {width - 1}
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=delimiter, comments=None,
+                            quotechar=None, usecols=usecols, dtype=float,
+                            ndmin=2)
+    except ValueError:
+        return None
+    arm = values[:, 1]
+    # NumPy skips blank lines; row i must be line i
+    if (len(values) != len(lines) or np.isnan(values).any()
+            or not ((arm == 1) | (arm == 2)).all()):
+        return None
+    return values[:, 0], arm.astype(int), values[:, 2:], None
+
+
+def _then_raise(lines, exc: Exception):
+    """The lines, then exc raised where the next line is asked for, as
+    the file that failed to decode raised it."""
+    yield from lines
+    raise exc
+
+
 def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
     """Read a trial CSV under ``schema``; complete cases only.
 
     Rows with a missing value in any used column are dropped; the count of
     dropped rows is returned alongside the dataset.  Non-numeric tokens in
     numeric columns are rejected outright rather than coerced.  The file
-    is read and parsed in blocks of _BLOCK rows, each column of a block in
-    one pass, and only the parsed values of a block's complete rows are
-    kept, so the tokens held at once are bounded by one block, not the
-    file.  A block's row lists are also fewer than the collector's
-    young-generation threshold (700 tracked objects) and are freed before
-    the next block is read, so a large file sets off no collection passes
-    over them.  An error names the first bad row in file order (within a
-    row: a wrong field count, then the outcome, arm and covariates in
-    schema order), and reading stops at it; an encoding or CSV error is
-    raised only when no row before it is bad.  A UTF-8 byte-order mark is
-    skipped, and a used column named twice in the header is a SchemaError.
+    is read and parsed in blocks of _BLOCK rows, and only the parsed
+    values of a block's complete rows are kept, so the tokens held at once
+    are bounded by one block, not the file.  A block's row lists are also
+    fewer than the collector's young-generation threshold (700 tracked
+    objects) and are freed before the next block is read, so a large file
+    sets off no collection passes over them.
+
+    Two readers share the work and give bit-identical results.  Without
+    an arm map or a stratum column, the data rows are read as raw lines,
+    and plain blocks (see _plain_block) are parsed by NumPy's C text
+    reader.  From the first block that is not plain, the rest of the file
+    is split by csv.reader and parsed column by column in Python (the
+    token path), the only path that drops rows, maps arms, reads strata
+    and reports errors.
+
+    An error names the first bad row in file order (within a row: a wrong
+    field count, then the outcome, arm and covariates in schema order),
+    and reading stops at it; an encoding or CSV error is raised only when
+    no row before it is bad.  A UTF-8 byte-order mark is skipped, and a
+    used column named twice in the header is a SchemaError.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
@@ -353,13 +406,35 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
                               "than once in the header")
         idx = {c: header.index(c) for c in used}
         width = len(header)
+        usecols = [idx[c] for c in used]
         arm_code, strat_code = {}, {}
         parts = []  # per block: its complete rows' parsed columns
         n = 0  # data rows before the block
+        rows = reader  # the token path's rows
+        if not schema.arm_map and schema.stratum is None:
+            # plain blocks go to NumPy's reader; from the first block
+            # that is not plain (at the latest the empty one at the end),
+            # the token path reads the rest of the file
+            while True:
+                lines, read_error = [], None
+                try:
+                    lines.extend(itertools.islice(fh, _BLOCK))
+                except UnicodeDecodeError as exc:
+                    read_error = exc  # the lines read before it are kept
+                part = None if read_error is not None else _plain_block(
+                    lines, usecols, width, schema.delimiter)
+                if part is None:
+                    break
+                parts.append(part)
+                n += len(lines)
+            rows = csv.reader(
+                itertools.chain(lines, fh) if read_error is None
+                else _then_raise(lines, read_error),
+                delimiter=schema.delimiter)
         while True:
             block, read_error = [], None
             try:
-                block.extend(itertools.islice(reader, _BLOCK))
+                block.extend(itertools.islice(rows, _BLOCK))
             except (csv.Error, UnicodeDecodeError) as exc:
                 read_error = exc  # the rows read before it are kept
             lengths = np.fromiter(map(len, block), int, len(block))

@@ -43,7 +43,7 @@ def reference_load_csv(path: str, schema: ColumnSchema):
     """The row-by-row loader that the column-wise load_csv replaced, kept
     as its reference: each row is checked, dropped or parsed in file order
     with the same token helpers."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
             header = next(reader)
@@ -96,6 +96,11 @@ def load_outcome(loader, path, schema):
         data, dropped = loader(path, schema)
     except Exception as exc:  # the outcome compared is the exception
         return type(exc), str(exc)
+    return loaded_outcome(data, dropped)
+
+
+def loaded_outcome(data, dropped):
+    """load_outcome of a loader that returned (data, dropped)."""
     arrays = (data.outcome, data.arm, data.covariates, data.stratum)
     return ([None if a is None else (a.dtype.str, a.shape, a.tobytes())
              for a in arrays], data.covariate_names, dropped)
@@ -174,6 +179,64 @@ def csv_files(draw):
     schema = ColumnSchema("y", "arm", covariates, stratum=stratum,
                           arm_map=arm_map, delimiter=delimiter)
     return buf.getvalue(), schema
+
+
+# Tokens for files that NumPy's reader should take: numbers and arms it
+# reads as float() does, and an unused text column, which may hold a
+# quote character (csv then reads the rest of the file).
+PLAIN_NUMBERS = ["0", "1", " 3 ", "-0", "4e-1", "1e-400", "-2.5",
+                 "12345678901234567890123456789",
+                 "0.1000000000000000055511151231257827021181583404541015625"]
+# in some files only: a non-finite value fails the whole load
+INFINITE = ["1e400", "inf"]
+PLAIN_ARMS = ["1", "2", "1.0", " 2 "]
+TEXT = ["txt", "two words", ""]
+QUOTED_TEXT = ['say "hi"', '"quoted"', '"a{d}b"', '"two\nlines"']
+# one row's taint: a token only the token path reads or rejects, put in a
+# used column; a line it reads as a row to drop or of the wrong width; or
+# a NUL in the unused column, which csv rejects before Python 3.11
+TOKEN_TAINTS = ["1_0", "\u0661", "NA", "", "nan", "-nan", '"1"']
+LINE_TAINTS = ["blank", "whitespace", "ragged", "empty fields", "NUL note"]
+
+
+@st.composite
+def plain_csv_files(draw):
+    """(text, schema, taint_row): a CSV with no arm map and no stratum
+    column, and the 0-based data row of its one taint (None when it has
+    none).  Line endings, a final newline, a byte-order mark and the
+    delimiter vary; about a third of the files carry a taint."""
+    covariates = draw(st.sampled_from([(), ("w1",), ("w2", "w1")]))
+    columns = draw(st.permutations(["y", "arm", "w1", "w2", "note"]))
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    text = TEXT + draw(st.sampled_from([[], [], [], [q.format(d=delimiter)
+                                                     for q in QUOTED_TEXT]]))
+    numbers = PLAIN_NUMBERS + draw(st.sampled_from([[], [], INFINITE]))
+    tokens = dict.fromkeys(columns, numbers) | {"arm": PLAIN_ARMS,
+                                                "note": text}
+    rows = [[draw(st.sampled_from(tokens[c])) for c in columns]
+            for _ in range(draw(st.integers(0, 10)))]
+    lines = [delimiter.join(row) for row in rows]
+    taint_row = None
+    if rows and draw(st.integers(0, 2)) == 0:
+        taint_row = draw(st.integers(0, len(rows) - 1))
+        taint = draw(st.sampled_from(TOKEN_TAINTS + LINE_TAINTS))
+        row = rows[taint_row]
+        if taint in TOKEN_TAINTS:
+            row[columns.index(draw(st.sampled_from(
+                ["y", "arm", *covariates])))] = taint
+        elif taint == "NUL note":
+            row[columns.index("note")] = "\0"
+        lines[taint_row] = {
+            "blank": "", "whitespace": " ",
+            "ragged": delimiter.join([*row, "1"]),
+            "empty fields": delimiter * (len(columns) - 1),
+        }.get(taint, delimiter.join(row))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    body = eol.join([delimiter.join(columns), *lines])
+    body += draw(st.sampled_from([eol, ""]))
+    body = draw(st.sampled_from(["", "\ufeff"])) + body
+    schema = ColumnSchema("y", "arm", covariates, delimiter=delimiter)
+    return body, schema, taint_row
 
 
 class TestLoadCsv:
@@ -307,6 +370,39 @@ class TestLoadCsv:
         path.write_bytes(text.encode())
         assert_loads_as_reference(str(path), schema)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(plain_csv_files())
+    def test_numpy_reader_matches_the_row_by_row_reference(
+            self, tmp_path_factory, case):
+        """Files NumPy's reader should take, some with one row only the
+        token path reads or rejects, load as the reference does.  At
+        blocks of 3 lines, every block before the first with a taint or
+        a quote character is read by NumPy's reader, and the token path
+        reads the rest of the file from the first block it declines."""
+        text, schema, taint_row = case
+        path = tmp_path_factory.mktemp("plain") / "d.csv"
+        path.write_bytes(text.encode())
+        assert_loads_as_reference(str(path), schema)
+
+        plain = dataset._plain_block
+        taken = []  # per raw block given to NumPy's reader: taken or not
+
+        def plain_block(lines, *args):
+            part = plain(lines, *args)
+            taken.append(part is not None)
+            return part
+
+        with mock.patch.object(dataset, "_BLOCK", 3), \
+                mock.patch.object(dataset, "_plain_block", plain_block):
+            load_outcome(load_csv, str(path), schema)
+        lines = text.splitlines()[1:]
+        quoted = [i for i, line in enumerate(lines) if '"' in line]
+        first = min([len(lines), *quoted]
+                    + ([] if taint_row is None else [taint_row]))
+        # a clean file's last block is plain; the empty one after it is not
+        plain_blocks = first // 3 if first < len(lines) else -(-first // 3)
+        assert taken == [True] * plain_blocks + [False]
+
 
 class TestLoadCsvBlocks:
     """load_csv reads blocks of rows in turn; a block boundary must not
@@ -316,9 +412,11 @@ class TestLoadCsvBlocks:
 
     @pytest.mark.parametrize("rows, message", [
         (["1,1,0.5"] * 3 + ["0,2"], "data row 4 has 2 fields"),
+        (["1,1,0.5"] * 4 + ["0,2,0.1,9"], "data row 5 has 4 fields"),
         (["1,1,0.5", "0,2,0.1", "oops,2,0.1", "0,2"],
          "'oops' in column 'y', data row 3"),
-    ], ids=["ragged-row-opens-a-block", "bad-last-row-then-ragged"])
+    ], ids=["ragged-row-opens-a-block", "long-row-in-a-clean-block",
+            "bad-last-row-then-ragged"])
     def test_errors_across_a_block_boundary(self, tmp_path, rows, message):
         path = write_csv(tmp_path, "y,arm,w\n" + "\n".join(rows) + "\n")
         schema = ColumnSchema("y", "arm", ("w",))
@@ -326,6 +424,30 @@ class TestLoadCsvBlocks:
                 pytest.raises(DataError, match=message):
             load_csv(path, schema)
         assert_loads_as_reference(path, schema)
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("token", TOKEN_TAINTS)
+    def test_one_token_numpy_must_not_read(self, tmp_path, token, column):
+        """A token that only the token path reads or rejects, in one row
+        of an otherwise clean file, loads as the reference does."""
+        rows = [[str(i % 2), str(1 + i % 2), str(i / 4)] for i in range(8)]
+        rows[4][column] = token
+        path = write_csv(tmp_path, "y,arm,w\n"
+                         + "\n".join(map(",".join, rows)) + "\n")
+        assert_loads_as_reference(path, ColumnSchema("y", "arm", ("w",)))
+
+    @pytest.mark.parametrize("m", [9, 10])
+    def test_clean_blocks_go_through_numpy(self, tmp_path, m):
+        """Every block of a clean file is parsed by one np.loadtxt call,
+        and the empty block after a last full one by none."""
+        rows = [f"{i % 2},{1 + i % 2},{i / 4}" for i in range(m)]
+        path = write_csv(tmp_path, "y,arm,w\n" + "\n".join(rows) + "\n")
+        schema = ColumnSchema("y", "arm", ("w",))
+        with mock.patch.object(dataset, "_BLOCK", 3), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+            got = load_outcome(load_csv, path, schema)
+        assert spy.call_count == -(-m // 3)
+        assert got == load_outcome(reference_load_csv, path, schema)
 
     def test_arm_token_first_seen_in_a_later_block(self, tmp_path):
         """Each distinct arm token is read once and its reading shared by
@@ -367,6 +489,16 @@ class TestLoadCsvBlocks:
         path = tmp_path / "late.csv"
         path.write_bytes(b"y,arm,w\n" + b"1,2,0.5\n0,1,0.25\n" * 2000
                          + b"0,2,\xff\noops,1,0.5\n")
+        got = assert_loads_as_reference(str(path),
+                                        ColumnSchema("y", "arm", ("w",)))
+        assert got[0] is UnicodeDecodeError
+
+    def test_decode_error_inside_a_quoted_field(self, tmp_path):
+        """A byte that is not UTF-8 met while a quoted field spans lines
+        is raised, not the field count of the row cut short by it."""
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"y,arm,w\n" + b"1,2,0.5\n" * 1000 + b'0,"2\n'
+                         + (b"x" * 20 + b"\n") * 30 + b"0,2,\xff\n")
         got = assert_loads_as_reference(str(path),
                                         ColumnSchema("y", "arm", ("w",)))
         assert got[0] is UnicodeDecodeError
@@ -424,6 +556,8 @@ class TestLoadCsvBlocks:
             gc.callbacks.remove(count)
             gc.set_threshold(*thresholds)
         assert (data.n, dropped) == (n, 0)
+        assert loaded_outcome(data, dropped) == load_outcome(
+            reference_load_csv, str(path), schema)
         assert starts == []
         result = data.outcome.nbytes + data.arm.nbytes + data.covariates.nbytes
         assert peak < 3 * result, (peak, result)
