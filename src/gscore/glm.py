@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 from scipy.special import logit
 
 from .dataset import DesignMatrix
@@ -148,6 +147,7 @@ class FittedGLM:
 
 def _solve_newton(X, w, score, labels):
     """delta solving (X' diag(w) X) delta = score, via pivoted QR."""
+    from scipy.linalg import qr, solve_triangular  # large; few fits get here
     n, p = X.shape
     _, R, piv = qr(np.sqrt(w)[:, None] * X, mode="raw", pivoting=True)
     diag = np.abs(R.diagonal())
@@ -264,16 +264,18 @@ def _irls(design: DesignMatrix, y, fam: Family):
         score = _matvec(XT, ya - mu)
         snorm = np.abs(score).max(axis=-1)
         done = ~failed & (snorm <= _TOL)
-        out_beta[idx[done]], out_mu[idx[done]] = beta[done], mu[done]
-        iterations[idx[done]], score_norm[idx[done]] = it, snorm[done]
+        if done.any():
+            out_beta[idx[done]], out_mu[idx[done]] = beta[done], mu[done]
+            iterations[idx[done]], score_norm[idx[done]] = it, snorm[done]
         go = ~failed & ~done
-        for i in (go & ~(np.isfinite(snorm) & (it < _MAX_ITER))).nonzero()[0]:
+        live = np.isfinite(snorm) & (it < _MAX_ITER)
+        for i in (go & ~live).nonzero()[0]:
             errors[int(idx[i])] = NonConvergenceError(
                 f"no convergence in {it} iterations (max-abs score "
                 f"{snorm[i]:.3e})" if np.isfinite(snorm[i]) else
                 "score became non-finite", beta=beta[i].copy(),
                 score_norm=float(snorm[i]), iterations=it)
-        go &= np.isfinite(snorm) & (it < _MAX_ITER)
+        go &= live
         if not go.all():
             idx, XT, ya = idx[go], XT[go], ya[go]
             beta, mu, score, ll = beta[go], mu[go], score[go], ll[go]
@@ -321,8 +323,8 @@ def _irls(design: DesignMatrix, y, fam: Family):
     cf = tuple(fam.mean(np.matmul(out_beta[:, None, :],
                                   _rows_by_column(Xc))[:, 0])
                for Xc in design.counterfactuals)
-    bad = sorted(errors)
-    resid[bad], bread[bad], cf[0][bad], cf[1][bad] = 0.0, np.eye(p), 0.5, 0.5
+    for b in errors:
+        resid[b], bread[b], cf[0][b], cf[1][b] = 0.0, np.eye(p), 0.5, 0.5
     return FittedGLM(
         beta=out_beta, bread=bread, fitted=out_mu, residuals=resid,
         converged=~np.isnan(score_norm), iterations=iterations,

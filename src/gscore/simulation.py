@@ -11,14 +11,15 @@ proxy.
 Reproducibility: replication r uses the substream spawned as
 SeedSequence(seed, spawn_key=(r,)) feeding a counter-based Philox
 generator, so its data never depend on which replications are drawn
-beside it.  ``run_oc`` analyzes BATCH replications at a time: their
-designs are built as one stack, IRLS runs on the whole stack
-(``glm.fit_batch``, the loop ``glm.fit`` runs on one dataset), and the
-arm means, variances and tests run once per batch:
-kernels take any leading shape; single-fit functions call them with
-none.  Each replication's numbers depend on its own data only, so
-results depend only on (scenario, methods, seed, reps), never on batch
-size, worker count or scheduling.
+beside it.  ``run_oc`` analyzes BATCH replications at a time: per
+batch, one IRLS fit runs per model spec on the stacked designs
+(``glm.fit_batch``, the loop ``glm.fit`` runs on one dataset), one
+variance per (spec, estimator, correction, pi), and one test kernel per
+(hypothesis, test) on its methods stacked.  Kernels take any leading
+shape; single-fit functions call them with none.  Each replication's
+numbers depend on its own data only, so results depend only on
+(scenario, methods, seed, reps), never on batch size, worker count or
+scheduling.
 """
 
 from __future__ import annotations
@@ -270,18 +271,23 @@ def randomize_stratified_block(strata, block_size: int, allocation,
 
     Each full block holds exactly block_size * share_1 arm-1 slots (that
     product must be integral); a final short block is the truncation of
-    one more fully permuted block.  A stratum's blocks are permuted by one
-    rng.permuted call, which draws as one rng.permutation per block
-    would, in block order.
+    one more fully permuted block.  The blocks of every stratum, strata
+    in sorted label order, are permuted by one rng.permuted call, which
+    draws as one rng.permutation per block would, in block order.
     """
     strata = np.asarray(strata)
     b1 = _block_arm1_count(block_size, allocation)
-    base = np.array([1] * b1 + [2] * (block_size - b1))
-    arms = np.empty(strata.shape[0], dtype=int)
-    for label in np.unique(strata):
-        idx = np.flatnonzero(strata == label)
-        blocks = np.tile(base, (-(-idx.size // block_size), 1))
-        arms[idx] = rng.permuted(blocks, axis=1).ravel()[: idx.size]
+    order = np.argsort(strata, kind="stable")  # stratum by stratum
+    ordered = strata[order]
+    bounds = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist(),
+              strata.size]
+    blocks = [-(-(hi - lo) // block_size) for lo, hi in zip(bounds, bounds[1:])]
+    slots = np.repeat([[1] * b1 + [2] * (block_size - b1)], sum(blocks), axis=0)
+    rng.permuted(slots, axis=1, out=slots)
+    arms = np.empty(strata.size, dtype=int)
+    for lo, hi, first in zip(bounds, bounds[1:],
+                             itertools.accumulate([0, *blocks])):
+        arms[order[lo:hi]] = slots[first:].ravel()[:hi - lo]
     return arms
 
 
@@ -315,11 +321,14 @@ def _draw(s: Scenario, rngs) -> _Trials:
     arm = np.empty((B, n), dtype=int)
     u = np.empty((B, n))
     stratum = None if s.stratify is None else np.empty((B, n), dtype=int)
+    runs = [(spec, len(list(g))) for spec, g in itertools.groupby(s.covariates)]
     for b, rng in enumerate(rngs):
-        for j, spec in enumerate(s.covariates):
-            W[b, :, j] = (rng.standard_normal(n)
-                          if spec.kind == "standard-normal"
-                          else rng.random(n) < spec.p)
+        j = 0
+        for spec, k in runs:  # one (k, n) draw: the stream of k draws of n
+            W[b, :, j:j + k] = (rng.standard_normal((k, n))
+                                if spec.kind == "standard-normal"
+                                else rng.random((k, n)) < spec.p).T
+            j += k
         if stratum is not None:
             stratum[b] = W[b, :, s.stratify.covariate - 1] \
                 > s.stratify.threshold
@@ -429,10 +438,18 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _plan(s: Scenario, methods, level: float):
+class _Plan(NamedTuple):
     """Per method (method, model spec, hypothesis, rejection threshold),
-    fixed across replications, so built and checked before any trial."""
-    plan = []
+    and per (hypothesis, test) (hypothesis, test, threshold, its methods'
+    columns, their (spec, estimator, correction, pi) variances); fixed
+    across replications, so built and checked before any trial."""
+
+    methods: tuple
+    tests: tuple
+
+
+def _plan(s: Scenario, methods, level: float) -> _Plan:
+    rows, groups = [], {}
     names = _covariate_names(s)
     for m in methods:
         spec = m.model if isinstance(m.model, ModelSpec) \
@@ -453,12 +470,15 @@ def _plan(s: Scenario, methods, level: float):
                        level=level, sidedness=m.sidedness)
         thr = (1.0 - level) / 2.0 if m.sidedness != "two-sided" \
             else 1.0 - level
-        plan.append((m, spec, h, thr))
-    return tuple(plan)
+        groups.setdefault((h, m.test, thr), []).append(
+            (len(rows), (spec, m.estimator, m.correction, m.pi)))
+        rows.append((m, spec, h, thr))
+    return _Plan(tuple(rows), tuple((*g, *zip(*members))
+                                    for g, members in groups.items()))
 
 
 def _row_mask(errors: dict, B: int) -> np.ndarray:
-    return np.isin(np.arange(B), list(errors))
+    return np.bincount(list(errors), minlength=B) > 0
 
 
 def _fit_spec(trials: _Trials, spec: ModelSpec):
@@ -471,36 +491,38 @@ def _fit_spec(trials: _Trials, spec: ModelSpec):
             _row_mask(errors, len(trials.outcome)))
 
 
-def _analyze_batch(trials: _Trials, plan):
+def _analyze_batch(trials: _Trials, plan: _Plan):
     """Per-method (estimate, reject, ci_lo, ci_hi, failed) records of a
     batch of trials, each a (B, methods) array.
 
     A method fails on a replication where the scalar pipeline raises a
     GScoreError for it (fit, variance or test); its estimate and interval
-    are then NaN and it does not reject.  Methods whose inputs agree share
-    fits, arm means and variances.
+    are then NaN and it does not reject.  One fit runs per model spec, one
+    variance per (spec, estimator, correction, pi), and one test kernel per
+    (hypothesis, test), on its k methods' arm means (B, k, 2) and
+    covariances (B, k, 2, 2) stacked.
     """
-    B, M = len(trials.outcome), len(plan)
-    est, lo, hi = (np.full((B, M), np.nan) for _ in range(3))
-    reject = np.zeros((B, M), dtype=bool)
-    failed = np.ones((B, M), dtype=bool)
+    B, n = trials.outcome.shape
+    est, lo, hi = (np.empty((B, len(plan.methods))) for _ in range(3))
+    reject, failed = (np.empty(est.shape, dtype=bool) for _ in range(2))
     fits, variances = {}, {}
-    for j, (m, spec, h, thr) in enumerate(plan):
-        if spec not in fits:
-            fits[spec] = _fit_spec(trials, spec)
-        design, fitted, mu, fit_failed = fits[spec]
-        key = (spec, m.estimator, m.correction, m.pi)
-        if key not in variances:
-            sigma, errors = estimate_variance_batch(
-                fitted, design, m.estimator, m.correction, m.pi)
-            variances[key] = sigma, fit_failed | _row_mask(errors, B)
-        sigma, var_failed = variances[key]
-        r = run_test_batch(mu, sigma, design.n, h, m.test)
+    for h, test, thr, cols, keys in plan.tests:
+        for key in keys:
+            if key not in variances:
+                if key[0] not in fits:
+                    fits[key[0]] = _fit_spec(trials, key[0])
+                design, fitted, mu, fit_failed = fits[key[0]]
+                sigma, errors = estimate_variance_batch(fitted, design,
+                                                        *key[1:])
+                variances[key] = mu, sigma, fit_failed | _row_mask(errors, B)
+        mu, sigma, var_failed = (np.stack(a, axis=1) for a in zip(
+            *map(variances.get, keys)))
+        r = run_test_batch(mu, sigma, n, h, test)
         ok = ~(var_failed | r["failed"])
         for out, name in ((est, "estimate"), (lo, "lo"), (hi, "hi")):
-            out[ok, j] = r[name][ok]
-        reject[:, j] = ok & (r["p_value"] <= thr)
-        failed[:, j] = ~ok
+            out[:, cols] = np.where(ok, r[name], np.nan)
+        reject[:, cols] = ok & (r["p_value"] <= thr)
+        failed[:, cols] = ~ok
     return est, reject, lo, hi, failed
 
 
@@ -549,31 +571,25 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
         parts = [_run_chunk(s, plan, seed, range(reps))]
     est, rej, lo, hi, failed = (np.concatenate(a) for a in zip(*parts))
 
-    summaries = []
-    for j, m in enumerate(methods):
-        ok = ~failed[:, j]
-        n_used = int(ok.sum())
-        tv = truth[m.measure]
-        if n_used:
-            r_rate = float(rej[ok, j].mean())
-            cov = float(((lo[ok, j] <= tv) & (tv <= hi[ok, j])).mean())
-            mean_est = float(est[ok, j].mean())
-        else:
-            r_rate = cov = mean_est = float("nan")
-        summaries.append(MethodSummary(
-            name=m.name, measure=m.measure, test=m.test,
-            estimator=m.estimator, correction=m.correction,
-            model=m.model_label(), null_value=m.resolved_null(),
-            sidedness=m.sidedness, n_total=reps,
-            n_failed=reps - n_used, rejection_rate=r_rate, coverage=cov,
-            mean_estimate=mean_est,
-            mc_se_rejection=float(np.sqrt(r_rate * (1 - r_rate) / n_used))
-            if n_used else float("nan"),
-            mc_se_coverage=float(np.sqrt(cov * (1 - cov) / n_used))
-            if n_used else float("nan")))
+    ok = ~failed
+    used = ok.sum(axis=0)
+    tv = np.array([truth[m.measure] for m in methods])
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN if none used
+        rate = rej.sum(axis=0) / used
+        cov = (ok & (lo <= tv) & (tv <= hi)).sum(axis=0) / used
+        se_rate, se_cov = (np.sqrt(x * (1 - x) / used) for x in (rate, cov))
     return OCResult(seed=seed, reps=reps, level=level, n=s.n,
                     true_mu=(t1, t2), true_diff=truth["difference"],
-                    true_ratio=truth["ratio"], methods=tuple(summaries))
+                    true_ratio=truth["ratio"], methods=tuple(MethodSummary(
+        name=m.name, measure=m.measure, test=m.test, estimator=m.estimator,
+        correction=m.correction, model=m.model_label(),
+        null_value=h.null_value, sidedness=m.sidedness, n_total=reps,
+        n_failed=reps - int(used[j]), rejection_rate=float(rate[j]),
+        coverage=float(cov[j]), mc_se_rejection=float(se_rate[j]),
+        mc_se_coverage=float(se_cov[j]),
+        # a pairwise sum of the column as one vector, not a strided sum
+        mean_estimate=float(est[ok[:, j], j].mean()) if used[j] else np.nan)
+        for j, (m, _, h, _) in enumerate(plan.methods)))
 
 
 # ------------------------------------------------------------------ #

@@ -499,3 +499,11 @@ class TestEntryPoint:
                           "print('scipy.stats' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_scipy_linalg_out(self):
+        """scipy.linalg serves only the pivoted-QR Newton step, so it is
+        imported when a fit first takes that step, not with the package."""
+        proc = run_python("-c", "import sys, gscore.cli; "
+                          "print('scipy.linalg' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

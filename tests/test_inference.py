@@ -29,6 +29,7 @@ from gscore import (
     wald_test_diff,
     wald_test_ratio,
 )
+from gscore import inference
 from gscore.inference import TESTS, run_test_batch
 
 
@@ -562,6 +563,26 @@ hypotheses = st.builds(
 class TestBatchKernels:
     """The batch-axis test kernels: the paper's dominance row by row, and
     the scalar tests as their batch-of-one rows."""
+
+    def test_only_two_sided_p_values_take_the_chi_square_tail(
+            self, monkeypatch):
+        """chdtrc costs ~3 us an element; a one-sided p-value comes from the
+        normal tail, so the kernels never form the two-sided one for it."""
+        mu = np.array([[0.30, 0.45], [0.20, 0.18]])
+        sigma = np.tile(0.002 * np.eye(2), (2, 1, 1))
+        calls = []
+        chi2_sf = inference._chi2_sf
+        monkeypatch.setattr(inference, "_chi2_sf",
+                            lambda x: calls.append(x) or chi2_sf(x))
+        for measure, test in (("difference", "wald"),
+                              ("difference", "score"), ("ratio", "score")):
+            for sidedness in ("greater", "less"):
+                run_test_batch(mu, sigma, 100, Hypothesis(
+                    measure=measure, sidedness=sidedness), test)
+            assert not calls
+            run_test_batch(mu, sigma, 100, Hypothesis(measure=measure), test)
+            assert len(calls) == 1
+            calls.clear()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(mean_batches(), st.floats(-0.5, 0.5),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,32 @@ def _sequential_blocks(strata, block_size, allocation, rng):
     return arms
 
 
+def _loop_draw(s, rngs):
+    """Reference generator: each trial draws its covariates one at a time,
+    then its arms one stratum at a time, then its outcome uniforms; the
+    outcome is formed from the stacked trials, as _draw forms it."""
+    B, n, q = len(rngs), s.n, len(s.covariates)
+    W = np.empty((B, n, q))
+    arm = np.empty((B, n), dtype=int)
+    u = np.empty((B, n))
+    stratum = np.empty((B, n), dtype=int)
+    b1 = round(s.block_size * s.allocation[0])
+    base = np.array([1] * b1 + [2] * (s.block_size - b1))
+    for b, rng in enumerate(rngs):
+        for j, spec in enumerate(s.covariates):
+            W[b, :, j] = (rng.standard_normal(n)
+                          if spec.kind == "standard-normal"
+                          else rng.random(n) < spec.p)
+        stratum[b] = W[b, :, s.stratify.covariate - 1] > s.stratify.threshold
+        for label in np.unique(stratum[b]):
+            idx = np.flatnonzero(stratum[b] == label)
+            blocks = np.tile(base, (-(-idx.size // s.block_size), 1))
+            arm[b, idx] = rng.permuted(blocks, axis=1).ravel()[: idx.size]
+        u[b] = rng.random(n)
+    eta = np.asarray(s.beta_A)[arm - 1] + W @ np.asarray(s.beta_W)
+    return (u < expit(eta)).astype(float), arm, W, stratum
+
+
 class TestRandomization:
     """Assignment generators."""
 
@@ -267,6 +294,23 @@ class TestRandomization:
                                        np.random.default_rng(8))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("labels", [
+        [0, 1], [False, True], [-7, 3, 40], [2, 0], [5], [0, 2, 4]])
+    def test_block_labels_of_any_kind_and_an_absent_stratum(self, labels):
+        """Bool labels, int labels in any order, one stratum only, and a
+        label set with a gap (1 and 3 absent from 0, 2, 4) all draw
+        like the sequential reference, strata in sorted label order,
+        and leave the generator where it leaves it."""
+        cases = np.random.default_rng(len(labels))
+        for seed in range(30):
+            strata = np.asarray(labels)[cases.integers(0, len(labels), 37)]
+            rng, ref = _rep_rng(seed, 0), _rep_rng(seed, 0)
+            np.testing.assert_array_equal(
+                randomize_stratified_block(strata, 4, (0.5, 0.5), rng),
+                _sequential_blocks(strata, 4, (0.5, 0.5), ref))
+            np.testing.assert_equal(rng.bit_generator.state,
+                                    ref.bit_generator.state)
+
 
 class TestGenerateTrial:
     """Dataset generation from a scenario."""
@@ -310,6 +354,28 @@ class TestGenerateTrial:
             rate = data.outcome[data.arm == a].mean()
             tol = 3 * np.sqrt(target * (1 - target) / 10000)
             assert abs(rate - target) < tol
+
+    @pytest.mark.parametrize("make", [
+        lambda r: _rep_rng(21, r), np.random.default_rng])
+    def test_draw_matches_the_per_covariate_loop(self, make):
+        """Runs of equal covariate specs draw in one call and all strata's
+        blocks in another; the trials and every generator's final state
+        equal those of one draw per covariate and one per stratum."""
+        s = Scenario(n=41, beta_A=(-0.4, 0.3), beta_W=(0.5, -0.8, 0.3, 0.2),
+                     covariates=("standard-normal", {"bernoulli": 0.3},
+                                 "standard-normal", "standard-normal"),
+                     scheme="stratified-block", block_size=4,
+                     stratify=StratificationRule(covariate=2, threshold=0.5))
+        rngs, refs = ([make(r) for r in range(12)] for _ in range(2))
+        t = _draw(s, rngs)
+        y, arm, W, stratum = _loop_draw(s, refs)
+        np.testing.assert_array_equal(t.outcome, y)
+        np.testing.assert_array_equal(t.arm, arm)
+        np.testing.assert_array_equal(t.covariates[..., :4], W)
+        np.testing.assert_array_equal(t.stratum, stratum)
+        for rng, ref in zip(rngs, refs):
+            np.testing.assert_equal(rng.bit_generator.state,
+                                    ref.bit_generator.state)
 
     def test_fixed_seed_reproduces_dataset(self):
         s = scenario1(n=100)
@@ -509,6 +575,25 @@ class TestRunOC:
         assert ratio.mean_estimate == est[used, 0].mean()
         assert ok.n_failed == 0
         assert ok.rejection_rate == reject[:, 1].mean()
+
+    def test_method_failing_every_replication_gets_nan_silently(self):
+        """At n = 3 the score difference interval never exists (n must
+        exceed the critical value 3.84), so that method has no clean
+        replication: NaN rate, coverage, mean estimate and MC errors,
+        with no RuntimeWarning, beside a method that never fails."""
+        methods = (MethodSpec(name="score", test="score"),
+                   MethodSpec(name="wald", test="wald"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score, wald = run_oc(Scenario(n=3, beta_A=(0.0, 0.0)), methods,
+                                 reps=40, seed=1).methods
+        assert score.n_failed == 40 and score.n_used == 0
+        assert np.isnan([score.rejection_rate, score.coverage,
+                         score.mean_estimate, score.mc_se_rejection,
+                         score.mc_se_coverage]).all()
+        assert wald.n_failed == 0
+        assert np.isfinite([wald.rejection_rate, wald.coverage,
+                            wald.mean_estimate]).all()
 
     @pytest.mark.parametrize("s, covariates, unknown", [
         (scenario1(n=60), ("W1", "W9"), ["W9"]),
@@ -853,7 +938,7 @@ class TestBatchedEngine:
                                 covariates=t.covariates[b],
                                 covariate_names=t.covariate_names,
                                 stratum=t.stratum[b])
-            for j, (m, spec, h, thr) in enumerate(plan):
+            for j, (m, spec, h, thr) in enumerate(plan.methods):
                 try:
                     design = build_design(data, spec)
                     fitted = fit(design, data.outcome)
@@ -883,3 +968,32 @@ class TestBatchedEngine:
         clean = [b for b in range(16) if b not in (1, 2, 3)]
         assert failed[clean, ratio].any()     # undefined intervals
         assert not failed[clean, ratio].all()
+
+    def test_grouped_test_kernels_never_mix_hypotheses(self):
+        """Methods share a test kernel call only when their hypothesis and
+        test agree.  Score differences that differ only in null and
+        sidedness, score ratios with different nulls and a Wald pair
+        that shares one call each get exactly the records, failure masks
+        included, that a plan of that method alone gives it."""
+        methods = (
+            MethodSpec("sd-greater-0", "score", _W123),
+            MethodSpec("sd-two-sided-0.1", "score", _W123, null_value=0.1,
+                       sidedness="two-sided"),
+            MethodSpec("sr-1", "score", _W123, measure="ratio"),
+            MethodSpec("sr-1.5", "score", _W123, measure="ratio",
+                       null_value=1.5),
+            MethodSpec("wald-I", "wald", _W123),
+            MethodSpec("wald-III-S", "wald",
+                       ModelSpec("bernoulli-logit", ("S",)), estimator="III"),
+        )
+        plan = _plan(STRATIFIED40, methods, 0.95)
+        assert [len(cols) for *_, cols, _ in plan.tests] == [1, 1, 1, 1, 2]
+        t = _draw(STRATIFIED40, [_rep_rng(11, r) for r in range(64)])
+        records = _analyze_batch(t, plan)
+        for j, m in enumerate(methods):
+            alone = _analyze_batch(t, _plan(STRATIFIED40, (m,), 0.95))
+            for got, want in zip(records, alone):
+                assert got.dtype == want.dtype
+                assert got[:, j].tobytes() == want[:, 0].tobytes(), m.name
+        failed = records[4]
+        assert failed[:, 2:4].any() and not failed[:, 2:4].all()
