@@ -5,9 +5,9 @@ A trial is two-arm by contract: arm labels are canonicalized to {1, 2}
 complementary arm indicator columns and no separate intercept, so every
 row has exactly one of the first two columns set.  Covariates enter
 either as shared columns (homogeneous) or as per-arm interaction columns
-(heterogeneous).  One column recipe builds the observed design and the
-two counterfactual designs with every subject's arm set to 1 and to 2,
-so counterfactual substitution needs no refit and no second layout.
+(heterogeneous).  Only the observed design is stored: a counterfactual
+design (every arm set to 1 or 2) is the covariate rows W in that arm's
+slots, so its products are read from W (DesignMatrix.covariate_rows).
 
 Covariate transformations (centering, dummies, splines) are out of
 scope; callers precompute derived columns and name them in the schema.
@@ -148,17 +148,13 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """A design as build_design makes it: observed X and the (arm 1, arm 2)
-    counterfactuals with every subject's arm set to that arm, all
-    read-only and (..., n, p); columns as column_labels, 0 and 1 the arm
-    indicators.  Designs of B trials stacked by stack_designs carry a
-    leading batch axis on all three arrays.  build_design and
-    stack_designs store each array as a C-contiguous (..., p, n) array,
-    so X.mT is one column per row with no copy; the fit and the variance
-    kernels read it that way."""
+    """A design as build_design makes it: the observed X, read-only and
+    (..., n, p), columns as column_labels, 0 and 1 the arm indicators, and
+    a leading batch axis when stack_designs stacks B trials.  X is stored
+    as a C-contiguous (..., p, n) array, so X.mT is one column per row
+    with no copy; the fit and the variance kernels read it that way."""
 
     X: np.ndarray
-    counterfactuals: tuple[np.ndarray, np.ndarray]
     column_labels: tuple[str, ...]
     spec: ModelSpec
 
@@ -169,6 +165,17 @@ class DesignMatrix:
     @property
     def p(self) -> int:
         return self.X.shape[-1]
+
+    def covariate_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, slots): X's covariate rows W (..., q, n), C-contiguous, and
+        the columns slots[a - 1] that 1, W_1, ..., W_q fill when every arm
+        is set to a (the rest are 0).  A per-arm model's W sums its two
+        blocks, exactly: one is W * 1, the other W * 0."""
+        XB, p = np.ascontiguousarray(self.X.mT), self.p
+        q = (p - 2) // (2 if self.spec.heterogeneous else 1)
+        W = (XB[..., 2:2 + q, :] + XB[..., p - q:, :]
+             if self.spec.heterogeneous else XB[..., 2:, :])
+        return W, np.array([[0, *range(2, 2 + q)], [1, *range(p - q, p)]])
 
 
 @dataclass(frozen=True)
@@ -473,63 +480,61 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
 # ------------------------------------------------------------------ #
 
 
-def _columns(a1, Wt: np.ndarray, heterogeneous: bool) -> np.ndarray:
+def _columns(a1, W: np.ndarray, rows, heterogeneous: bool) -> np.ndarray:
     """The design, from the arm-1 indicator a1 (..., n), or 1 or 0 for
-    every subject, and the covariates Wt (..., q, n), one row each, as
+    every subject, and rows ``rows`` of the covariates W (..., k, n), as
     one C-contiguous array (..., p, n) whose row j is design column j:
 
     Homogeneous:    [I(A=1), I(A=2), W_1, ..., W_q]
     Heterogeneous:  [I(A=1), I(A=2), W_1*I(A=1), ..., W_q*I(A=1),
                      W_1*I(A=2), ..., W_q*I(A=2)]
     """
-    q, n = Wt.shape[-2:]
-    X = np.empty(Wt.shape[:-2] + (2 + (2 * q if heterogeneous else q), n))
+    q, n = len(rows), W.shape[-1]
+    X = np.empty(W.shape[:-2] + (2 + (2 * q if heterogeneous else q), n))
     X[..., 0, :] = a1
     np.subtract(1.0, X[..., 0, :], out=X[..., 1, :])
-    if heterogeneous:
-        np.multiply(Wt, X[..., :1, :], out=X[..., 2:2 + q, :])
-        np.multiply(Wt, X[..., 1:2, :], out=X[..., 2 + q:, :])
-    else:
-        X[..., 2:, :] = Wt
+    for j, r in enumerate(rows):
+        if heterogeneous:  # rows 2 + j and 2 + q + j
+            np.multiply(W[..., r, None, :], X[..., :2, :],
+                        out=X[..., 2 + j::q, :])
+        else:
+            X[..., 2 + j, :] = W[..., r, :]
     return X
 
 
 def stack_designs(arm: np.ndarray, covariates: np.ndarray,
                   covariate_names, spec: ModelSpec) -> DesignMatrix:
     """The working-model design under ``spec`` for arm labels (..., n)
-    and covariates (..., n, q) named by ``covariate_names``, with its two
-    counterfactual designs (every arm set to 1, then to 2).  Any leading
-    axes are a batch of trials; the arrays are taken as valid."""
+    and covariates (..., n, q) named by ``covariate_names``, as one
+    read-only C-contiguous (..., p, n) array.  Any leading axes are a
+    batch of trials; the arrays are taken as valid."""
     names = tuple(covariate_names)
     unknown = [c for c in spec.covariates if c not in names]
     if unknown:
         raise SchemaError(f"model covariates not in dataset: {unknown}")
-    Wt = np.take(np.asarray(covariates).mT,
-                 [names.index(c) for c in spec.covariates], axis=-2)
+    W = np.asarray(covariates).mT
+    rows = [names.index(c) for c in spec.covariates]
     if spec.heterogeneous:
-        constant = (np.ptp(Wt, axis=-1) == 0.0).any(
-            axis=tuple(range(Wt.ndim - 2)))
-        for name, c in zip(spec.covariates, constant):
-            if c:
+        for name, r in zip(spec.covariates, rows):
+            if (np.ptp(W[..., r, :], axis=-1) == 0.0).any():
                 warnings.warn(
                     f"covariate {name!r} is constant; its per-arm columns "
                     "duplicate the arm indicators", stacklevel=3)
-    X, X1, X2 = (_readonly(_columns(a1, Wt, spec.heterogeneous)).mT
-                 for a1 in (arm == 1, 1.0, 0.0))
-    return DesignMatrix(X=X, counterfactuals=(X1, X2),
-                        column_labels=spec.column_labels, spec=spec)
+    X = _readonly(_columns(arm == 1, W, rows, spec.heterogeneous)).mT
+    return DesignMatrix(X=X, column_labels=spec.column_labels, spec=spec)
 
 
 def build_design(data: TrialDataset, spec: ModelSpec) -> DesignMatrix:
-    """The working-model design for ``data`` under ``spec``, with its two
-    counterfactual designs (every arm set to 1, then to 2)."""
+    """The working-model design for ``data`` under ``spec``."""
     return stack_designs(data.arm, data.covariates, data.covariate_names,
                          spec)
 
 
 def counterfactual_design(design: DesignMatrix, a: int) -> np.ndarray:
-    """Writable copy of the design with every subject's arm set to ``a``;
-    covariates untouched."""
+    """Writable (..., n, p) design with every subject's arm set to ``a``;
+    covariates untouched.  Built on each call, in X's layout."""
     if a not in (1, 2):
         raise ValueError(f"arm must be 1 or 2, got {a!r}")
-    return design.counterfactuals[a - 1].copy()
+    W, _ = design.covariate_rows()
+    return _columns(1.0 if a == 1 else 0.0, W, range(W.shape[-2]),
+                    design.spec.heterogeneous).mT

@@ -110,11 +110,14 @@ def _only(value, errors: dict):
 
 
 def _mean_gradient(fit: FittedGLM, design: DesignMatrix) -> np.ndarray:
-    """G, whose row a averages m'(beta' X_i(a)) X_i(a); m' from the means."""
-    d = fit.family.deriv_mu
-    return np.concatenate([d(m)[..., None, :] @ X for X, m in zip(
-        design.counterfactuals, fit.counterfactual_means)], axis=-2) \
-        / design.n
+    """G, whose row a averages m'(beta' X_i(a)) X_i(a), X_i(a) being (1, W_i)
+    in arm a's slots and 0 elsewhere (summed as products, as with X(a))."""
+    W, slots = design.covariate_rows()
+    d = fit.family.deriv_mu(np.stack(fit.counterfactual_means, axis=-2))
+    G = np.zeros(d.shape[:-1] + (design.p,))
+    G[..., [[0], [1]], slots] = np.concatenate(
+        [d @ np.ones((design.n, 1)), d @ W.mT], axis=-1) / design.n
+    return G
 
 
 def _centered(fit: FittedGLM) -> np.ndarray:

@@ -128,9 +128,9 @@ class FittedGLM:
 
     bread is (1/n) sum_i m'(beta' X_i) X_i X_i', the normalized negative
     score Jacobian; residuals are Y_i - fitted_i on the response scale;
-    counterfactual_means are m(beta' X_i(a)) for a = 1, 2.  A fit_batch
-    result stacks B fits: every array gains a leading batch axis, and
-    converged, iterations and score_norm hold one value per fit.
+    counterfactual_means are m(beta' X_i(a)) for a = 1, 2, from X's
+    covariate rows.  A fit_batch result stacks B fits: each array gains a
+    batch axis; converged, iterations and score_norm hold one per fit.
     """
 
     beta: np.ndarray
@@ -184,13 +184,6 @@ def fit(design: DesignMatrix, y: np.ndarray,
         counterfactual_means=tuple(m[0] for m in f.counterfactual_means))
 
 
-def _rows_by_column(X: np.ndarray) -> np.ndarray:
-    """Designs (..., n, p) as one C-contiguous (B, p, n) array; a view of
-    stack_designs' storage, a copy of any other layout."""
-    n, p = X.shape[-2:]
-    return np.ascontiguousarray(X.mT).reshape(-1, p, n)
-
-
 def _matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """X_b beta_b for each b: (B, n, p) by (B, p) gives (B, n)."""
     return np.matmul(X, beta[..., None])[..., 0]
@@ -233,7 +226,7 @@ def _irls(design: DesignMatrix, y, fam: Family):
         raise DataError(f"y has shape {y.shape}, expected {X.shape[:-1]}")
     # designs as C-contiguous (B, p, n), stack_designs' storage (no copy);
     # every product reads this form, so no bit depends on X's layout
-    XB, y = _rows_by_column(X), y.reshape(-1, n)
+    XB, y = np.ascontiguousarray(X.mT).reshape(-1, p, n), y.reshape(-1, n)
     B = len(y)
     valid = (np.isfinite(y) & fam.outcomes[1](y)).all(axis=-1)
     errors = {}
@@ -320,13 +313,13 @@ def _irls(design: DesignMatrix, y, fam: Family):
     resid = y - out_mu
     w = fam.deriv_mu(out_mu)
     bread = np.matmul(XB * w[:, None, :], XB.mT) / n
-    cf = tuple(fam.mean(np.matmul(out_beta[:, None, :],
-                                  _rows_by_column(Xc))[:, 0])
-               for Xc in design.counterfactuals)
+    W, slots = design.covariate_rows()
+    coef = out_beta[:, slots]  # (B, 2, 1 + q): eta(a) from (1, W)
+    cf = fam.mean(coef[..., :1] + coef[..., 1:] @ W.reshape(B, -1, n))
     for b in errors:
-        resid[b], bread[b], cf[0][b], cf[1][b] = 0.0, np.eye(p), 0.5, 0.5
+        resid[b], bread[b], cf[b] = 0.0, np.eye(p), 0.5
     return FittedGLM(
         beta=out_beta, bread=bread, fitted=out_mu, residuals=resid,
         converged=~np.isnan(score_norm), iterations=iterations,
         score_norm=score_norm, family=fam, column_labels=labels,
-        counterfactual_means=cf), errors
+        counterfactual_means=(cf[:, 0], cf[:, 1])), errors

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import chdtrc, gammaincinv, ndtr, ndtri
+from scipy.special import erfc, gammaincinv, ndtr, ndtri
 
 from . import glm
 from .dataset import ModelSpec, TrialDataset, build_design
@@ -103,10 +103,10 @@ class TestResult:
         return d
 
 
-# Distribution functions come from scipy.special, bit for bit what the
-# scipy.stats calls return, without the cost of importing scipy.stats:
-# chi-square-1 quantile 2 gammaincinv(1/2, q), normal tails ndtr/ndtri.
-# A two-sided p-value (chdtrc: ~3 us an element) is formed only if asked.
+# Distribution functions come from scipy.special, without the cost of
+# importing scipy.stats: chi-square-1 quantile 2 gammaincinv(1/2, q) and
+# normal tails ndtr/ndtri as scipy.stats gives them, bit for bit, and a
+# two-sided p-value, formed only if asked, within 1e-13 of chi2.sf.
 #
 # Each test is written once, as a kernel over any leading shape: arm
 # means (..., 2) and covariances (..., 2, 2) from fits of n subjects give
@@ -117,8 +117,8 @@ class TestResult:
 # x ** 2: numpy scalars (one fit) compute ** by pow, off by an ulp at times.
 
 def _chi2_sf(x):
-    """Upper tail of chi-square-1; 1 below the support, as chi2.sf gives."""
-    return chdtrc(1, np.maximum(x, 0.0))
+    """Upper tail of chi-square-1, erfc(sqrt(x / 2)); 1 below 0."""
+    return erfc(np.sqrt(np.maximum(x, 0.0) / 2.0))
 
 
 def _one_sided_p(z, sidedness: str, two_sided):

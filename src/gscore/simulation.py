@@ -276,6 +276,8 @@ def randomize_stratified_block(strata, block_size: int, allocation,
     draws as one rng.permutation per block would, in block order.
     """
     strata = np.asarray(strata)
+    if strata.dtype.kind in "fc" and not np.isfinite(strata).all():
+        raise ValueError("stratum labels must be finite")
     b1 = _block_arm1_count(block_size, allocation)
     order = np.argsort(strata, kind="stable")  # stratum by stratum
     ordered = strata[order]

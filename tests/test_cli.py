@@ -15,6 +15,7 @@ import yaml
 
 import frozen_values as fv
 from conftest import FIXTURE_CSV
+from gscore import cli
 from gscore.cli import main
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -478,6 +479,45 @@ class TestCalibrate:
         assert main(["calibrate", "--targets", "0.3", "0.45",
                      "--beta-w", "0.1", "--covariates", "uniform"]) == 2
         capsys.readouterr()
+
+
+YAML_LOADERS = [yaml.SafeLoader] + (
+    [yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+class TestYamlLoader:
+    """Config files are parsed by libyaml's safe loader when PyYAML has
+    it, and by the pure-Python one otherwise; both read the same."""
+
+    def test_loader_is_the_fastest_safe_one(self):
+        assert cli._YAML_LOADER is (yaml.CSafeLoader
+                                    if yaml.__with_libyaml__
+                                    else yaml.SafeLoader)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__,
+                        reason="PyYAML built without libyaml")
+    def test_every_shipped_config_loads_equal_under_both(self, monkeypatch):
+        paths = sorted(glob.glob(os.path.join(PKG_ROOT, "configs", "*.yaml"))
+                       + glob.glob(os.path.join(PKG_ROOT, "perfbench",
+                                                "configs", "*.yaml")))
+        assert len(paths) >= 8
+        for path in paths:
+            docs = []
+            for loader in YAML_LOADERS:
+                monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+                docs.append(cli._load_document(path))
+            assert docs[0] == docs[1], path
+
+    @pytest.mark.parametrize("loader", YAML_LOADERS,
+                             ids=lambda lo: lo.__name__)
+    def test_malformed_config_exits_2_under_each(self, tmp_path, capsys,
+                                                 monkeypatch, loader):
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("data: [unclosed\nmodel: {family: x\n")
+        assert main(["analyze", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "cannot parse" in capsys.readouterr().err
 
 
 class TestEntryPoint:

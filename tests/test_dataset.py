@@ -643,8 +643,9 @@ class TestBuildDesign:
     @pytest.mark.parametrize("heterogeneous", [False, True])
     @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
     def test_stored_one_column_per_row(self, heterogeneous, batch):
-        """Each array is the (..., n, p) view of a read-only C-contiguous
-        (..., p, n) array, and the same numbers as a row-major build."""
+        """X is the (..., n, p) view of a read-only C-contiguous (..., p, n)
+        array, and each counterfactual design a writable one built in the
+        same layout; all are the same numbers as a row-major build."""
         rng = np.random.default_rng(5)
         n = 7
         arm = rng.permuted(np.tile([1, 2, 1, 2, 1, 2, 2], batch + (1,)),
@@ -654,11 +655,12 @@ class TestBuildDesign:
         d = stack_designs(arm, w, ("a", "b", "c"), spec)
         a1 = (arm == 1)[..., None]
         cols = w[..., [2, 0]]
-        for Xa, ind in ((d.X, a1), (d.counterfactuals[0], True),
-                        (d.counterfactuals[1], False)):
+        assert not d.X.flags.writeable and not d.X.mT.flags.writeable
+        for Xa, ind in ((d.X, a1), (counterfactual_design(d, 1), True),
+                        (counterfactual_design(d, 2), False)):
             assert Xa.shape == batch + (n, d.p)
             assert Xa.mT.flags.c_contiguous
-            assert not Xa.flags.writeable and not Xa.mT.flags.writeable
+            assert Xa.flags.writeable == (Xa is not d.X)
             ind = np.broadcast_to(ind, batch + (n, 1)).astype(float)
             want = np.concatenate(
                 [ind, 1.0 - ind, cols * ind, cols * (1.0 - ind)]
@@ -711,18 +713,21 @@ class TestCounterfactual:
                 np.testing.assert_array_equal(Xa[rows], d.X[rows])
 
     @pytest.mark.parametrize("heterogeneous", [False, True])
-    def test_cached_pair_read_only_and_built_once(self, heterogeneous):
+    def test_built_on_demand_as_fresh_writable_copies(self, heterogeneous):
+        """The design stores X alone; each call builds a new counterfactual
+        design, and writing to one changes neither X nor the next one."""
         d = build_design(two_subject_data(),
                          ModelSpec("bernoulli-logit", ("w",),
                                    heterogeneous=heterogeneous))
-        X1, X2 = d.counterfactuals
-        assert d.counterfactuals[0] is X1 and d.counterfactuals[1] is X2
-        for a, Xa in ((1, X1), (2, X2)):
-            np.testing.assert_array_equal(Xa, counterfactual_design(d, a))
-            assert not Xa.flags.writeable
-            with pytest.raises(ValueError):
-                Xa[0, 0] = 7.0
-        assert counterfactual_design(d, 1).flags.writeable
+        before = d.X.copy()
+        for a in (1, 2):
+            Xa = counterfactual_design(d, a)
+            want = Xa.copy()
+            assert Xa is not counterfactual_design(d, a)
+            assert Xa.flags.writeable
+            Xa[0, 0] = 7.0
+            np.testing.assert_array_equal(counterfactual_design(d, a), want)
+        np.testing.assert_array_equal(d.X, before)
 
     def test_counterfactual_does_not_mutate_design(self, fixture_design):
         before = fixture_design.X.copy()

@@ -30,6 +30,7 @@ from gscore import (
     VarianceEstimate,
     apply_correction,
     build_design,
+    counterfactual_design,
     estimate_mu,
     estimate_variance,
     fit,
@@ -40,7 +41,7 @@ from gscore import (
     variance_decomposition,
 )
 from gscore.dataset import stack_designs
-from gscore.gcomp import estimate_variance_batch
+from gscore.gcomp import _mean_gradient, estimate_variance_batch
 from gscore.glm import fit_batch
 
 FAMILIES = ("bernoulli-logit", "poisson-log", "gaussian-identity")
@@ -459,8 +460,7 @@ def _row_of(fitted, design, b):
                     score_norm=float(fitted.score_norm[b]),
                     counterfactual_means=tuple(
                         m[b] for m in fitted.counterfactual_means)),
-            replace(design, X=design.X[b], counterfactuals=tuple(
-                Xa[b] for Xa in design.counterfactuals)))
+            replace(design, X=design.X[b]))
 
 
 class TestBatchKernels:
@@ -499,3 +499,103 @@ class TestBatchKernels:
                             atol=1e-13 * np.abs(single).max())
         assert (2, RankDeficiencyError) in raised
         assert (1, DataError) in raised
+
+
+class TestCounterfactualsFromCovariateRows:
+    """The counterfactual means and the mean gradient, formed from X's
+    covariate rows and the arm slots, equal the products with the
+    counterfactual designs that counterfactual_design builds: bit for
+    bit under an arm-only model, and otherwise within 1e-14 relative to
+    the sum of the terms' magnitudes, the bound on the rounding of any
+    order of summation (an entry near 0 by cancellation has no tighter
+    relative one)."""
+
+    @staticmethod
+    def _case(family, covariates, heterogeneous, batch, seed=3, n=60):
+        rng = np.random.default_rng(seed)
+        arm = rng.permuted(np.tile(np.repeat([1, 2], n // 2), batch + (1,)),
+                           axis=-1)
+        w = rng.standard_normal(batch + (n, 3))
+        eta = 0.2 * (arm == 2) + 0.4 * w.sum(axis=-1) - 0.3
+        if family == "bernoulli-logit":
+            y = (rng.random(eta.shape) < 1.0 / (1.0 + np.exp(-eta))) * 1.0
+        elif family == "poisson-log":
+            y = rng.poisson(np.exp(eta)).astype(float)
+        else:
+            y = eta + rng.standard_normal(eta.shape)
+        design = stack_designs(arm, w, ("a", "b", "c"), ModelSpec(
+            family, covariates, heterogeneous))
+        # the counterfactual designs as designs of trials all on arm a
+        on_arm = [stack_designs(np.full(arm.shape, a), w, ("a", "b", "c"),
+                                design.spec).X for a in (1, 2)]
+        if batch:
+            fitted, errors = fit_batch(design, y)
+            assert not errors
+            # fit_batch flattens the batch; give the fit the design's shape
+            fitted = replace(fitted, beta=fitted.beta.reshape(batch + (-1,)),
+                             counterfactual_means=tuple(
+                                 m.reshape(batch + (n,))
+                                 for m in fitted.counterfactual_means))
+        else:
+            fitted = fit(design, y)
+        return design, fitted, on_arm
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)],
+                             ids=["single", "B3", "B2x3"])
+    @pytest.mark.parametrize("covariates, heterogeneous", [
+        ((), False), (("c",), False), (("c", "a"), False),
+        (("c",), True), (("c", "a", "b"), True)],
+        ids=["arm-only", "q1", "q2", "q1-per-arm", "q3-per-arm"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_equal_to_the_counterfactual_design_products(
+            self, family, covariates, heterogeneous, batch):
+        design, fitted, on_arm = self._case(family, covariates,
+                                            heterogeneous, batch)
+        fam, n = fitted.family, design.n
+        m_ref, m_bound, g_ref, g_bound = [], [], [], []
+        for a in (1, 2):
+            Xa = counterfactual_design(design, a)
+            np.testing.assert_array_equal(Xa, on_arm[a - 1])
+            m = fam.mean((Xa @ fitted.beta[..., None])[..., 0])
+            d = fam.deriv_mu(m)
+            m_ref.append(m)
+            # |m'| times the sum of |beta_j X_ij(a)|: eta's bound, carried
+            m_bound.append(d * (abs(Xa) @ abs(fitted.beta)[..., None])[..., 0])
+            g_ref.append(d[..., None, :] @ Xa / n)
+            g_bound.append(abs(d)[..., None, :] @ abs(Xa) / n)
+        G = _mean_gradient(fitted, design)
+        g_ref = np.concatenate(g_ref, axis=-2)
+        assert G.shape == batch + (2, design.p)
+        if covariates:
+            for got, want, bound in zip(fitted.counterfactual_means, m_ref,
+                                        m_bound):
+                assert (abs(got - want) <= 1e-14 * bound).all()
+            assert (abs(G - g_ref)
+                    <= 1e-14 * np.concatenate(g_bound, axis=-2)).all()
+        else:
+            for got, want in zip(fitted.counterfactual_means, m_ref):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(G, g_ref)
+
+    @pytest.mark.parametrize("heterogeneous", [False, True])
+    def test_covariate_rows_and_slots(self, heterogeneous):
+        """W is the covariates in model order; slot row a - 1 names the
+        columns that 1, W_1, ..., W_q fill under arm a, and a view of the
+        design's storage under a homogeneous model."""
+        w = np.array([[3.0, -1.0, 0.5], [5.0, 2.0, -0.0], [-4.0, 0.0, 7.0]])
+        design = stack_designs(np.array([1, 2, 2]), w, ("a", "b", "c"),
+                               ModelSpec("gaussian-identity", ("c", "a"),
+                                         heterogeneous))
+        W, slots = design.covariate_rows()
+        np.testing.assert_array_equal(W, w[:, [2, 0]].T)
+        assert W.flags.c_contiguous
+        assert np.shares_memory(W, design.X) != heterogeneous
+        np.testing.assert_array_equal(
+            slots, [[0, 2, 3], [1, 4, 5]] if heterogeneous
+            else [[0, 2, 3], [1, 2, 3]])
+        for a in (1, 2):
+            Xa = counterfactual_design(design, a)
+            np.testing.assert_array_equal(Xa[:, slots[a - 1]],
+                                          np.column_stack([np.ones(3), W.T]))
+            rest = np.setdiff1d(np.arange(design.p), slots[a - 1])
+            assert (Xa[:, rest] == 0.0).all()

@@ -242,9 +242,8 @@ class TestScoreResidualProperty:
 
 
 def _row(design: DesignMatrix, b: int) -> DesignMatrix:
-    return DesignMatrix(X=design.X[b], counterfactuals=tuple(
-        Xa[b] for Xa in design.counterfactuals),
-        column_labels=design.column_labels, spec=design.spec)
+    return DesignMatrix(X=design.X[b], column_labels=design.column_labels,
+                        spec=design.spec)
 
 
 def _mixed_stack(family: str, heterogeneous: bool = False):
@@ -428,9 +427,7 @@ class TestFitBatch:
         copies of the designs as on stack_designs' own storage, in every
         field and error, failed rows included."""
         d, y = _mixed_stack(family, heterogeneous)
-        copy = replace(d, X=np.ascontiguousarray(d.X),
-                       counterfactuals=tuple(np.ascontiguousarray(Xa)
-                                             for Xa in d.counterfactuals))
+        copy = replace(d, X=np.ascontiguousarray(d.X))
         assert copy.X.flags.c_contiguous and not d.X.flags.c_contiguous
         (f, errors), (g, copy_errors) = fit_batch(d, y), fit_batch(copy, y)
         assert {b: (type(e), str(e)) for b, e in errors.items()} == \

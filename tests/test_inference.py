@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
 from scipy.stats import chi2, norm
 
 import frozen_values as fv
@@ -564,10 +565,23 @@ class TestBatchKernels:
     """The batch-axis test kernels: the paper's dominance row by row, and
     the scalar tests as their batch-of-one rows."""
 
+    def test_chi_square_tail_matches_chdtrc(self):
+        """erfc(sqrt(x / 2)) is chi-square-1's upper tail: within 1e-13
+        relative of scipy's chdtrc on [0, 1e3], 1 at and below 0, 0 at
+        infinity, NaN for NaN."""
+        x = np.concatenate([np.linspace(0.0, 1e3, 100_001),
+                            np.geomspace(1e-300, 1e3, 20_001)])
+        np.testing.assert_allclose(inference._chi2_sf(x), chdtrc(1, x),
+                                   rtol=1e-13, atol=0)
+        edge = inference._chi2_sf(np.array([-np.inf, -1.0, -0.0, 0.0,
+                                            np.inf, np.nan]))
+        np.testing.assert_array_equal(edge, [1, 1, 1, 1, 0, np.nan])
+        assert inference._chi2_sf(np.float64(-3.0)) == 1.0
+
     def test_only_two_sided_p_values_take_the_chi_square_tail(
             self, monkeypatch):
-        """chdtrc costs ~3 us an element; a one-sided p-value comes from the
-        normal tail, so the kernels never form the two-sided one for it."""
+        """A one-sided p-value comes from the normal tail, so the kernels
+        never form the two-sided one for it."""
         mu = np.array([[0.30, 0.45], [0.20, 0.18]])
         sigma = np.tile(0.002 * np.eye(2), (2, 1, 1))
         calls = []

@@ -312,6 +312,19 @@ class TestRandomization:
                                     ref.bit_generator.state)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_block_rejects_non_finite_labels(self, bad):
+        """A NaN label equals no other label, so it would make each such
+        subject a one-subject stratum; non-finite labels are refused up
+        front, before any draw."""
+        strata = np.array([0, bad, 1, bad, 0, 1, bad, 0])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite"):
+            randomize_stratified_block(strata, 2, (0.5, 0.5), rng)
+        assert rng.bit_generator.state == state
+
+
 class TestGenerateTrial:
     """Dataset generation from a scenario."""
 
