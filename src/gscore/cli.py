@@ -8,8 +8,8 @@ report next to it.  ``calibrate`` solves for the per-arm intercepts
 hitting target marginal means.
 
 Exit codes: 0 success; 2 configuration, schema, or data problems;
-3 model-fitting failures; 4 an undefined confidence interval (the
-report is still written with every defined part).
+3 model-fitting failures; 4 from ``analyze`` when a confidence interval
+is undefined (the report is still written with every defined part).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import yaml
 
 from . import __version__
 from .dataset import ColumnSchema, ModelSpec, load_csv
-from .errors import FitError, GScoreError, IntervalUndefinedError, check_choices
+from .errors import FitError, GScoreError, check_choices
 from .gcomp import CORRECTIONS, ESTIMATORS
 from .inference import Hypothesis, analyze_trial
 from .simulation import (
@@ -262,8 +262,6 @@ def _parse_covariate_token(tok: str):
 
 def cmd_calibrate(args) -> int:
     covs = tuple(_parse_covariate_token(t) for t in args.covariates)
-    if len(args.beta_w) != len(covs):
-        raise ValueError("--beta-w and --covariates must have equal length")
     b1, b2 = calibrate_intercepts(args.targets, args.beta_w, covs,
                                   precision=args.precision)
     print(f"beta_A = ({b1:.6f}, {b2:.6f})")
@@ -334,8 +332,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GScoreError, ValueError, KeyError, TypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return (EXIT_INTERVAL if isinstance(err, IntervalUndefinedError)
-                else EXIT_FIT if isinstance(err, FitError) else EXIT_CONFIG)
+        return EXIT_FIT if isinstance(err, FitError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

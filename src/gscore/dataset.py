@@ -155,8 +155,11 @@ class DesignMatrix:
     with no copy; the fit and the variance kernels read it that way."""
 
     X: np.ndarray
-    column_labels: tuple[str, ...]
     spec: ModelSpec
+
+    @property
+    def column_labels(self) -> tuple[str, ...]:
+        return self.spec.column_labels
 
     @property
     def n(self) -> int:
@@ -521,7 +524,7 @@ def stack_designs(arm: np.ndarray, covariates: np.ndarray,
                     f"covariate {name!r} is constant; its per-arm columns "
                     "duplicate the arm indicators", stacklevel=3)
     X = _readonly(_columns(arm == 1, W, rows, spec.heterogeneous)).mT
-    return DesignMatrix(X=X, column_labels=spec.column_labels, spec=spec)
+    return DesignMatrix(X=X, spec=spec)
 
 
 def build_design(data: TrialDataset, spec: ModelSpec) -> DesignMatrix:

@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package, and check_choices.
 
 The CLI maps these onto exit codes: configuration/data problems (and a
-bad choice's ValueError) exit 2, model-fitting failures exit 3,
-undefined confidence intervals exit 4.
+bad choice's ValueError) exit 2, model-fitting failures exit 3.
+IntervalUndefinedError never reaches it: analyze_trial catches it, and
+``gscore analyze`` exits 4 when its report holds an undefined interval.
 """
 
 from __future__ import annotations

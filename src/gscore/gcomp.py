@@ -113,16 +113,11 @@ def _mean_gradient(fit: FittedGLM, design: DesignMatrix) -> np.ndarray:
     """G, whose row a averages m'(beta' X_i(a)) X_i(a), X_i(a) being (1, W_i)
     in arm a's slots and 0 elsewhere (summed as products, as with X(a))."""
     W, slots = design.covariate_rows()
-    d = fit.family.deriv_mu(np.stack(fit.counterfactual_means, axis=-2))
+    d = fit.family.deriv_mu(fit.counterfactual_means)
     G = np.zeros(d.shape[:-1] + (design.p,))
     G[..., [[0], [1]], slots] = np.concatenate(
         [d @ np.ones((design.n, 1)), d @ W.mT], axis=-1) / design.n
     return G
-
-
-def _centered(fit: FittedGLM) -> np.ndarray:
-    """The fit's (m1 - mean m1, m2 - mean m2) as 2 x n rows."""
-    return _demeaned(np.stack(fit.counterfactual_means, axis=-2))
 
 
 def _demeaned(u: np.ndarray) -> np.ndarray:
@@ -172,19 +167,29 @@ def _resolve_pi(design: DesignMatrix, pi):
 
 # The influence kernels give psi as (..., 2, n): row a holds psi_a(i).
 
-def _influence_score(fit: FittedGLM, design: DesignMatrix):
+def _score_parts(fit: FittedGLM, design: DesignMatrix):
+    """((u, v), errors): estimator I's influence psi = u + v in its two
+    parts, (..., 2, n) each, from one bread solve:
+    u_a(i) = gbar_a' B^{-1} X_i (Y_i - fitted_i), the coefficient noise;
+    v_a(i) = m(beta' X_i(a)) - mu_a, the covariate dispersion."""
     G = _mean_gradient(fit, design)
     solved, errors = _bread_solve(fit, G.mT)
     # row a of solved' X' is gbar_a' B^{-1} X_i
-    return (solved.mT @ design.X.mT * fit.residuals[..., None, :]
-            + _centered(fit), errors)
+    return (solved.mT @ design.X.mT * fit.residuals[..., None, :],
+            _demeaned(fit.counterfactual_means)), errors
+
+
+def _influence_score(fit: FittedGLM, design: DesignMatrix):
+    (u, v), errors = _score_parts(fit, design)
+    return u + v, errors
 
 
 def _influence_aipw(fit: FittedGLM, design: DesignMatrix, pi):
     pi, errors = _resolve_pi(design, pi)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (design.X[..., :2].mT / pi[..., None]
-                * fit.residuals[..., None, :] + _centered(fit), errors)
+                * fit.residuals[..., None, :]
+                + _demeaned(fit.counterfactual_means), errors)
 
 
 def _var_influence(psi: np.ndarray) -> np.ndarray:
@@ -196,20 +201,19 @@ def _var_influence(psi: np.ndarray) -> np.ndarray:
 
 def _var_ye(fit: FittedGLM, design: DesignMatrix, pi):
     pi, errors = _resolve_pi(design, pi)
-    n = design.n
-    m1, m2 = fit.counterfactual_means
+    n, cf = design.n, fit.counterfactual_means
     y = fit.fitted + fit.residuals
     r = y - fit.fitted
     in1, in2 = design.X[..., 0], design.X[..., 1]
     for b in np.flatnonzero((in1.sum(axis=-1) < 2) | (in2.sum(axis=-1) < 2)):
         errors.setdefault(int(b), DataError(
             "need at least 2 subjects per arm for conditional moments"))
-    full = _cov(np.stack([m1, m2], axis=-2))
+    full = _cov(cf)
     sigma = np.empty(full.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         # rows r, y, fitted, the other arm's predictions; within arm a
         arm = [_arm_cov(ind, np.stack([r, y, fit.fitted, other], axis=-2))
-               for ind, other in ((in1, m2), (in2, m1))]
+               for ind, other in ((in1, cf[..., 1, :]), (in2, cf[..., 0, :]))]
     for a in (0, 1):
         sigma[..., a, a] = (arm[a][..., 0, 0] / (n * pi[..., a])
                             + 2.0 / n * arm[a][..., 1, 2]
@@ -236,9 +240,7 @@ def _corrected(sigma: np.ndarray, n: int, p: int, kind: str) -> np.ndarray:
 
 def estimate_mu(fit: FittedGLM, design: DesignMatrix) -> MuEstimate:
     """Average the fit's predictions under both arm settings."""
-    return MuEstimate(mu=np.stack([m.mean(axis=-1) for m in
-                                   fit.counterfactual_means], axis=-1),
-                      n=design.n)
+    return MuEstimate(mu=fit.counterfactual_means.mean(axis=-1), n=design.n)
 
 
 def influence_score(fit: FittedGLM, design: DesignMatrix) -> InfluenceMatrix:
@@ -292,10 +294,14 @@ def variance_decomposition(fit: FittedGLM, design: DesignMatrix,
                            ddof: int = 1) -> VarianceDecomposition:
     """Split estimator I into coefficient, covariate, and cross pieces.
 
-    beta_term       G Sigma_beta G'   (delta-method part, Sigma_beta the
-                    coefficient sandwich B^{-1} M B^{-1}/n)
-    covariate_term  covariance of per-subject prediction pairs / n
-    cross_term      E[G psi_beta (m - mu)'] / n plus its transpose
+    Its influence psi = u + v, from one bread solve, has
+    u_a(i) = gbar_a' B^{-1} X_i (Y_i - fitted_i) and
+    v_a(i) = m(beta' X_i(a)) - mu_a; with k = n (n - ddof):
+
+    beta_term       u u' / k, the delta-method part G Sigma_beta G' n/(n-ddof)
+                    (Sigma_beta the coefficient sandwich B^{-1} M B^{-1}/n)
+    covariate_term  v v' / k, the covariance of prediction pairs / n
+    cross_term      (u v' + v u') / k
 
     ddof=1 (default) matches the sample-covariance convention of
     estimator I, so the pieces sum to it exactly; ddof=0 gives plain
@@ -304,21 +310,12 @@ def variance_decomposition(fit: FittedGLM, design: DesignMatrix,
     """
     if ddof not in (0, 1):
         raise ValueError(f"ddof must be 0 or 1, got {ddof!r}")
-    G = _mean_gradient(fit, design)
-    X = design.X
-    n = design.n
-    M = (X * fit.residuals[..., None] ** 2).mT @ X / n
-    BinvM = _only(*_bread_solve(fit, M))
-    sigma_beta = _only(*_bread_solve(fit, BinvM.mT)).T / n
-    psi_beta = _only(*_bread_solve(fit, (X * fit.residuals[..., None]).mT)).T
-    mt = _centered(fit).T
-    scale = n / (n - ddof)
-    beta_term = G @ sigma_beta @ G.T * scale
-    covariate_term = mt.T @ mt / n / n * scale
-    cross_half = G @ (psi_beta.T @ mt / n) / n * scale
-    return VarianceDecomposition(beta_term=beta_term,
-                                 covariate_term=covariate_term,
-                                 cross_term=cross_half + cross_half.T,
+    u, v = _only(*_score_parts(fit, design))
+    k = design.n * (design.n - ddof)
+    cross_half = u @ v.mT / k
+    return VarianceDecomposition(beta_term=u @ u.mT / k,
+                                 covariate_term=v @ v.mT / k,
+                                 cross_term=cross_half + cross_half.mT,
                                  ddof=ddof)
 
 

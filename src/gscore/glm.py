@@ -128,9 +128,9 @@ class FittedGLM:
 
     bread is (1/n) sum_i m'(beta' X_i) X_i X_i', the normalized negative
     score Jacobian; residuals are Y_i - fitted_i on the response scale;
-    counterfactual_means are m(beta' X_i(a)) for a = 1, 2, from X's
-    covariate rows.  A fit_batch result stacks B fits: each array gains a
-    batch axis; converged, iterations and score_norm hold one per fit.
+    counterfactual_means (2, n) holds m(beta' X_i(a)) in row a - 1, from
+    X's covariate rows.  A fit_batch result stacks B fits: each array
+    gains a batch axis; converged, iterations and score_norm one per fit.
     """
 
     beta: np.ndarray
@@ -142,7 +142,7 @@ class FittedGLM:
     score_norm: float
     family: Family
     column_labels: tuple[str, ...]
-    counterfactual_means: tuple[np.ndarray, np.ndarray]
+    counterfactual_means: np.ndarray
 
 
 def _solve_newton(X, w, score, labels):
@@ -163,25 +163,25 @@ def _solve_newton(X, w, score, labels):
     return delta
 
 
-def fit(design: DesignMatrix, y: np.ndarray,
-        family: str | Family | None = None) -> FittedGLM:
+def fit(design: DesignMatrix, y: np.ndarray) -> FittedGLM:
     """Fit the working model by IRLS; raises rather than returning junk.
 
     This is fit_batch on a stack of one, so it equals the fit's row in
     any stack bit for bit, or raises that row's typed error (outcomes,
     non-convergence, rank deficiency, separation).
     """
-    fam = resolve_family(family if family is not None
-                         else design.spec.family)
-    f, errors = _irls(design, y, fam)
+    if design.X.ndim != 2:
+        raise DataError(f"fit takes one (n, p) design, got shape "
+                        f"{design.X.shape}; fit_batch fits a stack")
+    f, errors = fit_batch(design, y)
     if errors:
         raise errors[0]
     return FittedGLM(
         beta=f.beta[0], bread=f.bread[0], fitted=f.fitted[0],
         residuals=f.residuals[0], converged=True,
         iterations=int(f.iterations[0]), score_norm=float(f.score_norm[0]),
-        family=fam, column_labels=f.column_labels,
-        counterfactual_means=tuple(m[0] for m in f.counterfactual_means))
+        family=f.family, column_labels=f.column_labels,
+        counterfactual_means=f.counterfactual_means[0])
 
 
 def _matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -207,18 +207,15 @@ def per_matrix(op, *stacks):
 
 def fit_batch(design: DesignMatrix, y: np.ndarray):
     """Fit B working models at once: ``design`` stacks (B, n, p) designs
-    and y is (B, n).  This is the one IRLS loop; every rule applies per
-    row, so a fit depends only on its own row.
+    and y is (B, n); one (n, p) design is a stack of one.  This is the
+    one IRLS loop; every rule applies per row, so a fit depends only on
+    its own row.
 
     Returns the stacked FittedGLM and {row: typed error} for the rows
     that failed; those rows hold zero coefficients, means and residuals,
     counterfactual means 1/2 and an identity bread, and are not converged.
     """
-    return _irls(design, y, resolve_family(design.spec.family))
-
-
-def _irls(design: DesignMatrix, y, fam: Family):
-    """fit_batch under ``fam``; a design without a batch axis is one row."""
+    fam = resolve_family(design.spec.family)
     X, labels = design.X, design.column_labels
     n, p = X.shape[-2:]
     y = np.asarray(y, dtype=float)
@@ -322,4 +319,4 @@ def _irls(design: DesignMatrix, y, fam: Family):
         beta=out_beta, bread=bread, fitted=out_mu, residuals=resid,
         converged=~np.isnan(score_norm), iterations=iterations,
         score_norm=score_norm, family=fam, column_labels=labels,
-        counterfactual_means=(cf[:, 0], cf[:, 1])), errors
+        counterfactual_means=cf), errors

@@ -110,7 +110,6 @@ class Scenario:
     scheme: str = "complete"
     block_size: int = 4
     stratify: StratificationRule | None = None
-    family: str = "bernoulli-logit"
 
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
@@ -150,8 +149,6 @@ class Scenario:
         if self.stratify is not None \
                 and self.stratify.covariate > len(self.covariates):
             raise ValueError("stratify rule names a covariate beyond the list")
-        if self.family != "bernoulli-logit":
-            raise ValueError("generated outcomes are bernoulli-logit only")
 
 
 @dataclass(frozen=True)
@@ -399,12 +396,19 @@ def true_marginal_means(s: Scenario) -> tuple[float, float]:
 
 def calibrate_intercepts(targets, beta_W, covariates,
                          precision: float = 1e-6) -> tuple[float, float]:
-    """Per-arm intercepts hitting the target marginal means.
+    """Per-arm intercepts hitting a pair of target marginal means, with
+    one beta_W slope per covariate, covariates read as Scenario reads them.
 
     The marginal mean is strictly increasing in the intercept, so plain
     bisection on [-40, 40] is exact to any requested precision.
     """
-    covariates = tuple(covariates)
+    targets, beta_W = tuple(targets), tuple(beta_W)
+    covariates = tuple(map(covariate_spec_from_config, covariates))
+    if len(targets) != 2:
+        raise ValueError("targets must be a pair of marginal means")
+    if len(beta_W) != len(covariates):
+        raise ValueError(f"beta_W has {len(beta_W)} slopes for "
+                         f"{len(covariates)} covariates")
     out = []
     for t in targets:
         t = float(t)
@@ -425,8 +429,6 @@ def calibrate_intercepts(targets, beta_W, covariates,
             raise ValueError(f"bisection failed to reach precision {precision} "
                              f"for target {t}")
         out.append(mid)
-    if len(out) != 2:
-        raise ValueError("targets must be a pair of marginal means")
     return out[0], out[1]
 
 

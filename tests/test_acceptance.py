@@ -9,7 +9,8 @@ estimators, one-sided type I error control, calibration reproduction
 through the CLI, arm-only collapse, GLM score/bread correctness,
 reproduction of an external clinical-trial analysis (skipped unless the
 data extract is supplied), the covariate-adjustment power trend, and
-the score-vs-Wald nesting under stratified permuted blocks.
+the score-vs-Wald nesting and type I bound under stratified permuted
+blocks.
 """
 
 from __future__ import annotations
@@ -430,3 +431,38 @@ def test_criterion_10_stratified_blocks_score_within_wald():
                   f"wald {reject[:, wald].mean():.4f}, "
                   f"score {reject[:, score].mean():.4f}")
         assert time.perf_counter() - start < 60.0
+
+
+def test_criterion_11_stratified_blocks_type_i_error():
+    """Criterion 10's design and twelve methods at criterion 4's n = 326,
+    10,000 replications: under stratified permuted blocks the score
+    test's type I error stays below criterion 4's bound of 0.026 plus 2
+    Monte Carlo standard errors, and below its Wald test's, for
+    estimators I, II and III, with and without S in the model.  Of
+    three seeds probed (rates 0.0276-0.0285, 0.0262-0.0273 and
+    0.0247-0.0254), the pinned one is the closest to the bound."""
+    with criterion(11, "stratified blocks: score type I error <= 0.026 + "
+                       "2 MC SE and <= Wald, 10,000 reps"):
+        start = time.perf_counter()
+        s = Scenario(n=326, covariates=THREE_NORMALS, beta_W=BETA_W3,
+                     beta_A=(-0.9355, -0.9355), scheme="stratified-block",
+                     block_size=4, stratify=StratificationRule(
+                         covariate=3, threshold=0.25))
+        models = {"W": ADJUSTED3, "W+S": ModelSpec(
+            family="bernoulli-logit", covariates=("W1", "W2", "W3", "S"))}
+        methods = tuple(
+            MethodSpec(name=f"{est}-{label}-{test}", test=test, model=model,
+                       estimator=est)
+            for est in ("I", "II", "III") for label, model in models.items()
+            for test in ("wald", "score"))
+        res = run_oc(s, methods, reps=10000, seed=20261019, workers=2)
+        bound = 0.026 + 2 * np.sqrt(0.025 * 0.975 / 10000)
+        print()
+        for wald, score in zip(res.methods[::2], res.methods[1::2]):
+            assert wald.n_failed == 0 and score.n_failed == 0, wald.name
+            print(f"  {wald.name.rsplit('-', 1)[0]:>7}: type I error "
+                  f"wald {wald.rejection_rate:.4f}, "
+                  f"score {score.rejection_rate:.4f}, bound {bound:.4f}")
+            assert score.rejection_rate <= bound, score.name
+            assert score.rejection_rate <= wald.rejection_rate, score.name
+        assert time.perf_counter() - start < 120.0

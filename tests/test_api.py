@@ -1,5 +1,6 @@
 """The public API, pinned: a change to it must be made here on purpose."""
 
+import inspect
 from dataclasses import fields
 
 import gscore
@@ -38,7 +39,12 @@ def test_package_exports():
 def test_design_matrix_stores_the_observed_design_only():
     """No counterfactual copies: counterfactual_design builds one when
     asked, and DesignMatrix.covariate_rows gives what the means and the
-    gradient need."""
-    assert [f.name for f in fields(DesignMatrix)] == [
-        "X", "column_labels", "spec"]
+    gradient need.  The column labels are read from the spec."""
+    assert [f.name for f in fields(DesignMatrix)] == ["X", "spec"]
     assert callable(DesignMatrix.covariate_rows)
+    assert isinstance(DesignMatrix.column_labels, property)
+
+
+def test_fit_takes_a_design_and_outcomes_only():
+    """The family comes from the design's spec; fit has no override."""
+    assert list(inspect.signature(gscore.fit).parameters) == ["design", "y"]

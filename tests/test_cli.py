@@ -438,6 +438,17 @@ class TestSimulate:
                      "--out", str(tmp_path / "oc.csv")]) == 2
         capsys.readouterr()
 
+    def test_scenario_family_key_exits_2(self, tmp_path, capsys):
+        """Generated outcomes are bernoulli-logit only; a scenario has no
+        family key."""
+        scen = write_yaml(tmp_path / "scen.yaml",
+                          {**scenario_doc(), "family": "bernoulli-logit"})
+        meth = write_yaml(tmp_path / "meth.yaml", methods_doc())
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "5", "--seed", "1",
+                     "--out", str(tmp_path / "oc.csv")]) == 2
+        assert "unknown scenario keys: ['family']" in capsys.readouterr().err
+
 
 class TestCalibrate:
     """The calibrate subcommand."""

@@ -40,9 +40,10 @@ from gscore import (
     var_ye,
     variance_decomposition,
 )
+from gscore import gcomp, glm
 from gscore.dataset import stack_designs
 from gscore.gcomp import _mean_gradient, estimate_variance_batch
-from gscore.glm import fit_batch
+from gscore.glm import fit_batch, per_matrix
 
 FAMILIES = ("bernoulli-logit", "poisson-log", "gaussian-identity")
 
@@ -76,7 +77,7 @@ class TestEstimateMu:
         np.testing.assert_allclose(mu.mu2, y[arm == 2].mean(), atol=1e-12)
 
     def test_fit_predicts_counterfactuals_once(self, fixture_data,
-                                               fixture_design):
+                                               fixture_design, monkeypatch):
         """The fit predicts m(beta' X_i(a)) for both arms; the arm means,
         the three variances and the decomposition read those
         predictions instead of calling the family's mean again."""
@@ -86,8 +87,9 @@ class TestEstimateMu:
             calls.append(eta.shape)
             return BERNOULLI_LOGIT.mean(eta)
 
-        family = replace(BERNOULLI_LOGIT, mean=counting_expit)
-        f = fit(fixture_design, fixture_data.outcome, family)
+        monkeypatch.setitem(glm._FAMILIES, BERNOULLI_LOGIT.name,
+                            replace(BERNOULLI_LOGIT, mean=counting_expit))
+        f = fit(fixture_design, fixture_data.outcome)
         assert calls
         calls.clear()
         estimate_mu(f, fixture_design)
@@ -95,6 +97,14 @@ class TestEstimateMu:
             estimate_variance(f, fixture_design, estimator)
         variance_decomposition(f, fixture_design)
         assert calls == []
+
+    def test_mu_averages_the_counterfactual_array(self, fixture_fit,
+                                                  fixture_design):
+        """mu is the row means of the fit's one (2, n) prediction array,
+        bit for bit."""
+        np.testing.assert_array_equal(
+            estimate_mu(fixture_fit, fixture_design).mu,
+            fixture_fit.counterfactual_means.mean(-1))
 
 
 class TestInfluence:
@@ -328,6 +338,21 @@ class TestVarianceDecomposition:
             assert np.all(np.linalg.eigvalsh(term) > -1e-12)
         assert dec.ddof == 1
 
+    def test_one_bread_solve(self, fixture_fit, fixture_design, monkeypatch):
+        """The decomposition reads estimator I's two influence parts, so
+        it solves against the bread once, as estimator I does."""
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return per_matrix(*args)
+
+        monkeypatch.setattr(gcomp, "per_matrix", counted)
+        for ddof in (0, 1):
+            variance_decomposition(fixture_fit, fixture_design, ddof=ddof)
+            assert len(calls) == 1
+            calls.clear()
+
     def test_bad_ddof_rejected(self, fixture_fit, fixture_design):
         with pytest.raises(ValueError):
             variance_decomposition(fixture_fit, fixture_design, ddof=2)
@@ -458,8 +483,7 @@ def _row_of(fitted, design, b):
                     converged=bool(fitted.converged[b]),
                     iterations=int(fitted.iterations[b]),
                     score_norm=float(fitted.score_norm[b]),
-                    counterfactual_means=tuple(
-                        m[b] for m in fitted.counterfactual_means)),
+                    counterfactual_means=fitted.counterfactual_means[b]),
             replace(design, X=design.X[b]))
 
 
@@ -533,9 +557,8 @@ class TestCounterfactualsFromCovariateRows:
             assert not errors
             # fit_batch flattens the batch; give the fit the design's shape
             fitted = replace(fitted, beta=fitted.beta.reshape(batch + (-1,)),
-                             counterfactual_means=tuple(
-                                 m.reshape(batch + (n,))
-                                 for m in fitted.counterfactual_means))
+                             counterfactual_means=fitted.counterfactual_means
+                             .reshape(batch + (2, n)))
         else:
             fitted = fit(design, y)
         return design, fitted, on_arm
@@ -567,14 +590,15 @@ class TestCounterfactualsFromCovariateRows:
         g_ref = np.concatenate(g_ref, axis=-2)
         assert G.shape == batch + (2, design.p)
         if covariates:
-            for got, want, bound in zip(fitted.counterfactual_means, m_ref,
-                                        m_bound):
+            for a, (want, bound) in enumerate(zip(m_ref, m_bound)):
+                got = fitted.counterfactual_means[..., a, :]
                 assert (abs(got - want) <= 1e-14 * bound).all()
             assert (abs(G - g_ref)
                     <= 1e-14 * np.concatenate(g_bound, axis=-2)).all()
         else:
-            for got, want in zip(fitted.counterfactual_means, m_ref):
-                np.testing.assert_array_equal(got, want)
+            for a, want in enumerate(m_ref):
+                np.testing.assert_array_equal(
+                    fitted.counterfactual_means[..., a, :], want)
             np.testing.assert_array_equal(G, g_ref)
 
     @pytest.mark.parametrize("heterogeneous", [False, True])

@@ -16,6 +16,7 @@ from gscore.dataset import (
     ModelSpec,
     TrialDataset,
     build_design,
+    counterfactual_design,
     stack_designs,
 )
 from gscore import glm
@@ -220,11 +221,19 @@ class TestFailures:
     def test_wrong_outcome_domain(self, fixture_design):
         y = np.full(20, 0.5)
         with pytest.raises(DataError):
-            fit(fixture_design, y, "bernoulli-logit")
+            fit(fixture_design, y)
 
     def test_shape_mismatch(self, fixture_design):
         with pytest.raises(DataError):
             fit(fixture_design, np.zeros(7))
+
+    def test_stacked_design_refused(self):
+        """fit takes one design: a stack is a DataError, neither a silent
+        fit of its first row nor a KeyError when a later row fails."""
+        d, y = _mixed_stack("bernoulli-logit")
+        for rows in (slice(0, 2), slice(0, 9)):
+            with pytest.raises(DataError, match="fit_batch"):
+                fit(replace(d, X=d.X[rows]), y[rows])
 
 
 class TestScoreResidualProperty:
@@ -242,8 +251,7 @@ class TestScoreResidualProperty:
 
 
 def _row(design: DesignMatrix, b: int) -> DesignMatrix:
-    return DesignMatrix(X=design.X[b], column_labels=design.column_labels,
-                        spec=design.spec)
+    return DesignMatrix(X=design.X[b], spec=design.spec)
 
 
 def _mixed_stack(family: str, heterogeneous: bool = False):
@@ -281,9 +289,8 @@ def _assert_same_fit(f, g):
                  "iterations", "score_norm"):
         np.testing.assert_array_equal(getattr(f, name), getattr(g, name),
                                       err_msg=name)
-    for a in (0, 1):
-        np.testing.assert_array_equal(f.counterfactual_means[a],
-                                      g.counterfactual_means[a])
+    np.testing.assert_array_equal(f.counterfactual_means,
+                                  g.counterfactual_means)
     assert (f.family, f.column_labels) == (g.family, g.column_labels)
 
 
@@ -316,7 +323,7 @@ MIXED_ERRORS = {
 }
 
 
-def _loglik_calls(design, y, family):
+def _loglik_calls(monkeypatch, design, y, family):
     """Halvings in fit of one design, from its family's log-likelihood
     counted: one call at the start and per step, plus one per halving."""
     calls = []
@@ -326,7 +333,9 @@ def _loglik_calls(design, y, family):
         calls.append(1)
         return base.loglik(y, eta)
 
-    f = fit(design, y, replace(base, loglik=counted))
+    with monkeypatch.context() as m:
+        m.setitem(glm._FAMILIES, family, replace(base, loglik=counted))
+        f = fit(design, y)
     return len(calls) - 1 - f.iterations
 
 
@@ -352,23 +361,22 @@ class TestFitBatch:
             for got, want in ((fb.beta[b], f.beta), (fb.bread[b], f.bread),
                               (fb.fitted[b], f.fitted),
                               (fb.residuals[b], f.residuals),
-                              (fb.counterfactual_means[0][b],
-                               f.counterfactual_means[0]),
-                              (fb.counterfactual_means[1][b],
-                               f.counterfactual_means[1])):
+                              (fb.counterfactual_means[b],
+                               f.counterfactual_means)):
                 np.testing.assert_array_equal(got, want)
             assert fb.iterations[b] == f.iterations, b
             assert fb.score_norm[b] == f.score_norm, b
 
-    def test_stacks_cover_halved_steps(self):
+    def test_stacks_cover_halved_steps(self, monkeypatch):
         """The row identity above covers step halving: these rows take
         halved steps, the clean ones full steps."""
+        mp = monkeypatch
         d, y = _mixed_stack("poisson-log")
-        assert _loglik_calls(_row(d, 0), y[0], "poisson-log") == 0
-        assert _loglik_calls(_row(d, 4), y[4], "poisson-log") > 0
+        assert _loglik_calls(mp, _row(d, 0), y[0], "poisson-log") == 0
+        assert _loglik_calls(mp, _row(d, 4), y[4], "poisson-log") > 0
         d, y = _heavy_logit_stack()
-        assert _loglik_calls(_row(d, 0), y[0], "bernoulli-logit") == 0
-        assert _loglik_calls(_row(d, 2), y[2], "bernoulli-logit") > 0
+        assert _loglik_calls(mp, _row(d, 0), y[0], "bernoulli-logit") == 0
+        assert _loglik_calls(mp, _row(d, 2), y[2], "bernoulli-logit") > 0
 
     def test_ill_conditioned_rows_take_qr_steps(self, monkeypatch):
         """The 1e5-scaled covariate's row steps by pivoted QR and clean
@@ -435,6 +443,21 @@ class TestFitBatch:
         _assert_same_fit(f, g)
         _assert_same_fit(fit(_row(d, 0), y[0]), fit(_row(copy, 0), y[0]))
 
+    def test_counterfactual_means_are_one_array(self):
+        """Both arms' predictions live in one (..., 2, n) array: row a - 1
+        holds m(beta' X_i(a)), for a single fit and for a stack."""
+        d, y = _mixed_stack("gaussian-identity")
+        fb, _ = fit_batch(d, y)
+        f = fit(_row(d, 0), y[0])
+        assert fb.counterfactual_means.shape == (9, 2, 40)
+        assert f.counterfactual_means.shape == (2, 40)
+        # equal to rounding, as TestCounterfactualsFromCovariateRows pins
+        for a in (1, 2):
+            np.testing.assert_allclose(
+                f.counterfactual_means[a - 1],
+                counterfactual_design(_row(d, 0), a) @ f.beta,
+                rtol=0, atol=1e-14)
+
     def test_failed_rows_carry_typed_errors(self):
         """Failed rows hold placeholders and are not converged; the
         rank-deficient row names its dependent column."""
@@ -446,4 +469,4 @@ class TestFitBatch:
             np.testing.assert_array_equal(fb.bread[b], np.eye(4))
             np.testing.assert_array_equal(fb.beta[b], np.zeros(4))
             np.testing.assert_array_equal(fb.residuals[b], np.zeros(40))
-            assert fb.counterfactual_means[0][b].tolist() == [0.5] * 40
+            assert fb.counterfactual_means[b, 0].tolist() == [0.5] * 40

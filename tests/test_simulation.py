@@ -149,8 +149,13 @@ class TestScenarioValidation:
                                                   threshold=0.25))
 
     def test_only_bernoulli_logit_outcomes(self):
-        with pytest.raises(ValueError):
-            scenario1(family="gaussian-identity")
+        """Generated outcomes are bernoulli-logit, so a scenario has no
+        family to choose: the key is unknown, whatever its value."""
+        for family in ("bernoulli-logit", "gaussian-identity"):
+            with pytest.raises(ValueError, match="unknown scenario keys: "
+                                                 r"\['family'\]"):
+                scenario_from_config({"n": 40, "beta_A": [-0.5, 0.5],
+                                      "family": family})
 
     def test_covariate_spec_validation(self):
         with pytest.raises(ValueError):
@@ -496,6 +501,37 @@ class TestCalibrateIntercepts:
         with pytest.raises(ValueError):
             calibrate_intercepts((0.3,), BETA_W3, THREE_NORMALS)
 
+    def test_checks_the_pair_before_bisecting(self, monkeypatch):
+        """Three targets are refused before any marginal mean is
+        computed, not after two bisections."""
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _marginal_mean(*args)
+
+        monkeypatch.setattr(simulation, "_marginal_mean", counted)
+        with pytest.raises(ValueError, match="pair"):
+            calibrate_intercepts((0.2, 0.3, 0.4), (0.4,),
+                                 (CovariateSpec("standard-normal"),))
+        assert calls == []
+
+    def test_one_slope_per_covariate(self):
+        """An extra slope is an error, not silently dropped."""
+        with pytest.raises(ValueError, match="2 slopes for 1 covariates"):
+            calibrate_intercepts((0.2, 0.3), (0.4, 0.2),
+                                 (CovariateSpec("standard-normal"),))
+
+    def test_reads_covariates_as_scenario_does(self):
+        """Covariates in any form Scenario accepts give the same
+        intercepts as the CovariateSpecs they stand for."""
+        want = calibrate_intercepts(
+            (0.2, 0.3), (0.4, 0.7),
+            (CovariateSpec("standard-normal"), CovariateSpec("bernoulli", 0.3)))
+        assert calibrate_intercepts((0.2, 0.3), [0.4, 0.7],
+                                    ["standard-normal", {"bernoulli": 0.3}]) \
+            == want
+
 
 ADJUSTED = ModelSpec(family="bernoulli-logit",
                      covariates=("W1", "W2", "W3"))
@@ -811,8 +847,7 @@ class TestConfigParsers:
         minimal = {"n": 40, "beta_A": [-0.5, 0.5]}
         spelled = {**minimal, "covariates": [], "beta_W": [],
                    "allocation": [0.5, 0.5], "scheme": "complete",
-                   "block_size": 4, "stratify": None,
-                   "family": "bernoulli-logit"}
+                   "block_size": 4, "stratify": None}
         assert scenario_from_config(minimal) == scenario_from_config(spelled)
         assert scenario_from_config(minimal) == Scenario(n=40,
                                                          beta_A=(-0.5, 0.5))
