@@ -11,7 +11,11 @@ proxy.
 Reproducibility: replication r uses the substream spawned as
 SeedSequence(seed, spawn_key=(r,)) feeding a counter-based Philox
 generator, so its data never depend on which replications are drawn
-beside it.  ``run_oc`` analyzes BATCH replications at a time: per
+beside it.  A run derives the Philox keys of a chunk of replications at
+once (NumPy's SeedSequence hash, written out over the spawn-key word)
+and re-keys one generator per replication; a batch's draws are written
+in place into C-contiguous (B, k, n) covariate rows, the stratum last.
+``run_oc`` analyzes BATCH replications at a time: per
 batch, one IRLS fit runs per model spec on the stacked designs
 (``glm.fit_batch``, the loop ``glm.fit`` runs on one dataset), one
 variance per (spec, estimator, correction, pi), and one test kernel per
@@ -25,6 +29,7 @@ scheduling.
 from __future__ import annotations
 
 import itertools
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
@@ -48,6 +53,14 @@ _GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(2.0 * np.pi)
 
 _MAX_BERNOULLI_ENUM = 16
 _ARMS = np.array([1, 2])
+
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx):
+# the entropy chain's first multiplier and its step, the output chain's,
+# and the pool mix's two multipliers.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 # Replications per kernel call in run_oc, and per process task.  Neither
 # changes any result.
@@ -242,12 +255,20 @@ class OCResult:
 # ------------------------------------------------------------------ #
 
 
+def _complete_arms(n: int, allocation) -> np.ndarray:
+    """The arms complete randomization permutes: floor(n * share_1) 1s,
+    then 2s for the rest."""
+    n1 = int(np.floor(n * float(allocation[0])))
+    return np.repeat(_ARMS, (n1, n - n1))
+
+
 def randomize_complete(n: int, allocation, rng: np.random.Generator) -> np.ndarray:
     """Exact-split assignment: floor(n * share_1) subjects to arm 1,
     the rest (including any rounding remainder) to arm 2, positions
     uniformly permuted."""
-    n1 = int(np.floor(n * float(allocation[0])))
-    return rng.permutation(np.repeat(_ARMS, (n1, n - n1)))
+    arm = _complete_arms(n, allocation)
+    rng.shuffle(arm)
+    return arm
 
 
 def _block_arm1_count(block_size: int, allocation) -> int:
@@ -260,6 +281,46 @@ def _block_arm1_count(block_size: int, allocation) -> int:
             f"block size {block_size} is incompatible with allocation "
             f"{tuple(allocation)}: blocks need an integral arm-1 count")
     return b1
+
+
+def _block_slots(B: int, blocks: int, block_size: int,
+                 allocation) -> np.ndarray:
+    """(B, blocks, block_size) unpermuted blocks, arm-1 slots first."""
+    b1 = _block_arm1_count(block_size, allocation)
+    return np.tile(np.repeat(_ARMS, (b1, block_size - b1)), (B, blocks, 1))
+
+
+def _permute_blocks(rng: np.random.Generator, slots: np.ndarray,
+                    sizes) -> None:
+    """Permute in place the leading blocks of one trial's ``slots``
+    (blocks, block_size) that strata of ``sizes`` subjects fill, each
+    stratum from a new block.  One rng.permuted call draws as one
+    rng.permutation per block would, in block order."""
+    used = slots[:sum(-(-m // slots.shape[-1]) for m in sizes)]
+    rng.permuted(used, axis=1, out=used)
+
+
+def _assign_blocks(strata: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Arms (B, n) of strata labels (B, n) from each trial's permuted
+    blocks (B, blocks, block_size): strata in sorted label order, each
+    from a new block, a stratum's subjects in index order taking its
+    slots in turn."""
+    B, n = strata.shape
+    order = np.argsort(strata, axis=-1, kind="stable")  # stratum by stratum
+    ordered = np.take_along_axis(strata, order, axis=-1)
+    pos = np.arange(n)
+    start = np.ones((B, n), dtype=bool)
+    start[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.maximum.accumulate(np.where(start, pos, 0), axis=-1)
+    # a stratum's first slot follows the unused tail of the stratum before
+    skip = np.zeros((B, n), dtype=np.intp)
+    skip[:, 1:] = np.where(start[:, 1:],
+                           (first[:, :-1] - pos[1:]) % slots.shape[-1], 0)
+    arms = np.empty((B, n), dtype=int)
+    np.put_along_axis(arms, order, np.take_along_axis(
+        slots.reshape(B, -1), pos + np.cumsum(skip, axis=-1), axis=-1),
+        axis=-1)
+    return arms
 
 
 def randomize_stratified_block(strata, block_size: int, allocation,
@@ -275,19 +336,11 @@ def randomize_stratified_block(strata, block_size: int, allocation,
     strata = np.asarray(strata)
     if strata.dtype.kind in "fc" and not np.isfinite(strata).all():
         raise ValueError("stratum labels must be finite")
-    b1 = _block_arm1_count(block_size, allocation)
-    order = np.argsort(strata, kind="stable")  # stratum by stratum
-    ordered = strata[order]
-    bounds = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist(),
-              strata.size]
-    blocks = [-(-(hi - lo) // block_size) for lo, hi in zip(bounds, bounds[1:])]
-    slots = np.repeat([[1] * b1 + [2] * (block_size - b1)], sum(blocks), axis=0)
-    rng.permuted(slots, axis=1, out=slots)
-    arms = np.empty(strata.size, dtype=int)
-    for lo, hi, first in zip(bounds, bounds[1:],
-                             itertools.accumulate([0, *blocks])):
-        arms[order[lo:hi]] = slots[first:].ravel()[:hi - lo]
-    return arms
+    sizes = np.unique(strata, return_counts=True)[1]
+    slots = _block_slots(1, strata.size // block_size + sizes.size,
+                         block_size, allocation)
+    _permute_blocks(rng, slots[0], sizes)
+    return _assign_blocks(strata[None], slots)[0]
 
 
 # ------------------------------------------------------------------ #
@@ -300,9 +353,10 @@ class _Trials(NamedTuple):
 
     outcome: np.ndarray  # (B, n), 0/1
     arm: np.ndarray  # (B, n), labels 1 and 2
-    covariates: np.ndarray  # (B, n, q)
+    # (B, n, k): the transpose (a view) of C-contiguous covariate rows
+    # (B, k, n), W1..Wq then the 0/1 stratum S if stratified
+    covariates: np.ndarray
     covariate_names: tuple[str, ...]
-    stratum: np.ndarray | None  # (B, n)
 
 
 def _covariate_names(s: Scenario) -> tuple[str, ...]:
@@ -311,50 +365,57 @@ def _covariate_names(s: Scenario) -> tuple[str, ...]:
     return names if s.stratify is None else names + ("S",)
 
 
-def _draw(s: Scenario, rngs) -> _Trials:
-    """One trial per generator in ``rngs``, each drawing its covariates,
-    then its randomization, then one uniform per subject for the outcome.
+def _draw(s: Scenario, rngs, B: int) -> _Trials:
+    """B trials, trial b drawn by the b-th generator taken from ``rngs``:
+    its covariates, then its randomization, then one uniform per subject
+    for the outcome, each written in place.  A generator is used up
+    before the next is taken, so one re-keyed per trial may be passed.
     Scenario validation ensures that no randomization empties an arm."""
-    B, n, q = len(rngs), s.n, len(s.covariates)
-    W = np.empty((B, n, q))
-    arm = np.empty((B, n), dtype=int)
+    n, q, names = s.n, len(s.covariates), _covariate_names(s)
+    rows = np.empty((B, len(names), n))
     u = np.empty((B, n))
-    stratum = None if s.stratify is None else np.empty((B, n), dtype=int)
     runs = [(spec, len(list(g))) for spec, g in itertools.groupby(s.covariates)]
-    for b, rng in enumerate(rngs):
+    if s.scheme == "complete":
+        arm = np.tile(_complete_arms(n, s.allocation), (B, 1))
+    else:
+        # two strata of sizes m, n - m fill at most n // block_size + 2
+        slots = _block_slots(B, n // s.block_size + 2, s.block_size,
+                             s.allocation)
+    for b, rng in zip(range(B), rngs):
         j = 0
         for spec, k in runs:  # one (k, n) draw: the stream of k draws of n
-            W[b, :, j:j + k] = (rng.standard_normal((k, n))
-                                if spec.kind == "standard-normal"
-                                else rng.random((k, n)) < spec.p).T
+            x = rows[b, j:j + k]
+            if spec.kind == "standard-normal":
+                rng.standard_normal(out=x)
+            else:
+                np.less(rng.random(out=x), spec.p, out=x)
             j += k
-        if stratum is not None:
-            stratum[b] = W[b, :, s.stratify.covariate - 1] \
-                > s.stratify.threshold
-        arm[b] = (randomize_complete(n, s.allocation, rng)
-                  if s.scheme == "complete" else randomize_stratified_block(
-                      stratum[b], s.block_size, s.allocation, rng))
-        u[b] = rng.random(n)
+        if s.scheme == "complete":
+            rng.shuffle(arm[b])
+        else:
+            m = np.count_nonzero(np.greater(
+                rows[b, s.stratify.covariate - 1], s.stratify.threshold,
+                out=rows[b, q]))
+            _permute_blocks(rng, slots[b], (n - m, m))
+        rng.random(out=u[b])
+    if s.scheme != "complete":
+        arm = _assign_blocks(rows[:, q], slots)
 
-    eta = np.asarray(s.beta_A)[arm - 1] + (W @ np.asarray(s.beta_W)
-                                           if q else 0.0)
-    covariates = W
-    if stratum is not None:
-        covariates = np.concatenate([W, stratum[..., None].astype(float)],
-                                    axis=-1)
+    eta = np.asarray(s.beta_A)[arm - 1] + (rows[:, :q].mT @ np.asarray(
+        s.beta_W) if q else 0.0)
     return _Trials(outcome=(u < expit(eta)).astype(float), arm=arm,
-                   covariates=covariates, covariate_names=_covariate_names(s),
-                   stratum=stratum)
+                   covariates=rows.mT, covariate_names=names)
 
 
 def generate_trial(s: Scenario, rng: np.random.Generator) -> TrialDataset:
     """One simulated trial; the stratum (if any) is exposed both as the
     dataset's stratum labels and as a 0/1 covariate column named "S"."""
-    t = _draw(s, [rng])
+    t = _draw(s, [rng], 1)
     return TrialDataset(outcome=t.outcome[0], arm=t.arm[0],
                         covariates=t.covariates[0],
                         covariate_names=t.covariate_names,
-                        stratum=None if t.stratum is None else t.stratum[0])
+                        stratum=None if s.stratify is None
+                        else t.covariates[0, :, -1].astype(int))
 
 
 def _marginal_mean(intercept: float, beta_W, specs) -> float:
@@ -438,8 +499,72 @@ def calibrate_intercepts(targets, beta_W, covariates,
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
+    """Replication ``rep``'s generator: the substream
+    SeedSequence(seed, spawn_key=(rep,)) feeding a Philox.  run_oc makes
+    the same generators through _rep_rngs."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _hash_steps(init: int, mult: int):
+    """(xor, multiplier) of each successive hash in one SeedSequence hash
+    chain: constants k, k * mult, k * mult**2, ... (mod 2**32), pairwise."""
+    return itertools.pairwise(itertools.accumulate(
+        itertools.repeat(mult), lambda k, m: k * m & _MASK32, initial=init))
+
+
+def _hash(value, xor, mul):
+    """SeedSequence's hash of 32-bit words, as Python ints or uint32
+    arrays (which wrap, so the mask is a no-op on them)."""
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _rep_keys(seed: int, reps) -> np.ndarray:
+    """(len(reps), 2) uint64 Philox keys, row i equal to
+    SeedSequence(seed, spawn_key=(reps[i],)).generate_state(2, np.uint64).
+
+    NumPy's SeedSequence hash, written out: the seed's 32-bit words,
+    zero-padded to the 4-word pool, are mixed once in Python ints; only
+    the spawn-key word differs between replications, so its mix and the
+    output hash run on (B, 4) uint32 arrays.  Needs seed >= 0 and each
+    rep in [0, 2**32), one spawn-key word, as run_oc checks.
+    """
+    words = [seed >> i & _MASK32
+             for i in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hash(w, *next(steps)) for w in words[:4]]
+    for i, j in itertools.permutations(range(4), 2):
+        pool[j] = _mix(pool[j], _hash(pool[i], *next(steps)))
+    for w in words[4:]:
+        pool = [_mix(p, _hash(w, *next(steps))) for p in pool]
+    xor, mul = np.array(list(itertools.islice(steps, 4)), dtype=np.uint32).T
+    spawn = np.asarray(reps, dtype=np.uint32)[:, None]
+    pool = _mix(np.array(pool, dtype=np.uint32), _hash(spawn, xor, mul))
+    xor, mul = np.array(list(itertools.islice(
+        _hash_steps(_INIT_B, _MULT_B), 4)), dtype=np.uint32).T
+    state = _hash(pool, xor, mul).astype(np.uint64)  # 4 words, low first
+    return state[:, ::2] | state[:, 1::2] << 32
+
+
+def _rep_rngs(seed: int, reps):
+    """_rep_rng(seed, r) for each r of ``reps`` in turn, as one Philox
+    generator re-keyed at each yield, so done with before the next."""
+    bits = np.random.Philox(0)
+    # a fresh state: zero counter, empty buffer, no spare 32-bit half
+    state = bits.state
+    rng = np.random.Generator(bits)
+    for key in _rep_keys(seed, reps):
+        state["state"]["key"] = key
+        bits.state = state
+        yield rng
 
 
 class _Plan(NamedTuple):
@@ -531,9 +656,10 @@ def _analyze_batch(trials: _Trials, plan: _Plan):
 
 
 def _run_chunk(s: Scenario, plan, seed: int, reps: range):
-    """Records of replications ``reps``, BATCH at a time, stacked."""
-    parts = [_analyze_batch(_draw(s, [_rep_rng(seed, r)
-                                      for r in reps[i:i + BATCH]]), plan)
+    """Records of replications ``reps``, BATCH at a time, stacked; one
+    generator, re-keyed per replication, draws them all."""
+    rngs = _rep_rngs(seed, reps)
+    parts = [_analyze_batch(_draw(s, rngs, len(reps[i:i + BATCH])), plan)
              for i in range(0, len(reps), BATCH)]
     return tuple(np.concatenate(a) for a in zip(*parts))
 
@@ -548,9 +674,18 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
     reported in the denominator.  ``workers`` is the process count: 1
     runs serially, more runs chunks of replications in up to workers - 1
     helper processes and this one.  Results are identical for any value.
+    ``seed`` is a non-negative integer and ``reps`` below 2**32, so each
+    replication's substream key is one spawn-key word.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if not 1 <= reps < 2**32:
+        raise ValueError(f"reps must be at least 1 and below 2**32, "
+                         f"got {reps}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     methods = tuple(methods)

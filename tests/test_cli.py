@@ -360,6 +360,15 @@ class TestSimulate:
                      "--out", str(tmp_path / "oc.csv")]) == 2
         assert "reps must be at least 1" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_naming_seed(self, tmp_path, capsys):
+        scen = write_yaml(tmp_path / "scen.yaml", scenario_doc())
+        meth = write_yaml(tmp_path / "meth.yaml", methods_doc())
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "5", "--seed", "-1",
+                     "--out", str(tmp_path / "oc.csv")]) == 2
+        assert "seed must be a non-negative integer" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
         scen = write_yaml(tmp_path / "scen.yaml", scenario_doc())

@@ -39,7 +39,9 @@ from gscore.simulation import (
     _draw,
     _marginal_mean,
     _plan,
+    _rep_keys,
     _rep_rng,
+    _rep_rngs,
     _run_chunk,
 )
 
@@ -182,13 +184,15 @@ def _sequential_blocks(strata, block_size, allocation, rng):
 
 def _loop_draw(s, rngs):
     """Reference generator: each trial draws its covariates one at a time,
-    then its arms one stratum at a time, then its outcome uniforms; the
-    outcome is formed from the stacked trials, as _draw forms it."""
+    then its arms (one permutation, or one stratum at a time), then its
+    outcome uniforms; the outcome is formed from the stacked trials, as
+    _draw forms it."""
     B, n, q = len(rngs), s.n, len(s.covariates)
     W = np.empty((B, n, q))
     arm = np.empty((B, n), dtype=int)
     u = np.empty((B, n))
     stratum = np.empty((B, n), dtype=int)
+    n1 = int(np.floor(n * s.allocation[0]))
     b1 = round(s.block_size * s.allocation[0])
     base = np.array([1] * b1 + [2] * (s.block_size - b1))
     for b, rng in enumerate(rngs):
@@ -196,6 +200,10 @@ def _loop_draw(s, rngs):
             W[b, :, j] = (rng.standard_normal(n)
                           if spec.kind == "standard-normal"
                           else rng.random(n) < spec.p)
+        if s.scheme == "complete":
+            arm[b] = rng.permutation([1] * n1 + [2] * (n - n1))
+            u[b] = rng.random(n)
+            continue
         stratum[b] = W[b, :, s.stratify.covariate - 1] > s.stratify.threshold
         for label in np.unique(stratum[b]):
             idx = np.flatnonzero(stratum[b] == label)
@@ -204,6 +212,17 @@ def _loop_draw(s, rngs):
         u[b] = rng.random(n)
     eta = np.asarray(s.beta_A)[arm - 1] + W @ np.asarray(s.beta_W)
     return (u < expit(eta)).astype(float), arm, W, stratum
+
+
+def _recording(rngs, states):
+    """The generators of ``rngs`` in turn, appending each one's state to
+    ``states`` once it is done with: when the next is taken, or at
+    close."""
+    for rng in rngs:
+        try:
+            yield rng
+        finally:
+            states.append(rng.bit_generator.state)
 
 
 class TestRandomization:
@@ -373,27 +392,55 @@ class TestGenerateTrial:
             tol = 3 * np.sqrt(target * (1 - target) / 10000)
             assert abs(rate - target) < tol
 
-    @pytest.mark.parametrize("make", [
-        lambda r: _rep_rng(21, r), np.random.default_rng])
-    def test_draw_matches_the_per_covariate_loop(self, make):
-        """Runs of equal covariate specs draw in one call and all strata's
-        blocks in another; the trials and every generator's final state
-        equal those of one draw per covariate and one per stratum."""
-        s = Scenario(n=41, beta_A=(-0.4, 0.3), beta_W=(0.5, -0.8, 0.3, 0.2),
-                     covariates=("standard-normal", {"bernoulli": 0.3},
-                                 "standard-normal", "standard-normal"),
-                     scheme="stratified-block", block_size=4,
-                     stratify=StratificationRule(covariate=2, threshold=0.5))
-        rngs, refs = ([make(r) for r in range(12)] for _ in range(2))
-        t = _draw(s, rngs)
+    @pytest.mark.parametrize("s", [
+        Scenario(n=41, beta_A=(-0.4, 0.3), beta_W=(0.5, -0.8, 0.3, 0.2),
+                 covariates=("standard-normal", {"bernoulli": 0.3},
+                             "standard-normal", "standard-normal"),
+                 scheme="stratified-block", block_size=4,
+                 stratify=StratificationRule(covariate=2, threshold=0.5)),
+        Scenario(n=41, beta_A=(-0.4, 0.3), beta_W=(0.5, -0.8),
+                 covariates=("standard-normal", {"bernoulli": 0.4}),
+                 allocation=(0.3, 0.7)),
+        Scenario(n=43, beta_A=(-0.4, 0.3), beta_W=(0.5, -0.8, 0.2),
+                 covariates=("standard-normal", {"bernoulli": 0.3},
+                             {"bernoulli": 0.3}),
+                 allocation=(0.25, 0.75), scheme="stratified-block",
+                 block_size=4,
+                 stratify=StratificationRule(covariate=2, threshold=0.5)),
+        Scenario(n=40, beta_A=(-0.4, 0.3), beta_W=(0.5, 0.1),
+                 covariates=("standard-normal", "standard-normal"),
+                 scheme="stratified-block", block_size=4,
+                 stratify=StratificationRule(covariate=1, threshold=50.0)),
+    ], ids=["stratified-mixed", "complete-0.3-odd-n", "bernoulli-stratum-1:3",
+            "one-stratum-empty"])
+    @pytest.mark.parametrize("path", ["substreams", "default_rng",
+                                      "re-keyed"])
+    def test_draw_matches_the_per_covariate_loop(self, s, path):
+        """Runs of equal covariate specs draw in one call, a trial's
+        arms in one shuffle or one rng.permuted call, and draws land in
+        place; the trials and every generator's state after its trial
+        equal those of one draw per covariate and one per stratum, also
+        when one generator re-keyed per replication draws the batch."""
+        reps = range(1000, 1012)
+        make = np.random.default_rng if path == "default_rng" \
+            else lambda r: _rep_rng(21, r)
+        refs = [make(r) for r in reps]
+        states = []
+        rngs = _recording(_rep_rngs(21, reps) if path == "re-keyed"
+                          else [make(r) for r in reps], states)
+        t = _draw(s, rngs, len(reps))
+        rngs.close()
         y, arm, W, stratum = _loop_draw(s, refs)
+        q = len(s.covariates)
         np.testing.assert_array_equal(t.outcome, y)
         np.testing.assert_array_equal(t.arm, arm)
-        np.testing.assert_array_equal(t.covariates[..., :4], W)
-        np.testing.assert_array_equal(t.stratum, stratum)
-        for rng, ref in zip(rngs, refs):
-            np.testing.assert_equal(rng.bit_generator.state,
-                                    ref.bit_generator.state)
+        np.testing.assert_array_equal(t.covariates[..., :q], W)
+        if s.stratify is not None:
+            np.testing.assert_array_equal(t.covariates[..., q], stratum)
+        assert t.covariates.shape[-1] == len(t.covariate_names)
+        assert len(states) == len(refs)
+        for state, ref in zip(states, refs):
+            np.testing.assert_equal(state, ref.bit_generator.state)
 
     def test_fixed_seed_reproduces_dataset(self):
         s = scenario1(n=100)
@@ -549,6 +596,43 @@ class TestRepRng:
         a = _rep_rng(99, 5).random(8)
         b = _rep_rng(99, 6).random(8)
         assert not np.array_equal(a, b)
+
+    # every 32-bit word boundary of the seed, and a seed of five words
+    # (3**100 has 159 bits)
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3, 3**100]
+
+    @staticmethod
+    def _reps(seed):
+        sample = np.random.default_rng(seed % 2**32).integers(0, 2**32, 12)
+        return [0, 1, 2**31, 2**32 - 1, *sample.tolist()]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_batch_keys_are_numpy_seed_sequence_keys(self, seed):
+        """_rep_keys writes out NumPy's SeedSequence hash; each row is the
+        key Philox takes from SeedSequence(seed, spawn_key=(r,))."""
+        reps = self._reps(seed)
+        got = _rep_keys(seed, reps)
+        assert got.dtype == np.uint64 and got.shape == (len(reps), 2)
+        np.testing.assert_array_equal(got, [
+            np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(
+                2, np.uint64) for r in reps])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rekeyed_generator_is_each_replications_generator(self, seed):
+        """At each yield the one re-keyed generator is in the state of
+        _rep_rng(seed, r), also after the replication before it left a
+        spare 32-bit half (a 32-bit draw) or shuffled."""
+        reps = self._reps(seed)
+        rngs = _rep_rngs(seed, reps)
+        for i, (r, rng) in enumerate(zip(reps, rngs)):
+            np.testing.assert_equal(rng.bit_generator.state,
+                                    _rep_rng(seed, r).bit_generator.state)
+            if i % 2:
+                rng.integers(0, 10, dtype=np.uint32)
+                assert rng.bit_generator.state["has_uint32"] == 1
+            else:
+                rng.shuffle(np.arange(5))
+        assert next(rngs, None) is None
 
 
 class TestRunOC:
@@ -729,16 +813,43 @@ class TestRunOC:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             run_oc(scenario1(n=60), methods, reps=5, seed=1, workers=workers)
 
-    @pytest.mark.parametrize("reps", [0, -3])
-    def test_reps_below_one_rejected_before_any_trial(self, monkeypatch,
-                                                      reps):
-        def no_trials(*args):
-            raise AssertionError("a trial was generated")
+    @staticmethod
+    def _refuse_past_the_argument_checks(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_oc went past its argument checks")
 
-        monkeypatch.setattr("gscore.simulation._draw", no_trials)
+        for name in ("_plan", "true_marginal_means", "_draw",
+                     "ProcessPoolExecutor"):
+            monkeypatch.setattr(f"gscore.simulation.{name}", refuse)
+
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (np.int64(-3), ValueError), (1.5, TypeError),
+        ("7", TypeError), (None, TypeError)])
+    def test_bad_seed_rejected_before_the_plan_truth_or_pool(
+            self, monkeypatch, seed, error):
+        """A seed that is not a non-negative integer is refused first,
+        before the plan, the truth, any trial or any helper process."""
+        self._refuse_past_the_argument_checks(monkeypatch)
+        methods = (MethodSpec(name="m", test="wald"),)
+        with pytest.raises(error, match="seed must be"):
+            run_oc(scenario1(n=60), methods, reps=600, seed=seed, workers=2)
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        methods = (MethodSpec(name="m", test="wald"),)
+        s = scenario1(n=60)
+        assert run_oc(s, methods, reps=5, seed=np.uint32(3)) \
+            == run_oc(s, methods, reps=5, seed=3)
+
+    @pytest.mark.parametrize("reps", [0, -3, 2**32])
+    def test_reps_out_of_range_rejected_before_any_trial(self, monkeypatch,
+                                                         reps):
+        """Below one, or so many that the last index needs a second
+        spawn-key word: refused before the plan, the truth or any helper
+        process."""
+        self._refuse_past_the_argument_checks(monkeypatch)
         methods = (MethodSpec(name="m", test="wald"),)
         with pytest.raises(ValueError, match="reps must be at least 1"):
-            run_oc(scenario1(n=60), methods, reps=reps, seed=1)
+            run_oc(scenario1(n=60), methods, reps=reps, seed=1, workers=2)
 
     def test_ratio_measure_and_model_labels(self):
         s = scenario1(n=120)
@@ -974,7 +1085,7 @@ class TestBatchedEngine:
                 estimator="III"),
         )
         plan = _plan(STRATIFIED40, methods, 0.95)
-        t = _draw(STRATIFIED40, [_rep_rng(3, r) for r in range(16)])
+        t = _draw(STRATIFIED40, _rep_rngs(3, range(16)), 16)
         W1 = t.covariates[..., 0]
         t.outcome[1] = (W1[1] > 0.0).astype(float)       # separated
         t.covariates[2, :, 1] = t.covariates[2, :, 0]    # W2 == W1
@@ -985,7 +1096,7 @@ class TestBatchedEngine:
             data = TrialDataset(outcome=t.outcome[b], arm=t.arm[b],
                                 covariates=t.covariates[b],
                                 covariate_names=t.covariate_names,
-                                stratum=t.stratum[b])
+                                stratum=t.covariates[b, :, -1])
             for j, (m, spec, h, thr) in enumerate(plan.methods):
                 try:
                     design = build_design(data, spec)
@@ -1036,7 +1147,7 @@ class TestBatchedEngine:
         )
         plan = _plan(STRATIFIED40, methods, 0.95)
         assert [len(cols) for *_, cols, _ in plan.tests] == [1, 1, 1, 1, 2]
-        t = _draw(STRATIFIED40, [_rep_rng(11, r) for r in range(64)])
+        t = _draw(STRATIFIED40, _rep_rngs(11, range(64)), 64)
         records = _analyze_batch(t, plan)
         for j, m in enumerate(methods):
             alone = _analyze_batch(t, _plan(STRATIFIED40, (m,), 0.95))
