@@ -11,7 +11,7 @@ proxy.
 Reproducibility: replication r uses the substream spawned as
 SeedSequence(seed, spawn_key=(r,)) feeding a counter-based Philox
 generator, so its data never depend on which replications are drawn
-beside it.  A run derives the Philox keys of a chunk of replications at
+beside it.  A run derives the Philox keys of a share of replications at
 once (NumPy's SeedSequence hash, written out over the spawn-key word)
 and re-keys one generator per replication; a batch's draws are written
 in place into C-contiguous (B, k, n) covariate rows, the stratum last.
@@ -20,7 +20,10 @@ batch, one IRLS fit runs per model spec on the stacked designs
 (``glm.fit_batch``, the loop ``glm.fit`` runs on one dataset), one
 variance per (spec, estimator, correction, pi), and one test kernel per
 (hypothesis, test) on its methods stacked.  Kernels take any leading
-shape; single-fit functions call them with none.  Each replication's
+shape; single-fit functions call them with none.  With more than one
+worker, the replications are cut into contiguous shares of near-equal
+size; this process runs the first, and one helper process per other
+share sends its records back through a pipe.  Each replication's
 numbers depend on its own data only, so results depend only on
 (scenario, methods, seed, reps), never on batch size, worker count or
 scheduling.
@@ -29,8 +32,9 @@ scheduling.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import operator
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
@@ -62,8 +66,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
-# Replications per kernel call in run_oc, and per process task.  Neither
-# changes any result.
+# Replications per kernel call in run_oc, and the least run that is worth
+# a process of its own: run_oc starts one per _CHUNK replications or part
+# of one, up to its worker count.  Neither changes any result.
 BATCH = 64
 _CHUNK = 250
 
@@ -664,6 +669,79 @@ def _run_chunk(s: Scenario, plan, seed: int, reps: range):
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int if it is a Python or NumPy integer;
+    otherwise a TypeError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _shares(reps: int, workers: int) -> list[range]:
+    """range(reps) cut into contiguous shares whose sizes differ by at
+    most one, one per process: as many as ``workers``, but no more than
+    one per _CHUNK replications or part of one."""
+    procs = min(workers, -(-reps // _CHUNK))
+    return [range(reps * i // procs, reps * (i + 1) // procs)
+            for i in range(procs)]
+
+
+def _helper(conn, *args) -> None:
+    """A helper process: send _run_chunk(*args)'s records through
+    ``conn``, or the exception it raised with its traceback."""
+    try:
+        out = _run_chunk(*args)
+    except Exception as e:
+        out = e, traceback.format_exc()
+    with conn:
+        conn.send(out)
+
+
+def _receive(proc, conn):
+    """The records a helper sends; its exception, or a RuntimeError if it
+    died first, is raised here."""
+    try:
+        out = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"a helper process exited with code "
+                           f"{proc.exitcode} before sending its records"
+                           ) from None
+    if isinstance(out[0], Exception):
+        raise out[0] from RuntimeError(f"in a helper process:\n{out[1]}")
+    return out
+
+
+def _run_shares(s: Scenario, plan, seed: int, shares) -> tuple:
+    """Records of the replications of ``shares``, stacked in order.  This
+    process runs the first share; each other share runs in a helper
+    process of the default start method, which sends its records back
+    through a one-way pipe.  Every helper is joined before this returns,
+    and stopped first if anything failed."""
+    ctx = multiprocessing.get_context()
+    helpers = []
+    try:
+        for share in shares[1:]:
+            conn, child_conn = ctx.Pipe(duplex=False)
+            with child_conn:  # the helper holds its own end
+                proc = ctx.Process(target=_helper,
+                                   args=(child_conn, s, plan, seed, share))
+                proc.start()
+            helpers.append((proc, conn))
+        parts = [_run_chunk(s, plan, seed, shares[0]),
+                 *(_receive(*h) for h in helpers)]
+    except BaseException:
+        for proc, _ in helpers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, conn in helpers:
+            conn.close()
+            proc.join()
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
 def run_oc(s: Scenario, methods, reps: int, *, seed: int,
            level: float = 0.95, workers: int = 1) -> OCResult:
     """Operating characteristics of every method over ``reps`` trials.
@@ -671,21 +749,23 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
     ``level`` drives both the two-sided interval level and the one-sided
     rejection threshold (1 - level)/2, the standard pairing (0.95 gives
     one-sided 0.025).  Failed replications are excluded per method and
-    reported in the denominator.  ``workers`` is the process count: 1
-    runs serially, more runs chunks of replications in up to workers - 1
-    helper processes and this one.  Results are identical for any value.
-    ``seed`` is a non-negative integer and ``reps`` below 2**32, so each
-    replication's substream key is one spawn-key word.
+    reported in the denominator.  ``workers`` is the process count: the
+    replications are cut into up to ``workers`` contiguous shares of
+    near-equal size, at most one per _CHUNK (250) replications or part
+    of one; this process runs the first share and one helper process
+    runs each other, so a run of at most 250 replications starts none.
+    Results are identical for any value.  ``seed`` is a non-negative
+    integer and ``reps`` below 2**32, so each replication's substream
+    key is one spawn-key word.
     """
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    reps = _integer("reps", reps)
     if not 1 <= reps < 2**32:
         raise ValueError(f"reps must be at least 1 and below 2**32, "
                          f"got {reps}")
+    workers = _integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     methods = tuple(methods)
@@ -694,21 +774,8 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
     plan = _plan(s, methods, level)
     t1, t2 = true_marginal_means(s)
     truth = {"difference": t2 - t1, "ratio": t2 / t1}
-
-    chunks = [range(lo, min(lo + _CHUNK, reps))
-              for lo in range(0, reps, _CHUNK)]
-    helpers = min(workers, len(chunks)) - 1
-    if helpers:
-        with ProcessPoolExecutor(max_workers=helpers) as pool:
-            # this process runs the first chunk; map yields the rest in
-            # submission order, so records stay in replication order
-            rest = pool.map(_run_chunk, itertools.repeat(s),
-                            itertools.repeat(plan), itertools.repeat(seed),
-                            chunks[1:])
-            parts = [_run_chunk(s, plan, seed, chunks[0]), *rest]
-    else:
-        parts = [_run_chunk(s, plan, seed, range(reps))]
-    est, rej, lo, hi, failed = (np.concatenate(a) for a in zip(*parts))
+    est, rej, lo, hi, failed = _run_shares(s, plan, seed,
+                                           _shares(reps, workers))
 
     ok = ~failed
     used = ok.sum(axis=0)

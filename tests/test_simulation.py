@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
+import os
 import re
+import time
+import types
 import warnings
 
 import numpy as np
@@ -43,6 +48,8 @@ from gscore.simulation import (
     _rep_rng,
     _rep_rngs,
     _run_chunk,
+    _run_shares,
+    _shares,
 )
 
 THREE_NORMALS = (CovariateSpec(kind="standard-normal"),) * 3
@@ -818,8 +825,7 @@ class TestRunOC:
         def refuse(*args, **kwargs):
             raise AssertionError("run_oc went past its argument checks")
 
-        for name in ("_plan", "true_marginal_means", "_draw",
-                     "ProcessPoolExecutor"):
+        for name in ("_plan", "true_marginal_means", "_draw", "_run_shares"):
             monkeypatch.setattr(f"gscore.simulation.{name}", refuse)
 
     @pytest.mark.parametrize("seed, error", [
@@ -833,6 +839,24 @@ class TestRunOC:
         methods = (MethodSpec(name="m", test="wald"),)
         with pytest.raises(error, match="seed must be"):
             run_oc(scenario1(n=60), methods, reps=600, seed=seed, workers=2)
+
+    @pytest.mark.parametrize("name, value", [
+        ("workers", 1.5), ("workers", 2.5), ("workers", "2"),
+        ("workers", None), ("reps", 600.0), ("reps", "600")])
+    def test_non_integer_count_rejected_before_the_plan_truth_or_pool(
+            self, monkeypatch, name, value):
+        self._refuse_past_the_argument_checks(monkeypatch)
+        methods = (MethodSpec(name="m", test="wald"),)
+        counts = {"reps": 600, "workers": 2, name: value}
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            run_oc(scenario1(n=60), methods, seed=1, **counts)
+
+    def test_numpy_integer_workers_and_reps_are_the_same_counts(self):
+        methods = (MethodSpec(name="m", test="wald"),)
+        s = scenario1(n=60)
+        assert run_oc(s, methods, reps=np.int32(600), seed=3,
+                      workers=np.int64(2)) \
+            == run_oc(s, methods, reps=600, seed=3)
 
     def test_numpy_integer_seed_is_the_same_seed(self):
         methods = (MethodSpec(name="m", test="wald"),)
@@ -1061,7 +1085,7 @@ class TestBatchedEngine:
             monkeypatch.setattr(simulation, "BATCH", batch)
             records.append(_run_chunk(STRATIFIED40, plan, 3, range(260)))
             results.append(run_oc(STRATIFIED40, methods, reps=260, seed=3))
-        # two chunks: one in a helper process, one in this one
+        # two shares of 130: one in a helper process, one in this one
         results.append(run_oc(STRATIFIED40, methods, reps=260, seed=3,
                               workers=2))
         assert all(r == results[0] for r in results[1:])
@@ -1156,3 +1180,118 @@ class TestBatchedEngine:
                 assert got[:, j].tobytes() == want[:, 0].tobytes(), m.name
         failed = records[4]
         assert failed[:, 2:4].any() and not failed[:, 2:4].all()
+
+
+class HelperFailure(Exception):
+    """Raised on purpose inside a share of replications."""
+
+
+def _fail_in(monkeypatch, where: str, act) -> None:
+    """Make _run_chunk call ``act`` first in this process ("parent") or
+    in every helper process ("helper"), and run as usual elsewhere."""
+    parent, real = os.getpid(), simulation._run_chunk
+
+    def chunk(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            act()
+        return real(*args)
+
+    monkeypatch.setattr(simulation, "_run_chunk", chunk)
+
+
+def _raise_failure():
+    raise HelperFailure("failed on purpose")
+
+
+def _assert_no_helper_left():
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join(timeout=10)
+    assert not left
+
+
+class TestShares:
+    """run_oc cuts the replications into contiguous near-equal shares,
+    one per process; helpers send their records back, and leave no
+    process behind however they end."""
+
+    @pytest.mark.parametrize("reps", [1, 249, 250, 251, 499, 500, 501,
+                                      777, 1001, 5000])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_shares_cover_the_replications_in_near_equal_runs(
+            self, reps, workers):
+        shares = _shares(reps, workers)
+        assert shares[0].start == 0 and shares[-1].stop == reps
+        assert all(a.stop == b.start
+                   for a, b in itertools.pairwise(shares))
+        sizes = [len(share) for share in shares]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        # one process per 250 replications or part of one, up to workers
+        assert len(shares) == min(workers, -(-reps // 250))
+
+    @pytest.mark.parametrize("reps", [1, 250])
+    def test_no_helper_for_at_most_250_reps(self, monkeypatch, reps):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a helper process was started")
+
+        s = scenario1(n=60)
+        methods = (MethodSpec(name="m", test="wald"),)
+        want = run_oc(s, methods, reps=reps, seed=2)
+        monkeypatch.setattr(simulation.multiprocessing, "get_context",
+                            lambda: types.SimpleNamespace(Pipe=refuse,
+                                                          Process=refuse))
+        assert run_oc(s, methods, reps=reps, seed=2, workers=4) == want
+
+    @pytest.mark.parametrize("reps", [777, 1001])
+    def test_tallies_equal_for_any_worker_count(self, reps):
+        """Reps that split unevenly into 2 and 3 shares; the methods
+        fail on some replications, so failure counts are compared too."""
+        results = [run_oc(STRATIFIED40, PINNED_METHODS, reps=reps, seed=11,
+                          workers=w) for w in (1, 2, 3)]
+        assert any(m.n_failed for m in results[0].methods)
+        assert results[1] == results[0] and results[2] == results[0]
+        _assert_no_helper_left()
+
+    def test_helper_exception_reaches_the_caller_with_its_type(
+            self, monkeypatch):
+        _fail_in(monkeypatch, "helper", _raise_failure)
+        with pytest.raises(HelperFailure, match="failed on purpose") as info:
+            run_oc(scenario1(n=60), (MethodSpec(name="m", test="wald"),),
+                   reps=750, seed=1, workers=3)
+        # the helper's traceback rides along as the cause
+        assert "HelperFailure" in str(info.value.__cause__)
+        _assert_no_helper_left()
+
+    def test_dead_helper_is_an_error_naming_its_exit_code(self, monkeypatch):
+        _fail_in(monkeypatch, "helper", lambda: os._exit(3))
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_oc(scenario1(n=60), (MethodSpec(name="m", test="wald"),),
+                   reps=750, seed=1, workers=3)
+        _assert_no_helper_left()
+
+    def test_failure_in_this_process_stops_the_helpers(self, monkeypatch):
+        """The helpers would run for a minute; they are stopped, not
+        waited for."""
+        _fail_in(monkeypatch, "helper", lambda: time.sleep(60))
+        _fail_in(monkeypatch, "parent", _raise_failure)
+        start = time.monotonic()
+        with pytest.raises(HelperFailure):
+            run_oc(scenario1(n=60), (MethodSpec(name="m", test="wald"),),
+                   reps=750, seed=1, workers=3)
+        assert time.monotonic() - start < 30
+        _assert_no_helper_left()
+
+    def test_spawned_helpers_send_the_same_records(self, monkeypatch):
+        """A helper started by spawn, as on macOS and Windows, pickles
+        its arguments and records; they come back bit-identical."""
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(simulation.multiprocessing, "get_context",
+                            lambda: spawn)
+        plan = _plan(STRATIFIED40, PINNED_METHODS, 0.95)
+        got = _run_shares(STRATIFIED40, plan, 3, _shares(520, 2))
+        want = _run_chunk(STRATIFIED40, plan, 3, range(520))
+        assert len(got) == len(want) and want[4].any()
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        _assert_no_helper_left()
