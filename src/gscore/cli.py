@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", required=True, help="CSV output path")
     ps.add_argument("--level", type=float, default=0.95)
     ps.add_argument("--workers", type=int, default=1,
-                    help="process count (default 1); results do not "
+                    help="process count (default 1), at most the usable "
+                         "CPUs and one per 250 reps; results do not "
                          "depend on it")
     ps.set_defaults(func=cmd_simulate)
 

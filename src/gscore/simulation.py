@@ -15,17 +15,19 @@ beside it.  A run derives the Philox keys of a share of replications at
 once (NumPy's SeedSequence hash, written out over the spawn-key word)
 and re-keys one generator per replication; a batch's draws are written
 in place into C-contiguous (B, k, n) covariate rows, the stratum last.
-``run_oc`` analyzes BATCH replications at a time: per
-batch, one IRLS fit runs per model spec on the stacked designs
-(``glm.fit_batch``, the loop ``glm.fit`` runs on one dataset), one
-variance per (spec, estimator, correction, pi), and one test kernel per
-(hypothesis, test) on its methods stacked.  Kernels take any leading
-shape; single-fit functions call them with none.  With more than one
-worker, the replications are cut into contiguous shares of near-equal
-size; this process runs the first, and one helper process per other
-share sends its records back through a pipe.  Each replication's
-numbers depend on its own data only, so results depend only on
-(scenario, methods, seed, reps), never on batch size, worker count or
+``run_oc`` analyzes a batch of replications at a time, sized by a
+budget of _BATCH_ROWS (20,480) subject-rows: ~512 trials of n = 40, ~64
+of n = 326, one of n >= 20,480.  Per batch, one IRLS fit runs per model
+spec on the stacked designs (``glm.fit_batch``, the loop ``glm.fit``
+runs on one dataset), one variance per (spec, estimator, correction,
+pi), and one test kernel per (hypothesis, test) on its methods stacked.
+Kernels take any leading shape; single-fit functions call them with
+none.  With more than one worker, the replications are cut into
+contiguous shares of near-equal size, no more than the usable CPUs;
+this process runs the first, and one helper process per other share
+sends its records back through a pipe.  Each replication's numbers
+depend on its own data only, so results depend only on (scenario,
+methods, seed, reps), never on batch size, worker count or
 scheduling.
 """
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import operator
+import os
 import traceback
 from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
@@ -66,10 +69,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
-# Replications per kernel call in run_oc, and the least run that is worth
-# a process of its own: run_oc starts one per _CHUNK replications or part
-# of one, up to its worker count.  Neither changes any result.
-BATCH = 64
+# Subject-rows (replications x n) per kernel call in run_oc, and the least
+# run that is worth a process of its own: run_oc starts one per _CHUNK
+# replications or part of one, up to its worker count and the usable
+# CPUs.  Neither changes any result.
+_BATCH_ROWS = 20_480
 _CHUNK = 250
 
 
@@ -660,12 +664,33 @@ def _analyze_batch(trials: _Trials, plan: _Plan):
     return est, reject, lo, hi, failed
 
 
-def _run_chunk(s: Scenario, plan, seed: int, reps: range):
-    """Records of replications ``reps``, BATCH at a time, stacked; one
-    generator, re-keyed per replication, draws them all."""
+def _cut(r: range, k: int) -> list[range]:
+    """``r`` cut into min(k, len(r)) contiguous runs, in order, whose
+    sizes differ by at most one."""
+    k = min(k, len(r))
+    return [r[len(r) * i // k:len(r) * (i + 1) // k] for i in range(k)]
+
+
+def _batches(reps: range, n: int) -> list[range]:
+    """``reps`` cut into the fewest near-equal batches whose mean is at
+    most _BATCH_ROWS subject-rows of trials of ``n``, so a batch passes
+    the budget by less than one trial; a trial of more rows is a batch
+    of its own."""
+    return _cut(reps, -(-len(reps) * n // _BATCH_ROWS))
+
+
+def _run_chunk(s: Scenario, plan, seed: int, reps: range, helpers=()):
+    """Records of replications ``reps``, one kernel call per _batches
+    batch, stacked; one generator, re-keyed per replication, draws them
+    all.  Between batches, a helper of ``helpers`` that has exited with a
+    non-zero code is an error here, not after the last batch."""
     rngs = _rep_rngs(seed, reps)
-    parts = [_analyze_batch(_draw(s, rngs, len(reps[i:i + BATCH])), plan)
-             for i in range(0, len(reps), BATCH)]
+    parts = []
+    for batch in _batches(reps, s.n):
+        parts.append(_analyze_batch(_draw(s, rngs, len(batch)), plan))
+        for proc in helpers:
+            if proc.exitcode:
+                raise _died(proc)
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
@@ -678,13 +703,20 @@ def _integer(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the
+    platform has one), at least one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _shares(reps: int, workers: int) -> list[range]:
     """range(reps) cut into contiguous shares whose sizes differ by at
     most one, one per process: as many as ``workers``, but no more than
-    one per _CHUNK replications or part of one."""
-    procs = min(workers, -(-reps // _CHUNK))
-    return [range(reps * i // procs, reps * (i + 1) // procs)
-            for i in range(procs)]
+    the usable CPUs or one per _CHUNK replications or part of one."""
+    return _cut(range(reps), min(workers, _usable_cpus(),
+                                 -(-reps // _CHUNK)))
 
 
 def _helper(conn, *args) -> None:
@@ -698,6 +730,13 @@ def _helper(conn, *args) -> None:
         conn.send(out)
 
 
+def _died(proc) -> RuntimeError:
+    """The error for helper ``proc``, which has exited without sending
+    its records."""
+    return RuntimeError(f"a helper process exited with code "
+                        f"{proc.exitcode} before sending its records")
+
+
 def _receive(proc, conn):
     """The records a helper sends; its exception, or a RuntimeError if it
     died first, is raised here."""
@@ -705,9 +744,7 @@ def _receive(proc, conn):
         out = conn.recv()
     except EOFError:
         proc.join()
-        raise RuntimeError(f"a helper process exited with code "
-                           f"{proc.exitcode} before sending its records"
-                           ) from None
+        raise _died(proc) from None
     if isinstance(out[0], Exception):
         raise out[0] from RuntimeError(f"in a helper process:\n{out[1]}")
     return out
@@ -717,8 +754,9 @@ def _run_shares(s: Scenario, plan, seed: int, shares) -> tuple:
     """Records of the replications of ``shares``, stacked in order.  This
     process runs the first share; each other share runs in a helper
     process of the default start method, which sends its records back
-    through a one-way pipe.  Every helper is joined before this returns,
-    and stopped first if anything failed."""
+    through a one-way pipe.  A helper that dies is an error at the end of
+    this process's next batch.  Every helper is joined before this
+    returns, and stopped first if anything failed."""
     ctx = multiprocessing.get_context()
     helpers = []
     try:
@@ -729,7 +767,8 @@ def _run_shares(s: Scenario, plan, seed: int, shares) -> tuple:
                                    args=(child_conn, s, plan, seed, share))
                 proc.start()
             helpers.append((proc, conn))
-        parts = [_run_chunk(s, plan, seed, shares[0]),
+        parts = [_run_chunk(s, plan, seed, shares[0],
+                            [proc for proc, _ in helpers]),
                  *(_receive(*h) for h in helpers)]
     except BaseException:
         for proc, _ in helpers:
@@ -751,9 +790,10 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
     one-sided 0.025).  Failed replications are excluded per method and
     reported in the denominator.  ``workers`` is the process count: the
     replications are cut into up to ``workers`` contiguous shares of
-    near-equal size, at most one per _CHUNK (250) replications or part
-    of one; this process runs the first share and one helper process
-    runs each other, so a run of at most 250 replications starts none.
+    near-equal size, no more than the CPUs this process may use and at
+    most one per _CHUNK (250) replications or part of one; this process
+    runs the first share and one helper process runs each other, so a
+    run of at most 250 replications, or on one CPU, starts none.
     Results are identical for any value.  ``seed`` is a non-negative
     integer and ``reps`` below 2**32, so each replication's substream
     key is one spawn-key word.

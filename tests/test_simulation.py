@@ -40,7 +40,9 @@ from gscore import (
 )
 from gscore import simulation
 from gscore.simulation import (
+    _BATCH_ROWS,
     _analyze_batch,
+    _batches,
     _draw,
     _marginal_mean,
     _plan,
@@ -1070,9 +1072,10 @@ class TestConfigParsers:
 
 
 class TestBatchedEngine:
-    """run_oc analyzes BATCH replications per kernel call; neither the
-    batch size nor the worker count may change a result, and every
-    replication gets the scalar pipeline's numbers bit for bit."""
+    """run_oc analyzes a batch of replications per kernel call, sized by
+    a budget of _BATCH_ROWS subject-rows; neither the batch size nor the
+    worker count may change a result, and every replication gets the
+    scalar pipeline's numbers bit for bit."""
 
     def test_results_independent_of_batch_size_and_workers(
             self, monkeypatch):
@@ -1081,11 +1084,13 @@ class TestBatchedEngine:
                 "bernoulli-logit", ("W1",), heterogeneous=True)),)
         plan = _plan(STRATIFIED40, methods, 0.95)
         results, records = [], []
-        for batch in (1, 7, 64):
-            monkeypatch.setattr(simulation, "BATCH", batch)
+        # batches of 1, 7 and 64 trials of n = 40
+        for rows in (40, 280, 2560):
+            monkeypatch.setattr(simulation, "_BATCH_ROWS", rows)
             records.append(_run_chunk(STRATIFIED40, plan, 3, range(260)))
             results.append(run_oc(STRATIFIED40, methods, reps=260, seed=3))
         # two shares of 130: one in a helper process, one in this one
+        _cpus(monkeypatch, 2)
         results.append(run_oc(STRATIFIED40, methods, reps=260, seed=3,
                               workers=2))
         assert all(r == results[0] for r in results[1:])
@@ -1182,6 +1187,55 @@ class TestBatchedEngine:
         assert failed[:, 2:4].any() and not failed[:, 2:4].all()
 
 
+class TestBatches:
+    """A share is cut into the fewest contiguous near-equal batches whose
+    mean stays within _BATCH_ROWS subject-rows, so a batch passes the
+    budget by less than one trial's rows, and a trial that alone passes
+    it is a batch of its own."""
+
+    @pytest.mark.parametrize("share", [range(1), range(15), range(30),
+                                       range(250, 500), range(3, 1028),
+                                       range(1200)])
+    @pytest.mark.parametrize("n", [1, 40, 326, 5000, _BATCH_ROWS,
+                                   _BATCH_ROWS + 1, 100_000])
+    def test_batches_cover_the_share_within_the_row_budget(self, share, n):
+        batches = _batches(share, n)
+        assert batches[0].start == share.start
+        assert batches[-1].stop == share.stop
+        assert all(a.stop == b.start
+                   for a, b in itertools.pairwise(batches))
+        sizes = [len(batch) for batch in batches]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert all((B - 1) * n < _BATCH_ROWS for B in sizes)
+        assert all(B == 1 for B in sizes) or n < _BATCH_ROWS
+        assert len(batches) == min(len(share),
+                                   -(-len(share) * n // _BATCH_ROWS))
+        if len(share) * n <= _BATCH_ROWS:
+            assert batches == [share]
+
+    def test_batch_sizes_by_trial_size(self):
+        assert [len(b) for b in _batches(range(1024), 40)] == [512, 512]
+        assert {len(b) for b in _batches(range(250), 326)} == {62, 63}
+        assert [len(b) for b in _batches(range(256), 320)] == [64] * 4
+        assert {len(b) for b in _batches(range(200), 5000)} == {4, 5}
+        assert _batches(range(3), 30_000) == [range(i, i + 1)
+                                             for i in range(3)]
+
+    @pytest.mark.parametrize("s, reps", [(scenario1(), 30),
+                                         (STRATIFIED40, 15)])
+    def test_a_share_within_the_budget_is_one_kernel_call(
+            self, monkeypatch, s, reps):
+        real, sizes = simulation._analyze_batch, []
+
+        def analyze(trials, plan):
+            sizes.append(len(trials.outcome))
+            return real(trials, plan)
+
+        monkeypatch.setattr(simulation, "_analyze_batch", analyze)
+        run_oc(s, (MethodSpec(name="m", test="wald"),), reps=reps, seed=4)
+        assert sizes == [reps]
+
+
 class HelperFailure(Exception):
     """Raised on purpose inside a share of replications."""
 
@@ -1203,6 +1257,11 @@ def _raise_failure():
     raise HelperFailure("failed on purpose")
 
 
+def _cpus(monkeypatch, k: int) -> None:
+    """Let _shares see ``k`` usable CPUs, whatever this host has."""
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: k)
+
+
 def _assert_no_helper_left():
     left = multiprocessing.active_children()
     for proc in left:
@@ -1220,7 +1279,8 @@ class TestShares:
                                       777, 1001, 5000])
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_shares_cover_the_replications_in_near_equal_runs(
-            self, reps, workers):
+            self, monkeypatch, reps, workers):
+        _cpus(monkeypatch, 8)
         shares = _shares(reps, workers)
         assert shares[0].start == 0 and shares[-1].stop == reps
         assert all(a.stop == b.start
@@ -1229,6 +1289,25 @@ class TestShares:
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
         # one process per 250 replications or part of one, up to workers
         assert len(shares) == min(workers, -(-reps // 250))
+
+    def test_no_more_shares_than_usable_cpus(self, monkeypatch):
+        """Only _shares runs here: no process is started."""
+        assert len(_shares(250_000, 1000)) == min(
+            1000, simulation._usable_cpus())
+        for cpus in (1, 2, 5):
+            _cpus(monkeypatch, cpus)
+            assert len(_shares(250_000, 1000)) == cpus
+            assert len(_shares(250_000, 3)) == min(3, cpus)
+
+    def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(
+            self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert simulation._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert simulation._usable_cpus() == 7
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulation._usable_cpus() == 1
 
     @pytest.mark.parametrize("reps", [1, 250])
     def test_no_helper_for_at_most_250_reps(self, monkeypatch, reps):
@@ -1244,9 +1323,10 @@ class TestShares:
         assert run_oc(s, methods, reps=reps, seed=2, workers=4) == want
 
     @pytest.mark.parametrize("reps", [777, 1001])
-    def test_tallies_equal_for_any_worker_count(self, reps):
+    def test_tallies_equal_for_any_worker_count(self, monkeypatch, reps):
         """Reps that split unevenly into 2 and 3 shares; the methods
         fail on some replications, so failure counts are compared too."""
+        _cpus(monkeypatch, 3)
         results = [run_oc(STRATIFIED40, PINNED_METHODS, reps=reps, seed=11,
                           workers=w) for w in (1, 2, 3)]
         assert any(m.n_failed for m in results[0].methods)
@@ -1255,6 +1335,7 @@ class TestShares:
 
     def test_helper_exception_reaches_the_caller_with_its_type(
             self, monkeypatch):
+        _cpus(monkeypatch, 3)
         _fail_in(monkeypatch, "helper", _raise_failure)
         with pytest.raises(HelperFailure, match="failed on purpose") as info:
             run_oc(scenario1(n=60), (MethodSpec(name="m", test="wald"),),
@@ -1264,15 +1345,42 @@ class TestShares:
         _assert_no_helper_left()
 
     def test_dead_helper_is_an_error_naming_its_exit_code(self, monkeypatch):
+        _cpus(monkeypatch, 3)
         _fail_in(monkeypatch, "helper", lambda: os._exit(3))
         with pytest.raises(RuntimeError, match="exited with code 3"):
             run_oc(scenario1(n=60), (MethodSpec(name="m", test="wald"),),
                    reps=750, seed=1, workers=3)
         _assert_no_helper_left()
 
+    def test_dead_helper_is_reported_between_this_process_batches(
+            self, monkeypatch):
+        """The helper dies at once.  This process's first batch waits
+        until it has, so the error must come after that batch or the
+        next, not after all 8 batches of this process's share."""
+        _cpus(monkeypatch, 2)
+        _fail_in(monkeypatch, "helper", lambda: os._exit(3))
+        real, sizes = simulation._analyze_batch, []
+
+        def analyze(trials, plan):
+            deadline = time.monotonic() + 30
+            while (not sizes and multiprocessing.active_children()
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            sizes.append(len(trials.outcome))
+            return real(trials, plan)
+
+        monkeypatch.setattr(simulation, "_analyze_batch", analyze)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_oc(scenario1(), (MethodSpec(name="m", test="wald"),),
+                   reps=1000, seed=1, workers=2)
+        assert len(_batches(range(500), 326)) == 8
+        assert 1 <= len(sizes) <= 2
+        _assert_no_helper_left()
+
     def test_failure_in_this_process_stops_the_helpers(self, monkeypatch):
         """The helpers would run for a minute; they are stopped, not
         waited for."""
+        _cpus(monkeypatch, 3)
         _fail_in(monkeypatch, "helper", lambda: time.sleep(60))
         _fail_in(monkeypatch, "parent", _raise_failure)
         start = time.monotonic()
@@ -1285,6 +1393,7 @@ class TestShares:
     def test_spawned_helpers_send_the_same_records(self, monkeypatch):
         """A helper started by spawn, as on macOS and Windows, pickles
         its arguments and records; they come back bit-identical."""
+        _cpus(monkeypatch, 2)
         spawn = multiprocessing.get_context("spawn")
         monkeypatch.setattr(simulation.multiprocessing, "get_context",
                             lambda: spawn)
