@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: configuration/data problems (and a
 bad choice's ValueError) exit 2, model-fitting failures exit 3.
-IntervalUndefinedError never reaches it: analyze_trial catches it, and
+IntervalUndefinedError never reaches it: run_test and the named tests
+raise it, analyze_trial records the reason in its place, and
 ``gscore analyze`` exits 4 when its report holds an undefined interval.
 """
 

@@ -12,18 +12,19 @@ test constructions:
 
 Score intervals exist only when n exceeds the chi-square critical value
 (difference) and when a quadratic discriminant is positive (ratio);
-otherwise an IntervalUndefinedError carries the still-valid test result
-and diagnostics.  One-sided p-values come from the signed square root of
-the chi-square statistic.
+otherwise ``run_test`` and the named tests raise an IntervalUndefinedError
+carrying the still-valid test result and diagnostics, and
+``analyze_trial`` records the reason.  One-sided p-values come from the
+signed square root of the chi-square statistic.
 
-``run_test`` is the one dispatch from a (measure, test) pair to its
-function; ``analyze_trial`` composes fit, standardization, the variance
-from ``gcomp.estimate_variance`` and the requested tests.
+``run_test`` runs a (measure, test) pair's kernel as one row of
+``run_test_batch``; ``analyze_trial`` composes fit, standardization, the
+variance from ``gcomp.estimate_variance`` and the requested tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -112,8 +113,8 @@ class TestResult:
 # means (..., 2) and covariances (..., 2, 2) from fits of n subjects give
 # a dict of arrays of that shape, with masks for the rows where the arm
 # means are not positive (ratio) or the score interval does not exist.
-# run_test_batch runs a kernel on a batch; the single-fit test functions
-# run it with no leading axis and raise what the masks say.  x * x, not
+# run_test_batch runs a kernel on a batch; a single-fit test is its one
+# row with no leading axis, built by _test_row.  x * x, not
 # x ** 2: numpy scalars (one fit) compute ** by pow, off by an ulp at times.
 
 def _chi2_sf(x):
@@ -205,117 +206,21 @@ def _score_ratio(mu, sigma, n: int, h: Hypothesis) -> dict:
     b = (1.0 - c * (s[..., 1, 1] / (mu2 * mu2) + 1.0 / n)) / den
     disc = a * a - b
     root = np.sqrt(disc)
+    bad_den = den <= 0.0
     return dict(estimate=ratio, statistic=stat, p_value=_chi2_p(dev, stat, h),
                 lo=ratio * (a - root), hi=ratio * (a + root),
                 nonpositive=(mu1 <= 0.0) | (mu2 <= 0.0),
-                undefined=(den <= 0.0) | (disc <= 0.0),
-                den=den, a=a, b=b, disc=disc)
+                undefined=bad_den | (disc <= 0.0),
+                bad_den=bad_den, den=den, a=a, b=b, disc=disc)
 
 
-def _row(kernel, mu: MuEstimate, v: VarianceEstimate, h: Hypothesis) -> dict:
-    """A kernel's results for one (mu, v) as floats; DataError for a ratio
-    of non-positive arm means."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cols = kernel(mu.mu, v.sigma, v.n, h)
-    r = {k: float(x) for k, x in cols.items()}
-    if r.get("nonpositive"):
-        raise DataError("ratio effects need positive arm means, got "
-                        f"({mu.mu1:.4g}, {mu.mu2:.4g})")
-    return r
-
-
-def _result(method: str, measure: str, distribution: str, r: dict,
-            h: Hypothesis, v: VarianceEstimate, **fields) -> TestResult:
-    """TestResult from a kernel row, echoing the hypothesis and variance."""
-    return TestResult(method=method, measure=measure, estimate=r["estimate"],
-                      statistic=r["statistic"], distribution=distribution,
-                      p_value=r["p_value"], null_value=h.null_value,
-                      level=h.level, sidedness=h.sidedness,
-                      variance_tag=(v.estimator, v.correction), n=v.n,
-                      **fields)
-
-
-def wald_test_diff(mu: MuEstimate, v: VarianceEstimate,
-                   h: Hypothesis) -> TestResult:
-    """Wald chi-square for the difference, symmetric interval."""
-    r = _row(_wald_diff, mu, v, h)
-    return _result("wald", "difference", "chi-square-1", r, h, v,
-                   ci=(r["lo"], r["hi"]), se=r["se"])
-
-
-def score_test_diff(mu: MuEstimate, v: VarianceEstimate,
-                    h: Hypothesis) -> TestResult:
-    """Generalized score test for the difference.
-
-    Statistic (diff - null)^2 / (sd^2 + (diff - null)^2 / n); interval
-    diff +/- sd * sqrt(c / (1 - c/n)) with c the level quantile of
-    chi-square-1.  Needs n > c for the interval to exist.
-    """
-    r = _row(_score_diff, mu, v, h)
-    partial = _result("score", "difference", "chi-square-1", r, h, v,
-                      ci=None, se=r["se"])
-    if r["undefined"]:
-        c = h.chi2_quantile
-        raise IntervalUndefinedError(
-            f"score interval needs n > {c:.4g}, got n={v.n}",
-            result=partial, diagnostics={"n": v.n, "critical": c})
-    return replace(partial, ci=(r["lo"], r["hi"]))
-
-
-def wald_test_ratio(mu: MuEstimate, v: VarianceEstimate,
-                    h: Hypothesis) -> TestResult:
-    """Delta-method Wald for the ratio, built on the log scale."""
-    r = _row(_wald_ratio, mu, v, h)
-    return _result("wald", "ratio", "standard-normal", r, h, v,
-                   ci=(r["lo"], r["hi"]), se=r["se"], meta={"scale": "log"})
-
-
-def score_test_ratio(mu: MuEstimate, v: VarianceEstimate,
-                     h: Hypothesis) -> TestResult:
-    """Generalized score test for the ratio, interval from a quadratic.
-
-    Statistic (mu2 - d0 mu1)^2 / (Sigma_22 - 2 d0 Sigma_21 + d0^2
-    Sigma_11 + (mu2 - d0 mu1)^2 / n).  Interval endpoints are
-    (mu2/mu1) (a -/+ sqrt(a^2 - b)); both exist only when the linear
-    coefficient's denominator stays positive and a^2 > b, otherwise the
-    error carries the partial result and the failing quantities.
-    """
-    r = _row(_score_ratio, mu, v, h)
-    partial = _result("score", "ratio", "chi-square-1", r, h, v, ci=None)
-    c = h.chi2_quantile
-    if r["den"] <= 0.0:
-        raise IntervalUndefinedError(
-            "ratio interval undefined: (1 - c/n) mu_1^2 must exceed "
-            "c Sigma_11", result=partial,
-            diagnostics={"denominator": r["den"], "critical": c, "n": v.n})
-    if r["disc"] <= 0.0:
-        raise IntervalUndefinedError(
-            "ratio interval undefined: negative discriminant",
-            result=partial,
-            diagnostics={"a": r["a"], "b": r["b"],
-                         "discriminant": r["disc"]})
-    return replace(partial, ci=(r["lo"], r["hi"]),
-                   meta={"a": r["a"], "b": r["b"]})
-
-
-# ------------------------------------------------------------------ #
-# Pipeline composition
-# ------------------------------------------------------------------ #
-
-# (kernel, scalar test) per (measure, test)
+# (kernel, distribution) per (measure, test)
 _TESTS = {
-    ("difference", "wald"): (_wald_diff, wald_test_diff),
-    ("difference", "score"): (_score_diff, score_test_diff),
-    ("ratio", "wald"): (_wald_ratio, wald_test_ratio),
-    ("ratio", "score"): (_score_ratio, score_test_ratio),
+    ("difference", "wald"): (_wald_diff, "chi-square-1"),
+    ("difference", "score"): (_score_diff, "chi-square-1"),
+    ("ratio", "wald"): (_wald_ratio, "standard-normal"),
+    ("ratio", "score"): (_score_ratio, "chi-square-1"),
 }
-
-
-def run_test(mu: MuEstimate, v: VarianceEstimate, h: Hypothesis,
-             test: str) -> TestResult:
-    """Run the named test ("wald" or "score") for ``h``'s effect measure."""
-    check_choices("run_test", (test, TESTS, "test"))
-    return _TESTS[(h.measure, test)][1](mu, v, h)
 
 
 def run_test_batch(mu: np.ndarray, sigma: np.ndarray, n: int, h: Hypothesis,
@@ -336,6 +241,98 @@ def run_test_batch(mu: np.ndarray, sigma: np.ndarray, n: int, h: Hypothesis,
         & np.ones(mu.shape[:-1], dtype=bool)
     return cols
 
+
+def _test_row(mu: MuEstimate, v: VarianceEstimate, h: Hypothesis,
+              test: str) -> tuple[TestResult, tuple[str, dict] | None]:
+    """``run_test_batch`` on one fit: its TestResult (no interval if the
+    row failed) and the reason (message, diagnostics) the score interval
+    is undefined, or None.  DataError for non-positive ratio arm means."""
+    r = {k: float(x) for k, x in
+         run_test_batch(mu.mu, v.sigma, v.n, h, test).items()}
+    if r.get("nonpositive"):
+        raise DataError("ratio effects need positive arm means, got "
+                        f"({mu.mu1:.4g}, {mu.mu2:.4g})")
+    defined = not r["failed"]
+    meta = ({"scale": "log"} if (h.measure, test) == ("ratio", "wald") else
+            {"a": r["a"], "b": r["b"]} if "a" in r and defined else {})
+    result = TestResult(
+        method=test, measure=h.measure, estimate=r["estimate"],
+        statistic=r["statistic"], distribution=_TESTS[(h.measure, test)][1],
+        p_value=r["p_value"], ci=(r["lo"], r["hi"]) if defined else None,
+        null_value=h.null_value, level=h.level, sidedness=h.sidedness,
+        variance_tag=(v.estimator, v.correction), n=v.n, se=r.get("se"),
+        meta=meta)
+    if defined:
+        return result, None
+    c = h.chi2_quantile
+    if h.measure == "difference":
+        return result, (f"score interval needs n > {c:.4g}, got n={v.n}",
+                        {"n": v.n, "critical": c})
+    if r["bad_den"]:
+        return result, ("ratio interval undefined: (1 - c/n) mu_1^2 must "
+                        "exceed c Sigma_11",
+                        {"denominator": r["den"], "critical": c, "n": v.n})
+    return result, ("ratio interval undefined: negative discriminant",
+                    {"a": r["a"], "b": r["b"], "discriminant": r["disc"]})
+
+
+def run_test(mu: MuEstimate, v: VarianceEstimate, h: Hypothesis,
+             test: str) -> TestResult:
+    """Run the named test ("wald" or "score") for ``h``'s effect measure;
+    IntervalUndefinedError, carrying the result, if no interval exists."""
+    result, reason = _test_row(mu, v, h, test)
+    if reason is not None:
+        raise IntervalUndefinedError(reason[0], result=result,
+                                     diagnostics=reason[1])
+    return result
+
+
+def _for_measure(h: Hypothesis, measure: str) -> Hypothesis:
+    """``h``; ValueError if it is a hypothesis about the other measure."""
+    if h.measure != measure:
+        raise ValueError(f"{measure} test given a {h.measure} hypothesis")
+    return h
+
+
+def wald_test_diff(mu: MuEstimate, v: VarianceEstimate,
+                   h: Hypothesis) -> TestResult:
+    """Wald chi-square for the difference, symmetric interval."""
+    return run_test(mu, v, _for_measure(h, "difference"), "wald")
+
+
+def score_test_diff(mu: MuEstimate, v: VarianceEstimate,
+                    h: Hypothesis) -> TestResult:
+    """Generalized score test for the difference.
+
+    Statistic (diff - null)^2 / (sd^2 + (diff - null)^2 / n); interval
+    diff +/- sd * sqrt(c / (1 - c/n)) with c the level quantile of
+    chi-square-1.  Needs n > c for the interval to exist.
+    """
+    return run_test(mu, v, _for_measure(h, "difference"), "score")
+
+
+def wald_test_ratio(mu: MuEstimate, v: VarianceEstimate,
+                    h: Hypothesis) -> TestResult:
+    """Delta-method Wald for the ratio, built on the log scale."""
+    return run_test(mu, v, _for_measure(h, "ratio"), "wald")
+
+
+def score_test_ratio(mu: MuEstimate, v: VarianceEstimate,
+                     h: Hypothesis) -> TestResult:
+    """Generalized score test for the ratio, interval from a quadratic.
+
+    Statistic (mu2 - d0 mu1)^2 / (Sigma_22 - 2 d0 Sigma_21 + d0^2
+    Sigma_11 + (mu2 - d0 mu1)^2 / n).  Interval endpoints are
+    (mu2/mu1) (a -/+ sqrt(a^2 - b)); both exist only when the linear
+    coefficient's denominator stays positive and a^2 > b, otherwise the
+    error carries the partial result and the failing quantities.
+    """
+    return run_test(mu, v, _for_measure(h, "ratio"), "score")
+
+
+# ------------------------------------------------------------------ #
+# Pipeline composition
+# ------------------------------------------------------------------ #
 
 @dataclass(frozen=True)
 class AnalysisResult:
@@ -365,11 +362,9 @@ def analyze_trial(data: TrialDataset, spec: ModelSpec, h: Hypothesis, *,
     v = estimate_variance(fit, design, estimator, correction, pi)
     tests, undefined = {}, {}
     for m in methods:
-        try:
-            tests[m] = run_test(mu, v, h, m)
-        except IntervalUndefinedError as err:
-            tests[m] = err.result
-            undefined[m] = str(err)
+        tests[m], reason = _test_row(mu, v, h, m)
+        if reason is not None:
+            undefined[m] = reason[0]
     return AnalysisResult(spec=spec, mu=mu, variance=v, fit=fit,
                           tests=tests, undefined_intervals=undefined)
 

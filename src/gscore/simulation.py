@@ -363,13 +363,13 @@ class _Trials(NamedTuple):
     outcome: np.ndarray  # (B, n), 0/1
     arm: np.ndarray  # (B, n), labels 1 and 2
     # (B, n, k): the transpose (a view) of C-contiguous covariate rows
-    # (B, k, n), W1..Wq then the 0/1 stratum S if stratified
+    # (B, k, n), W1..Wq then the 0/1 stratum S if there is a stratify rule
     covariates: np.ndarray
     covariate_names: tuple[str, ...]
 
 
 def _covariate_names(s: Scenario) -> tuple[str, ...]:
-    """The covariate columns of s's trials: W1..Wq, then S if stratified."""
+    """s's covariate columns: W1..Wq, then S if it has a stratify rule."""
     names = tuple(f"W{j + 1}" for j in range(len(s.covariates)))
     return names if s.stratify is None else names + ("S",)
 
@@ -399,12 +399,13 @@ def _draw(s: Scenario, rngs, B: int) -> _Trials:
             else:
                 np.less(rng.random(out=x), spec.p, out=x)
             j += k
-        if s.scheme == "complete":
-            rng.shuffle(arm[b])
-        else:
+        if s.stratify is not None:  # no draw: S = I(W_j > c)
             m = np.count_nonzero(np.greater(
                 rows[b, s.stratify.covariate - 1], s.stratify.threshold,
                 out=rows[b, q]))
+        if s.scheme == "complete":
+            rng.shuffle(arm[b])
+        else:
             _permute_blocks(rng, slots[b], (n - m, m))
         rng.random(out=u[b])
     if s.scheme != "complete":

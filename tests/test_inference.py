@@ -479,6 +479,10 @@ class TestAnalyzeTrial:
         assert res.tests["score"].ci is None
         assert np.isfinite(res.tests["score"].statistic)
         assert res.tests["wald"].ci is not None
+        with pytest.raises(IntervalUndefinedError) as exc:
+            run_test(res.mu, res.variance, h, "score")
+        assert res.undefined_intervals["score"] == str(exc.value)
+        assert res.tests["score"] == exc.value.result
 
 
 class TestRunTest:
@@ -500,6 +504,19 @@ class TestRunTest:
         mu, v = fixture_mu_v
         with pytest.raises(ValueError):
             run_test(mu, v, Hypothesis(measure="difference"), "lrt")
+
+    @pytest.mark.parametrize("func, other", [
+        (wald_test_diff, "ratio"), (score_test_diff, "ratio"),
+        (wald_test_ratio, "difference"), (score_test_ratio, "difference")])
+    def test_named_tests_reject_the_other_measure(self, fixture_mu_v, func,
+                                                  other):
+        """A named test is for one measure: a hypothesis about the other
+        is refused, not tested at its null value."""
+        mu, v = fixture_mu_v
+        with pytest.raises(ValueError) as exc:
+            func(mu, v, Hypothesis(measure=other))
+        assert "difference" in str(exc.value)
+        assert "ratio" in str(exc.value)
 
 
 class TestUnadjustedAnalysis:
@@ -552,6 +569,28 @@ def mean_batches(draw):
     a, c, d = cells.T  # Sigma = L L' / n, L lower triangular [[a, 0], [c, d]]
     sigma = np.stack([np.stack([a * a, a * c], -1),
                       np.stack([a * c, c * c + d * d], -1)], -2) / n
+    return mu, sigma, n
+
+
+@st.composite
+def edge_batches(draw):
+    """(mu (B, 2), Sigma (B, 2, 2), n) that also reach the rows where a
+    test fails: n from 2 (at most the critical value), zero and negative
+    arm means, and covariances from zero (a ratio discriminant of 0) to
+    wide (a ratio denominator below 0) beside those of order 1/n."""
+    B = draw(st.integers(1, 12))
+    n = draw(st.one_of(st.integers(2, 12), st.integers(13, 5000)))
+    arm = st.one_of(st.floats(0.02, 0.98), st.sampled_from((0.0, -0.3)))
+    mu = np.array(draw(st.lists(st.tuples(arm, arm), min_size=B,
+                                max_size=B)))
+    cells = np.array(draw(st.lists(
+        st.tuples(st.floats(0.05, 1.0), st.floats(-1.0, 1.0),
+                  st.floats(0.05, 1.0), st.sampled_from((0.0, 1.0, 30.0))),
+        min_size=B, max_size=B)))
+    a, c, d, scale = cells.T
+    sigma = np.stack([np.stack([a * a, a * c], -1),
+                      np.stack([a * c, c * c + d * d], -1)], -2) \
+        * scale[:, None, None] / n
     return mu, sigma, n
 
 
@@ -612,22 +651,36 @@ class TestBatchKernels:
         assert (score["hi"] >= wald["hi"]).all()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(mean_batches(), hypotheses)
+    @given(edge_batches(), hypotheses)
     def test_scalar_tests_are_batch_rows(self, batch, h):
+        """run_test on one fit is its batch row: DataError exactly on the
+        non-positive rows, IntervalUndefinedError (a result with no
+        interval) exactly on the other undefined ones, and the same
+        numbers and interval everywhere else."""
         mu, sigma, n = batch
+        none = np.zeros(len(mu), dtype=bool)
         for test in TESTS:
             cols = run_test_batch(mu, sigma, n, h, test)
+            nonpositive = cols.get("nonpositive", none)
+            undefined = cols.get("undefined", none) & ~nonpositive
+            np.testing.assert_array_equal(cols["failed"],
+                                          nonpositive | undefined)
             for b in range(len(mu)):
                 m, v = _estimate(mu[b], sigma[b], n)
+                if nonpositive[b]:
+                    with pytest.raises(DataError):
+                        run_test(m, v, h, test)
+                    continue
                 try:
                     r = run_test(m, v, h, test)
                 except IntervalUndefinedError as err:
-                    assert cols["failed"][b]
+                    assert undefined[b]
                     r = err.result
                     assert r.ci is None
                 else:
-                    assert not cols["failed"][b]
+                    assert not undefined[b]
                     assert r.ci == (cols["lo"][b], cols["hi"][b])
-                assert (r.estimate, r.statistic, r.p_value) == (
-                    cols["estimate"][b], cols["statistic"][b],
-                    cols["p_value"][b])
+                np.testing.assert_array_equal(
+                    (r.estimate, r.statistic, r.p_value),
+                    (cols["estimate"][b], cols["statistic"][b],
+                     cols["p_value"][b]))

@@ -195,7 +195,7 @@ def _loop_draw(s, rngs):
     """Reference generator: each trial draws its covariates one at a time,
     then its arms (one permutation, or one stratum at a time), then its
     outcome uniforms; the outcome is formed from the stacked trials, as
-    _draw forms it."""
+    _draw forms it.  The stratum, under either scheme, takes no draw."""
     B, n, q = len(rngs), s.n, len(s.covariates)
     W = np.empty((B, n, q))
     arm = np.empty((B, n), dtype=int)
@@ -209,11 +209,13 @@ def _loop_draw(s, rngs):
             W[b, :, j] = (rng.standard_normal(n)
                           if spec.kind == "standard-normal"
                           else rng.random(n) < spec.p)
+        if s.stratify is not None:
+            stratum[b] = (W[b, :, s.stratify.covariate - 1]
+                          > s.stratify.threshold)
         if s.scheme == "complete":
             arm[b] = rng.permutation([1] * n1 + [2] * (n - n1))
             u[b] = rng.random(n)
             continue
-        stratum[b] = W[b, :, s.stratify.covariate - 1] > s.stratify.threshold
         for label in np.unique(stratum[b]):
             idx = np.flatnonzero(stratum[b] == label)
             blocks = np.tile(base, (-(-idx.size // s.block_size), 1))
@@ -385,6 +387,21 @@ class TestGenerateTrial:
                       - int((data.arm[in_s] == 2).sum()))
             assert gap <= 2
 
+    def test_complete_trial_keeps_its_stratum(self):
+        """Complete randomization with a stratify rule still writes S =
+        I(W_j > c), as labels and as the "S" column, after other arrays
+        have been made and freed."""
+        s = scenario1(stratify=StratificationRule(covariate=3,
+                                                  threshold=0.25))
+        for seed in range(3):
+            np.full((1, 4, s.n), 7.5)  # leave non-zero memory behind
+            data = generate_trial(s, np.random.default_rng(seed))
+            assert data.covariate_names == ("W1", "W2", "W3", "S")
+            expected = data.covariates[:, 2] > 0.25
+            assert 0 < expected.sum() < s.n
+            np.testing.assert_array_equal(data.stratum, expected.astype(int))
+            np.testing.assert_array_equal(data.covariates[:, 3], expected)
+
     def test_null_scenario_rate_near_half(self):
         """beta_W = 0 and beta_A = (0, 0) give marginal rate 1/2."""
         s = Scenario(n=4000, covariates=(), beta_W=(), beta_A=(0.0, 0.0))
@@ -420,8 +437,12 @@ class TestGenerateTrial:
                  covariates=("standard-normal", "standard-normal"),
                  scheme="stratified-block", block_size=4,
                  stratify=StratificationRule(covariate=1, threshold=50.0)),
+        Scenario(n=41, beta_A=(-0.4, 0.3), beta_W=(0.5, -0.8, 0.3),
+                 covariates=("standard-normal", {"bernoulli": 0.4},
+                             "standard-normal"),
+                 stratify=StratificationRule(covariate=3, threshold=0.25)),
     ], ids=["stratified-mixed", "complete-0.3-odd-n", "bernoulli-stratum-1:3",
-            "one-stratum-empty"])
+            "one-stratum-empty", "complete-with-stratum"])
     @pytest.mark.parametrize("path", ["substreams", "default_rng",
                                       "re-keyed"])
     def test_draw_matches_the_per_covariate_loop(self, s, path):
