@@ -77,10 +77,12 @@ def _json_ready(obj):
 
 
 def _write_json(path: str, obj) -> None:
-    """obj as strict JSON (no NaN or Infinity tokens), indented, at path."""
+    """obj as strict JSON (no NaN or Infinity tokens), indented, at path;
+    serialized whole before the file is opened, so an object that cannot
+    be written leaves no file."""
+    text = json.dumps(_json_ready(obj), indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_ready(obj), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ------------------------------------------------------------------ #
@@ -140,6 +142,9 @@ def cmd_analyze(args) -> int:
                         correction=cfg.correction, pi=cfg.pi)
 
     sigma = res.variance.sigma
+    # the cellwise estimator (III) can give an arm a negative variance
+    se = [float(sigma[a, a]) ** 0.5 if sigma[a, a] >= 0.0 else None
+          for a in range(2)]
     report = {
         "schema_version": SCHEMA_VERSION,
         "package": {"name": "gscore", "version": __version__},
@@ -154,8 +159,8 @@ def cmd_analyze(args) -> int:
                                      res.fit.beta.tolist())),
         },
         "arm_means": {
-            "mu1": {"estimate": res.mu.mu1, "se": float(sigma[0, 0]) ** 0.5},
-            "mu2": {"estimate": res.mu.mu2, "se": float(sigma[1, 1]) ** 0.5},
+            "mu1": {"estimate": res.mu.mu1, "se": se[0]},
+            "mu2": {"estimate": res.mu.mu2, "se": se[1]},
         },
         "variance": {"estimator": res.variance.estimator,
                      "correction": res.variance.correction,
@@ -169,8 +174,9 @@ def cmd_analyze(args) -> int:
     print(f"n used: {data.n} (dropped {dropped})   arms: {n1}/{n2}")
     print(f"model: {cfg.model.family}   covariates: "
           f"{', '.join(cfg.model.covariates) or '(arm only)'}")
-    print(f"mu1 = {res.mu.mu1:.6f} (se {float(sigma[0, 0]) ** 0.5:.6f})   "
-          f"mu2 = {res.mu.mu2:.6f} (se {float(sigma[1, 1]) ** 0.5:.6f})")
+    shown = ["n/a" if x is None else f"{x:.6f}" for x in se]
+    print(f"mu1 = {res.mu.mu1:.6f} (se {shown[0]})   "
+          f"mu2 = {res.mu.mu2:.6f} (se {shown[1]})")
     print(f"variance: estimator {res.variance.estimator}, "
           f"{res.variance.correction}")
     for name, t in res.tests.items():

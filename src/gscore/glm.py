@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logit
 
 from .dataset import DesignMatrix
 from .errors import (
@@ -71,12 +70,22 @@ class Family:
 
 def _logit_mean(eta: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-eta)) in one temporary; where exp(-eta) overflows
-    the mean is exactly 0.  Within 1e-15 relative of scipy.special.expit
-    on |eta| <= 700, and about 3x faster on a (64, 326) batch."""
+    the mean is exactly 0.  Within 1e-15 relative of the logistic
+    function on |eta| <= 700 (the tests check it against scipy's expit),
+    and about 3x faster than expit on a (64, 326) batch."""
     with np.errstate(over="ignore"):
         t = np.exp(-eta)
     t += 1.0
     return np.reciprocal(t, out=t)
+
+
+def _logit(p: np.ndarray) -> np.ndarray:
+    """log(p / (1 - p)) for p in (0, 1), by scipy's logit's two branches:
+    near 1/2, where that ratio loses digits, log1p(s) - log1p(-s) with
+    s = 2 (p - 1/2)."""
+    s = 2.0 * (p - 0.5)
+    return np.where((p < 0.3) | (p > 0.65), np.log(p / (1.0 - p)),
+                    np.log1p(s) - np.log1p(-s))
 
 
 BERNOULLI_LOGIT = Family(
@@ -87,7 +96,7 @@ BERNOULLI_LOGIT = Family(
     # log(1 + e^eta) as max(eta, 0) + log1p(e^-|eta|), logaddexp's formula
     loglik=lambda y, eta: (y * eta - np.maximum(eta, 0.0)
                            - np.log1p(np.exp(-np.abs(eta)))).sum(axis=-1),
-    initial_intercept=lambda ybar: logit(np.clip(ybar, 1e-6, 1 - 1e-6)),
+    initial_intercept=lambda ybar: _logit(np.clip(ybar, 1e-6, 1 - 1e-6)),
     separation_norm=30.0,
 )
 POISSON_LOG = Family(
@@ -240,12 +249,11 @@ def fit_batch(design: DesignMatrix, y: np.ndarray):
     XT = XB if idx.size == B else XB[idx]
     ya, beta = y[idx], np.zeros((idx.size, p))
     # arm indicators start at link(arm mean): arm-only models start solved
-    for j in range(min(p, 2)):
-        rows = XT[:, j] == 1.0
-        count = rows.sum(axis=-1)
-        has = count > 0
-        beta[has, j] = fam.initial_intercept(
-            (ya * rows).sum(axis=-1)[has] / count[has])
+    rows = XT[:, :2] == 1.0
+    count = rows.sum(axis=-1)
+    has = count > 0
+    beta[:, :2][has] = fam.initial_intercept(
+        (ya[:, None] * rows).sum(axis=-1)[has] / count[has])
     eta = _matvec(XT.mT, beta)
     ll = fam.loglik(ya, eta)
     failed, by_qr = np.zeros((2, idx.size), dtype=bool)

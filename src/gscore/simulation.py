@@ -42,7 +42,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import ModelSpec, TrialDataset, stack_designs
 from .errors import check_choices
@@ -52,7 +51,7 @@ from .gcomp import (
     estimate_mu,
     estimate_variance_batch,
 )
-from .glm import fit_batch
+from .glm import BERNOULLI_LOGIT, fit_batch
 from .inference import MEASURES, SIDEDNESS, TESTS, Hypothesis, run_test_batch
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(80)
@@ -413,8 +412,8 @@ def _draw(s: Scenario, rngs, B: int) -> _Trials:
 
     eta = np.asarray(s.beta_A)[arm - 1] + (rows[:, :q].mT @ np.asarray(
         s.beta_W) if q else 0.0)
-    return _Trials(outcome=(u < expit(eta)).astype(float), arm=arm,
-                   covariates=rows.mT, covariate_names=names)
+    return _Trials(outcome=(u < BERNOULLI_LOGIT.mean(eta)).astype(float),
+                   arm=arm, covariates=rows.mT, covariate_names=names)
 
 
 def generate_trial(s: Scenario, rng: np.random.Generator) -> TrialDataset:
@@ -429,7 +428,8 @@ def generate_trial(s: Scenario, rng: np.random.Generator) -> TrialDataset:
 
 
 def _marginal_mean(intercept: float, beta_W, specs) -> float:
-    """E[expit(intercept + beta_W' W)] for iid W per specs.
+    """E[m(intercept + beta_W' W)], m the logistic mean, for iid W per
+    specs.
 
     Normal components collapse to one normal direction with scale
     ||beta_normal||_2 (handled by quadrature); Bernoulli components are
@@ -455,7 +455,7 @@ def _marginal_mean(intercept: float, beta_W, specs) -> float:
             prob *= p if v else 1.0 - p
             offset += b * v
         eta = intercept + offset + norm_scale * _GH_NODES
-        total += prob * float(expit(eta) @ _GH_WEIGHTS)
+        total += prob * float(BERNOULLI_LOGIT.mean(eta) @ _GH_WEIGHTS)
     return total
 
 
@@ -578,10 +578,10 @@ def _rep_rngs(seed: int, reps):
 
 
 class _Plan(NamedTuple):
-    """Per method (method, model spec, hypothesis, rejection threshold),
-    and per (hypothesis, test) (hypothesis, test, threshold, its methods'
-    columns, their (spec, estimator, correction, pi) variances); fixed
-    across replications, so built and checked before any trial."""
+    """Per method (method, model spec, hypothesis), and per (hypothesis,
+    test) (hypothesis, test, its methods' columns, their (spec,
+    estimator, correction, pi) variances); fixed across replications, so
+    built and checked before any trial."""
 
     methods: tuple
     tests: tuple
@@ -607,11 +607,9 @@ def _plan(s: Scenario, methods, level: float) -> _Plan:
                              f"n={s.n}, p={p}")
         h = Hypothesis(measure=m.measure, null_value=m.null_value,
                        level=level, sidedness=m.sidedness)
-        thr = (1.0 - level) / 2.0 if m.sidedness != "two-sided" \
-            else 1.0 - level
-        groups.setdefault((h, m.test, thr), []).append(
+        groups.setdefault((h, m.test), []).append(
             (len(rows), (spec, m.estimator, m.correction, m.pi)))
-        rows.append((m, spec, h, thr))
+        rows.append((m, spec, h))
     return _Plan(tuple(rows), tuple((*g, *zip(*members))
                                     for g, members in groups.items()))
 
@@ -645,7 +643,7 @@ def _analyze_batch(trials: _Trials, plan: _Plan):
     est, lo, hi = (np.empty((B, len(plan.methods))) for _ in range(3))
     reject, failed = (np.empty(est.shape, dtype=bool) for _ in range(2))
     fits, variances = {}, {}
-    for h, test, thr, cols, keys in plan.tests:
+    for h, test, cols, keys in plan.tests:
         for key in keys:
             if key not in variances:
                 if key[0] not in fits:
@@ -656,11 +654,11 @@ def _analyze_batch(trials: _Trials, plan: _Plan):
                 variances[key] = mu, sigma, fit_failed | _row_mask(errors, B)
         mu, sigma, var_failed = (np.stack(a, axis=1) for a in zip(
             *map(variances.get, keys)))
-        r = run_test_batch(mu, sigma, n, h, test)
+        r = run_test_batch(mu, sigma, n, h, test, p_value=False)
         ok = ~(var_failed | r["failed"])
         for out, name in ((est, "estimate"), (lo, "lo"), (hi, "hi")):
             out[:, cols] = np.where(ok, r[name], np.nan)
-        reject[:, cols] = ok & (r["p_value"] <= thr)
+        reject[:, cols] = ok & r["reject"]
         failed[:, cols] = ~ok
     return est, reject, lo, hi, failed
 
@@ -836,7 +834,7 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
         mc_se_coverage=float(se_cov[j]),
         # a pairwise sum of the column as one vector, not a strided sum
         mean_estimate=float(est[ok[:, j], j].mean()) if used[j] else np.nan)
-        for j, (m, _, h, _) in enumerate(plan.methods)))
+        for j, (m, _, h) in enumerate(plan.methods)))
 
 
 # ------------------------------------------------------------------ #

@@ -255,6 +255,42 @@ class TestAnalyze:
         assert report["tests"]["wald"]["ci"] is not None
         assert "interval undefined" in capsys.readouterr().err
 
+    def test_negative_cellwise_arm_variance_reports_no_se(
+            self, tmp_path, capsys):
+        """The cellwise estimator (III) gives arm 2 a negative variance on
+        these eight rows: its se is null in the report and n/a on the
+        console, and the report is whole strict JSON."""
+        csv_path = tmp_path / "neg.csv"
+        csv_path.write_text(
+            "y,arm,w\n-0.22,1,-0.02\n-0.74,1,0.15\n-2.19,2,0.53\n"
+            "-2.99,2,0.73\n-3.69,2,0.9\n5.07,1,-1.28\n2.53,1,-0.62\n"
+            "-3.9,2,0.97\n", encoding="utf-8")
+        cfg = write_yaml(tmp_path / "neg.yaml", {  # default hypothesis
+            "data": str(csv_path),
+            "schema": {"outcome": "y", "arm": "arm", "covariates": ["w"]},
+            "model": {"family": "gaussian-identity", "covariates": ["w"]},
+            "estimator": "III"})
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        with open(out, encoding="utf-8") as fh:
+            report = json.loads(fh.read(), parse_constant=refuse)
+        assert report["variance"]["sigma"][1][1] < 0.0
+        assert report["arm_means"]["mu2"]["se"] is None
+        assert report["arm_means"]["mu1"]["se"] == pytest.approx(
+            report["variance"]["sigma"][0][0] ** 0.5, rel=1e-15)
+        assert "(se n/a)" in capsys.readouterr().out
+
+    def test_unserializable_report_leaves_no_file(self, tmp_path):
+        """The report is serialized whole before its file is opened."""
+        out = tmp_path / "r.json"
+        with pytest.raises(TypeError):
+            cli._write_json(str(out), {"fine": 1.0, "bad": 1j})
+        assert not out.exists()
+
 
 class TestSimulate:
     """The simulate subcommand."""
@@ -559,6 +595,53 @@ class TestEntryPoint:
                           "print('scipy.stats' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_scipy_special_out(self):
+        """Tails, quantiles and the logit link are NumPy and standard
+        library code, so no scipy module loads with the package."""
+        proc = run_python("-c", "import sys, gscore, gscore.cli; "
+                          "print(sorted(m for m in sys.modules "
+                          "if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_generation_fits_tests_and_analyze_load_no_scipy(self):
+        """Calibration, a one-worker run_oc, analyze_trial and the analyze
+        command on the shipped configs, in a fresh interpreter, leave no
+        scipy module in sys.modules: no fit there takes the pivoted-QR
+        step, the only user of scipy."""
+        script = f"""
+import contextlib, io, os, sys, tempfile
+import yaml
+from gscore import (ColumnSchema, Hypothesis, ModelSpec, analyze_trial,
+                    calibrate_intercepts, load_csv, methods_from_config,
+                    run_oc, scenario_from_config)
+from gscore.cli import main
+root = {PKG_ROOT!r}
+def doc(name):
+    with open(os.path.join(root, "configs", name), encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
+scen = doc("scenario2_stratified.yaml")
+calibrate_intercepts((0.30, 0.45), scen["beta_W"],
+                     scen["covariates"])
+run_oc(scenario_from_config(scen),
+       methods_from_config(doc("methods.yaml")["methods"]), 60, seed=3,
+       workers=1)
+ex = doc("analyze_example.yaml")
+data, _ = load_csv(os.path.join(root, "tests", "data", "fixture20.csv"),
+                   ColumnSchema(**ex["schema"]))
+analyze_trial(data, ModelSpec(**ex["model"]), Hypothesis(), estimator="III")
+with tempfile.TemporaryDirectory() as tmp, \\
+        contextlib.redirect_stdout(io.StringIO()):
+    code = main(["analyze", "--config",
+                 os.path.join(root, "configs", "analyze_example.yaml"),
+                 "--out", os.path.join(tmp, "r.json")])
+assert code == 0, code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_import_leaves_scipy_linalg_out(self):
         """scipy.linalg serves only the pivoted-QR Newton step, so it is

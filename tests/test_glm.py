@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import expit
+from scipy.special import expit, logit
 
 import frozen_values as fv
 from conftest import random_trial
@@ -82,6 +82,17 @@ class TestFamilies:
                               np.random.default_rng(3).normal(0, 5, 10000)])
         np.testing.assert_allclose(BERNOULLI_LOGIT.mean(eta), expit(eta),
                                    rtol=1e-15, atol=0)
+
+    def test_initial_intercept_is_scipy_logit(self):
+        """The logit start takes scipy.special.logit's two branches
+        (log1p near 1/2): within an ulp of it, and bit-equal on nearly
+        every arm mean k/m, so fits start where they did with scipy."""
+        p = np.unique(np.concatenate([np.arange(m + 1) / m
+                                      for m in range(1, 201)]))
+        got = BERNOULLI_LOGIT.initial_intercept(p)
+        want = logit(np.clip(p, 1e-6, 1 - 1e-6))
+        np.testing.assert_allclose(got, want, rtol=5e-16, atol=0)
+        assert np.mean(got == want) >= 0.97
 
     def test_logit_mean_saturates_without_warning(self):
         """Where exp(-eta) overflows the mean is exactly 0, and silently;

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import chdtrc
+from scipy.special import chdtrc, erfc, ndtr
 from scipy.stats import chi2, norm
 
 import frozen_values as fv
@@ -684,3 +684,118 @@ class TestBatchKernels:
                     (r.estimate, r.statistic, r.p_value),
                     (cols["estimate"][b], cols["statistic"][b],
                      cols["p_value"][b]))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(edge_batches(), hypotheses)
+    def test_reject_is_the_p_value_at_the_level(self, batch, h):
+        """``reject`` (what run_oc tallies) is p <= 1 - level, half that
+        one-sided, and leaving the p-values out changes no other column."""
+        mu, sigma, n = batch
+        thr = (1.0 - h.level) / 2.0 if h.sidedness != "two-sided" \
+            else 1.0 - h.level
+        for test in TESTS:
+            cols = run_test_batch(mu, sigma, n, h, test)
+            np.testing.assert_array_equal(cols["reject"],
+                                          cols["p_value"] <= thr)
+            bare = run_test_batch(mu, sigma, n, h, test, p_value=False)
+            assert bare.keys() == cols.keys() - {"p_value"}
+            for key in bare:
+                np.testing.assert_array_equal(bare[key], cols[key])
+
+
+def _rel_err(got, want):
+    """|got / want - 1| where want is a normal number, else 0."""
+    normal = np.abs(want) >= np.finfo(float).tiny
+    return np.where(normal, np.abs(got / np.where(normal, want, 1.0) - 1.0),
+                    0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTails:
+    """The NumPy tails against scipy.special, and their exact edges.
+
+    erfc underflows past a ~ 26.6 (a^2 > 709.78 in cephes); scipy's values
+    between 26.55 and 26.64 are subnormal, and the relative error is
+    bounded only where scipy's value is a normal number.
+    """
+
+    a = np.concatenate([np.linspace(0.0, 27.0, 270_001),
+                        np.geomspace(5e-324, 27.0, 20_001)])
+
+    def test_erfc_matches_scipy(self):
+        a = self.a
+        got = inference._erfc(a, a * a)
+        assert _rel_err(got, erfc(a)).max() <= 3e-15
+        # wherever scipy's value is not normal, ours is not either
+        assert (got[erfc(a) < np.finfo(float).tiny]
+                < np.finfo(float).tiny).all()
+
+    def test_erfc_edges(self):
+        a = np.array([0.0, -0.0, 5e-324, 1e-17, 27.3, 30.0, 1e10, 1e300,
+                      np.inf, np.nan])
+        with np.errstate(over="ignore"):
+            a2 = a * a
+        np.testing.assert_array_equal(inference._erfc(a, a2),
+                                      [1, 1, 1, 1, 0, 0, 0, 0, 0, np.nan])
+        assert inference._erfc(np.float64(0.0), np.float64(0.0)) == 1.0
+
+    def test_normal_tail_matches_ndtr(self):
+        """The one-sided p-values are ndtr(-z) ("greater") and ndtr(z)
+        ("less") of the deviate z, given z^2 as the ratio-Wald kernel forms
+        it.  Both sides form exp(-z^2 / 2) from a rounded square, so they
+        may differ by a few ulps times z^2."""
+        z = np.concatenate([np.linspace(-40.0, 40.0, 400_001),
+                            np.geomspace(1e-300, 40.0, 10_001),
+                            -np.geomspace(1e-300, 40.0, 10_001)])
+        chi2 = np.square(np.minimum(np.abs(z), 40.0))
+        bound = 4e-15 + 4e-16 * z * z
+        for side, want in (("greater", ndtr(-z)), ("less", ndtr(z))):
+            got = inference._p_value(z, chi2, side)
+            assert (_rel_err(got, want) <= bound).all(), side
+
+    def test_normal_tail_edges(self):
+        z = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, np.inf,
+                      -np.inf, np.nan])
+        chi2 = np.square(np.minimum(np.abs(z), 40.0))
+        np.testing.assert_array_equal(
+            inference._p_value(z, chi2, "greater"),
+            [0.5, 0.5, 0.5, 0.5, 0, 1, 0, 1, np.nan])
+        np.testing.assert_array_equal(
+            inference._p_value(z, chi2, "less"),
+            [0.5, 0.5, 0.5, 0.5, 1, 0, 1, 0, np.nan])
+
+    def test_far_ratio_wald_tail_is_silent(self):
+        """A near-zero variance puts the ratio Wald deviate past 1e154,
+        where its square would overflow: the p-values are 0 and 1, with
+        no warning."""
+        mu, sigma = np.array([0.30, 0.45]), 1e-312 * np.eye(2)
+        for side, p in (("greater", 0.0), ("less", 1.0), ("two-sided", 0.0)):
+            cols = run_test_batch(mu, sigma, 50, Hypothesis(
+                measure="ratio", sidedness=side), "wald")
+            assert cols["statistic"] > 1e155
+            assert cols["p_value"] == p
+            assert cols["reject"] == (side != "less")
+
+    def test_chi_square_tail_matches_scipy_erfc(self):
+        """erfc(sqrt(x / 2)) from scipy rounds the square root first, so it
+        may be off by x / 2 ulps; past x ~ 1490 both are 0."""
+        x = np.concatenate([np.linspace(0.0, 1500.0, 150_001),
+                            np.geomspace(5e-324, 1500.0, 20_001)])
+        want = erfc(np.sqrt(x / 2.0))
+        got = inference._chi2_sf(x)
+        assert (_rel_err(got, want) <= 4e-15 + 2.5e-16 * x).all()
+        edge = inference._chi2_sf(np.array([-1e300, -0.0, 5e-324, 1500.0,
+                                            1e300, np.inf, np.nan]))
+        np.testing.assert_array_equal(edge, [1, 1, 1, 0, 0, 0, np.nan])
+
+    def test_values_do_not_depend_on_the_array_shape(self):
+        """Each value's bits are the same alone, in a vector and in a
+        matrix: the tail is elementwise, never a reduction or a product."""
+        a = self.a[::700]
+        whole = inference._erfc(a, a * a)
+        alone = [inference._erfc(np.float64(x), np.float64(x) * x)
+                 for x in a]
+        np.testing.assert_array_equal(alone, whole)
+        m = a[:400].reshape(20, 20)
+        np.testing.assert_array_equal(inference._erfc(m, m * m).ravel(),
+                                      whole[:400])

@@ -1147,7 +1147,9 @@ class TestBatchedEngine:
                                 covariates=t.covariates[b],
                                 covariate_names=t.covariate_names,
                                 stratum=t.covariates[b, :, -1])
-            for j, (m, spec, h, thr) in enumerate(plan.methods):
+            for j, (m, spec, h) in enumerate(plan.methods):
+                thr = (1.0 - h.level) / 2.0 if h.sidedness != "two-sided" \
+                    else 1.0 - h.level
                 try:
                     design = build_design(data, spec)
                     fitted = fit(design, data.outcome)
