@@ -84,8 +84,8 @@ class TrialDataset:
             raise DataError("outcome contains non-finite values")
         if not np.isfinite(cov).all():
             raise DataError("covariates contain non-finite values")
-        bad = set(np.unique(arm)) - {1, 2}
-        if bad:
+        if not ((arm == 1) | (arm == 2)).all():
+            bad = set(np.unique(arm)) - {1, 2}
             raise DataError(f"arm labels outside {{1, 2}}: {sorted(bad)}")
         for a in (1, 2):
             if not np.any(arm == a):
@@ -186,7 +186,8 @@ class ColumnSchema:
     """Column-role mapping for CSV loading.
 
     ``arm_map`` relabels raw arm values onto {1, 2}; keys may be numbers
-    or strings and are matched against the parsed token.
+    or strings and are matched against the parsed token.  ``delimiter``
+    is one character other than '"', "\r" and "\n".
     """
 
     outcome: str
@@ -197,6 +198,10 @@ class ColumnSchema:
     delimiter: str = ","
 
     def __post_init__(self):
+        d = self.delimiter
+        if not isinstance(d, str) or len(d) != 1 or d in '"\r\n':
+            raise SchemaError("delimiter must be one character other than "
+                              f"'\"', '\\r' and '\\n', got {d!r}")
         object.__setattr__(self, "covariates", tuple(self.covariates))
         used = [self.outcome, self.arm, *self.covariates]
         if self.stratum is not None:
@@ -326,7 +331,37 @@ def _parse_block(rows, first: int, idx: dict, schema: ColumnSchema,
     return y[keep], arm[keep], cov[keep], strata
 
 
-def _plain_block(lines, usecols, width: int, delimiter: str):
+def _shape_bytes(delimiter: str) -> bytes | None:
+    """The ASCII bytes _has_width deletes from a block to see its shape:
+    all but the delimiter, "\n" and "\r"; None for a delimiter that is
+    not ASCII."""
+    if not delimiter.isascii():
+        return None
+    keep = {ord(delimiter), ord("\n"), ord("\r")}
+    return bytes(b for b in range(128) if b not in keep)
+
+
+def _has_width(lines, text: str, width: int, delimiter: str,
+               shape_bytes: bytes | None) -> bool:
+    """Whether each of a block's lines, joined in ``text``, holds
+    ``width - 1`` delimiters.  First tested on the whole block: with every
+    byte but the delimiter, "\n" and "\r" (shape_bytes, from _shape_bytes)
+    deleted, an ASCII block must read as ``width - 1`` delimiters and "\n",
+    or all with "\r\n", once per line.  A line holds no "\r" or "\n" but
+    its ending, so each line then has its own ending and its delimiters.
+    Any other block is tested line by line with str.count."""
+    if lines and shape_bytes is not None and text.isascii():
+        shape = text.encode().translate(None, shape_bytes)
+        row = delimiter * (width - 1)
+        if (shape == ((row + "\n") * len(lines)).encode()
+                or shape == ((row + "\r\n") * len(lines)).encode()):
+            return True
+    return set(map(str.count, lines, itertools.repeat(delimiter))) \
+        == {width - 1}
+
+
+def _plain_block(lines, usecols, width: int, delimiter: str,
+                 shape_bytes: bytes | None):
     """(outcome, arm, covariates, None) of a block of raw lines, read by
     NumPy's C reader, or None when the token path must read the block.
 
@@ -335,8 +370,11 @@ def _plain_block(lines, usecols, width: int, delimiter: str):
     - it has lines, and none holds a quote character or a NUL (which csv
       before Python 3.11 rejects), so csv would split each line at every
       delimiter;
-    - every line has ``width`` fields, none longer than csv's field size
-      limit (NumPy reads an oversize field, csv raises);
+    - every line has ``width`` fields (see _has_width: one bytes-level
+      test of the block first, the per-line count when it fails);
+    - no line is longer than csv's field size limit (NumPy reads an
+      oversize field, csv raises); the lines are measured only when the
+      whole block is longer;
     - NumPy converts every used field: it rejects missing tokens such as
       "NA" and "", and the tokens only float() reads, such as "1_0";
       what it reads, it reads with CPython's PyOS_string_to_double, as
@@ -344,10 +382,10 @@ def _plain_block(lines, usecols, width: int, delimiter: str):
     - no value is NaN (a missing token, or a value the token path
       reports) and every arm is exactly 1 or 2."""
     text = "".join(lines)
+    limit = csv.field_size_limit()
     if ('"' in text or "\0" in text
-            or set(map(str.count, lines, itertools.repeat(delimiter)))
-            != {width - 1}
-            or max(map(len, lines)) > csv.field_size_limit()):
+            or not _has_width(lines, text, width, delimiter, shape_bytes)
+            or len(text) > limit and max(map(len, lines)) > limit):
         return None
     try:
         values = np.loadtxt(lines, delimiter=delimiter, comments=None,
@@ -425,6 +463,7 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
             # plain blocks go to NumPy's reader; from the first block
             # that is not plain (at the latest the empty one at the end),
             # the token path reads the rest of the file
+            shape_bytes = _shape_bytes(schema.delimiter)
             while True:
                 lines, read_error = [], None
                 try:
@@ -432,7 +471,7 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
                 except UnicodeDecodeError as exc:
                     read_error = exc  # the lines read before it are kept
                 part = None if read_error is not None else _plain_block(
-                    lines, usecols, width, schema.delimiter)
+                    lines, usecols, width, schema.delimiter, shape_bytes)
                 if part is None:
                     break
                 parts.append(part)

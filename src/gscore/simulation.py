@@ -33,6 +33,7 @@ scheduling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import operator
@@ -53,9 +54,6 @@ from .gcomp import (
 )
 from .glm import BERNOULLI_LOGIT, fit_batch
 from .inference import MEASURES, SIDEDNESS, TESTS, Hypothesis, run_test_batch
-
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(80)
-_GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(2.0 * np.pi)
 
 _MAX_BERNOULLI_ENUM = 16
 _ARMS = np.array([1, 2])
@@ -427,6 +425,17 @@ def generate_trial(s: Scenario, rng: np.random.Generator) -> TrialDataset:
                         else t.covariates[0, :, -1].astype(int))
 
 
+@functools.cache
+def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
+    """The 80-node Gauss-Hermite rule for a standard normal: its nodes and
+    its weights over sqrt(2 pi).  Built on first use, so that a start
+    that never integrates (gscore analyze) imports no numpy.polynomial."""
+    from numpy.polynomial.hermite_e import hermegauss
+
+    nodes, weights = hermegauss(80)
+    return nodes, weights / np.sqrt(2.0 * np.pi)
+
+
 def _marginal_mean(intercept: float, beta_W, specs) -> float:
     """E[m(intercept + beta_W' W)], m the logistic mean, for iid W per
     specs.
@@ -447,6 +456,7 @@ def _marginal_mean(intercept: float, beta_W, specs) -> float:
     if len(bern) > _MAX_BERNOULLI_ENUM:
         raise ValueError(f"cannot enumerate more than {_MAX_BERNOULLI_ENUM} "
                          "bernoulli covariates exactly")
+    nodes, weights = _gauss_hermite()
     total = 0.0
     for values in itertools.product((0.0, 1.0), repeat=len(bern)):
         prob = 1.0
@@ -454,8 +464,8 @@ def _marginal_mean(intercept: float, beta_W, specs) -> float:
         for v, (b, p) in zip(values, bern):
             prob *= p if v else 1.0 - p
             offset += b * v
-        eta = intercept + offset + norm_scale * _GH_NODES
-        total += prob * float(BERNOULLI_LOGIT.mean(eta) @ _GH_WEIGHTS)
+        eta = intercept + offset + norm_scale * nodes
+        total += prob * float(BERNOULLI_LOGIT.mean(eta) @ weights)
     return total
 
 

@@ -145,6 +145,17 @@ class TestAnalyze:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\n"])
+    def test_bad_delimiter_exits_2_naming_it(self, tmp_path, capsys,
+                                             delimiter):
+        cfg = analyze_config(tmp_path, schema={
+            "outcome": "y", "arm": "arm", "covariates": ["w1"],
+            "delimiter": delimiter})
+        assert main(["analyze", "--config", cfg,
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert ("delimiter must be one character other than '\"', '\\r' "
+                f"and '\\n', got {delimiter!r}") in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = analyze_config(tmp_path, alpha=0.05)
         assert main(["analyze", "--config", cfg,
@@ -604,6 +615,25 @@ class TestEntryPoint:
                           "if m.split('.')[0] == 'scipy'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_numpy_polynomial_loads_only_with_the_first_integral(self):
+        """The Gauss-Hermite rule is built on first use: the package and
+        its command start without numpy.polynomial, and the first truth
+        computation loads it."""
+        proc = run_python("-c", """
+import sys
+import gscore, gscore.cli
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m == "numpy.polynomial" or m.startswith("numpy.polynomial."))
+print(loaded() == [])
+from gscore import Scenario, true_marginal_means
+true_marginal_means(Scenario(n=40, beta_A=(-1.0, 0.0),
+                             covariates=("standard-normal",), beta_W=(0.5,)))
+print("numpy.polynomial" in loaded())
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
 
     def test_generation_fits_tests_and_analyze_load_no_scipy(self):
         """Calibration, a one-worker run_oc, analyze_trial and the analyze

@@ -3,6 +3,8 @@
 import csv
 import gc
 import io
+import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -307,6 +309,28 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             ColumnSchema(outcome="y", arm="y")
 
+    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\n", "\r", 1,
+                                           None])
+    def test_bad_delimiter_is_a_schema_error(self, delimiter):
+        """A delimiter csv rejects, or one that would be read as a quote
+        or a line end, is named when the schema is made."""
+        message = ("delimiter must be one character other than '\"', '\\r' "
+                   f"and '\\n', got {delimiter!r}")
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            ColumnSchema("y", "arm", ("w",), delimiter=delimiter)
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", "|", "\u00a7"])
+    def test_one_character_delimiters_load(self, tmp_path, delimiter):
+        path = tmp_path / "d.csv"
+        path.write_bytes("".join(
+            delimiter.join(row) + "\n"
+            for row in [["y", "arm", "w"], ["1", "1", "0.5"],
+                        ["0", "2", "0.25"]]).encode())
+        schema = ColumnSchema("y", "arm", ("w",), delimiter=delimiter)
+        assert_loads_as_reference(str(path), schema)
+        data, _ = load_csv(str(path), schema)
+        assert data.covariates.tolist() == [[0.5], [0.25]]
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         """Excel writes UTF-8 CSVs with a BOM before the first name."""
         path = tmp_path / "bom.csv"
@@ -563,6 +587,147 @@ class TestLoadCsvBlocks:
         assert peak < 3 * result, (peak, result)
 
 
+def reference_plain_block(lines, usecols, width, delimiter):
+    """_plain_block with its shape rules tested line by line, each line's
+    delimiters counted and every line measured: the reference for the
+    block-level shape test."""
+    text = "".join(lines)
+    if ('"' in text or "\0" in text
+            or set(map(str.count, lines, itertools.repeat(delimiter)))
+            != {width - 1}
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=delimiter, comments=None,
+                            quotechar=None, usecols=usecols, dtype=float,
+                            ndmin=2)
+    except ValueError:
+        return None
+    arm = values[:, 1]
+    if (len(values) != len(lines) or np.isnan(values).any()
+            or not ((arm == 1) | (arm == 2)).all()):
+        return None
+    return values[:, 0], arm.astype(int), values[:, 2:], None
+
+
+def file_lines(text):
+    """text's lines as load_csv reads them from a file: split after each
+    "\n", "\r\n" or bare "\r", the endings kept."""
+    return io.StringIO(text, newline="").readlines()
+
+
+LIMIT = csv.field_size_limit()
+# (data lines after a "y,arm,w,note" header, with "," for the delimiter;
+# whether the block is plain).  Each non-plain block with the right total
+# of delimiters or of line ends is read by NumPy (the note column is not
+# used), so only the shape rules decline it.
+SHAPE_CASES = {
+    "clean": ("1,1,0.5,a\n0,2,0.25,b\n1,2,-1,c\n", True),
+    "clean-crlf": ("1,1,0.5,a\r\n0,2,0.25,b\r\n1,2,-1,c\r\n", True),
+    "counts-compensate": ("1,1,0.5,a,9\n0,2,0.25\n", False),
+    "counts-compensate-crlf": ("1,2,0.5\r\n0,1,0.25,b,9\r\n", False),
+    "counts-compensate-over-3": ("1,1,0.5,a,9\n0,2,0.25,b\n1,2,-1\n",
+                                 False),
+    "mixed-endings": ("1,1,0.5,a\n0,2,0.25,b\r\n1,2,-1,c\n", True),
+    "bare-cr-endings": ("1,1,0.5,a\r0,2,0.25,b\r", True),
+    "last-line-unterminated": ("1,1,0.5,a\n0,2,0.25,b", True),
+    "unterminated-compensates": ("1,1,0.5,a,9\n0,2,0.25", False),
+    "blank-line": ("1,1,0.5,a\n\n0,2,0.25,b\n", False),
+    "non-ascii-field": ("1,1,0.5,\u00e9t\u00e9\n0,2,0.25,b\n", True),
+    "non-ascii-compensates": ("1,1,0.5,\u00e9,9\n0,2,0.25\n", False),
+    "line-over-the-limit": (f"1,1,0.5,{'x' * LIMIT}\n0,2,0.25,b\n", False),
+    "block-over-the-limit": (f"1,1,0.5,{'x' * (LIMIT // 2)}\n"
+                             f"0,2,0.25,{'y' * (LIMIT // 2)}\n1,2,-1,c\n",
+                             True),
+}
+
+
+@st.composite
+def shaped_blocks(draw):
+    """(lines, width, delimiter): a block as load_csv reads it from a file.
+    Every line starts with ``width - 1`` delimiters; up to two moves take
+    one or two from one line to another, and a line may then get any
+    count.  Each line ends as the block's lines mostly do ("\n" or
+    "\r\n"), or in "\n", "\r\n", "\r" or nothing, which joins it to
+    the next.  Some blocks hold a non-ASCII field."""
+    delimiter = draw(st.sampled_from([",", ",", ";", "\t", "\u00a7"]))
+    width = draw(st.integers(2, 5))
+    field = st.sampled_from(["1", "0.5", "", "x"]
+                            + draw(st.sampled_from([[], [], ["\u00e9"]])))
+    counts = [width - 1] * draw(st.integers(0, 6))
+    if counts:
+        index = st.integers(0, len(counts) - 1)
+        for _ in range(draw(st.integers(0, 2))):
+            i, j, moved = draw(index), draw(index), draw(st.integers(1, 2))
+            if counts[j] >= moved:
+                counts[i] += moved
+                counts[j] -= moved
+        if draw(st.integers(0, 3)) == 0:
+            counts[draw(index)] = draw(st.integers(0, width))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = st.sampled_from([eol] * 6 + ["\n", "\r\n", "\r", ""])
+    text = "".join(
+        delimiter.join(draw(st.lists(field, min_size=k + 1, max_size=k + 1)))
+        + draw(ends) for k in counts)
+    return file_lines(text), width, delimiter
+
+
+class TestPlainBlockShape:
+    """_plain_block tests a block's shape on its bytes first and falls back
+    to the per-line rule, and takes exactly the blocks that rule takes."""
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", "\u00a7"])
+    @pytest.mark.parametrize("case", list(SHAPE_CASES))
+    def test_takes_the_blocks_the_per_line_rule_takes(self, tmp_path, case,
+                                                      delimiter):
+        body, plain = SHAPE_CASES[case]
+        body = body.replace(",", delimiter)
+        lines = file_lines(body)
+        got = dataset._plain_block(lines, [0, 1, 2], 4, delimiter,
+                                   dataset._shape_bytes(delimiter))
+        want = reference_plain_block(lines, [0, 1, 2], 4, delimiter)
+        assert (got is not None, want is not None) == (plain, plain)
+        if plain:
+            assert [a.tobytes() for a in got[:3]] == \
+                [a.tobytes() for a in want[:3]]
+        path = tmp_path / "d.csv"
+        path.write_bytes(delimiter.join(["y", "arm", "w", "note"]).encode()
+                         + b"\n" + body.encode())
+        assert_loads_as_reference(
+            str(path), ColumnSchema("y", "arm", ("w",), delimiter=delimiter))
+
+    def test_no_lines_is_not_plain(self):
+        assert dataset._plain_block([], [0, 1, 2], 4, ",",
+                                    dataset._shape_bytes(",")) is None
+
+    def test_clean_ascii_block_is_judged_on_its_bytes(self):
+        """A clean ASCII block with one kind of line end never reaches the
+        per-line count: its lines are not iterated."""
+
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("lines iterated")
+
+        for eol in ("\n", "\r\n"):
+            assert dataset._has_width(
+                Unread([f"1,2,0.5,a{eol}"] * 5), f"1,2,0.5,a{eol}" * 5, 4,
+                ",", dataset._shape_bytes(","))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(shaped_blocks())
+    def test_has_width_matches_the_per_line_count(self, case):
+        """On random blocks whose delimiter counts are right, moved
+        between lines so the total stays right, or changed on one line,
+        and whose line ends are mostly of one kind, _has_width is the
+        per-line rule."""
+        lines, width, delimiter = case
+        assert dataset._has_width(
+            lines, "".join(lines), width, delimiter,
+            dataset._shape_bytes(delimiter)
+        ) == (set(map(str.count, lines, itertools.repeat(delimiter)))
+              == {width - 1})
+
+
 class TestTrialDataset:
     def test_arrays_are_immutable(self, fixture_data):
         for arr in (fixture_data.outcome, fixture_data.arm,
@@ -580,6 +745,30 @@ class TestTrialDataset:
         with pytest.raises(EmptyDataError):
             TrialDataset(outcome=np.array([1.0]), arm=np.array([1]),
                          covariates=np.empty((1, 0)), covariate_names=())
+
+    @pytest.mark.parametrize("arm, bad", [
+        ([1, 0, 2, 1], [0]),
+        ([3, 1, 2, 2], [3]),
+        ([1, 2, -1, 2], [-1]),
+        ([1, 3, 2, 0, 3, -1, 0], [-1, 0, 3]),
+    ], ids=["zero", "three", "minus-one", "mixed"])
+    def test_arm_labels_outside_one_two(self, arm, bad):
+        """The error lists each bad label once, sorted, as NumPy prints
+        the integers."""
+        message = f"arm labels outside {{1, 2}}: {[np.int64(b) for b in bad]}"
+        with pytest.raises(DataError, match=re.escape(message)) as exc:
+            TrialDataset(outcome=np.zeros(len(arm)), arm=np.array(arm),
+                         covariates=np.empty((len(arm), 0)),
+                         covariate_names=())
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("arm, missing", [([1, 1, 1], 2), ([2, 2], 1)])
+    def test_missing_arm_is_degenerate(self, arm, missing):
+        with pytest.raises(DegenerateArmError) as exc:
+            TrialDataset(outcome=np.zeros(len(arm)), arm=np.array(arm),
+                         covariates=np.empty((len(arm), 0)),
+                         covariate_names=())
+        assert str(exc.value) == f"arm {missing} has no subjects"
 
 
 class TestModelSpec:
