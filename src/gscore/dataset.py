@@ -85,8 +85,8 @@ class TrialDataset:
         if not np.isfinite(cov).all():
             raise DataError("covariates contain non-finite values")
         if not ((arm == 1) | (arm == 2)).all():
-            bad = set(np.unique(arm)) - {1, 2}
-            raise DataError(f"arm labels outside {{1, 2}}: {sorted(bad)}")
+            bad = [a for a in np.unique(arm).tolist() if a not in (1, 2)]
+            raise DataError(f"arm labels outside {{1, 2}}: {bad}")
         for a in (1, 2):
             if not np.any(arm == a):
                 raise DegenerateArmError(f"arm {a} has no subjects")

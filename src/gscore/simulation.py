@@ -313,7 +313,8 @@ def _assign_blocks(strata: np.ndarray, slots: np.ndarray) -> np.ndarray:
     slots in turn."""
     B, n = strata.shape
     order = np.argsort(strata, axis=-1, kind="stable")  # stratum by stratum
-    ordered = np.take_along_axis(strata, order, axis=-1)
+    rows = np.arange(B)[:, None]  # with order, indexes each trial's row
+    ordered = strata[rows, order]
     pos = np.arange(n)
     start = np.ones((B, n), dtype=bool)
     start[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
@@ -323,9 +324,8 @@ def _assign_blocks(strata: np.ndarray, slots: np.ndarray) -> np.ndarray:
     skip[:, 1:] = np.where(start[:, 1:],
                            (first[:, :-1] - pos[1:]) % slots.shape[-1], 0)
     arms = np.empty((B, n), dtype=int)
-    np.put_along_axis(arms, order, np.take_along_axis(
-        slots.reshape(B, -1), pos + np.cumsum(skip, axis=-1), axis=-1),
-        axis=-1)
+    arms[rows, order] = slots.reshape(B, -1)[rows,
+                                             pos + np.cumsum(skip, axis=-1)]
     return arms
 
 
@@ -526,11 +526,23 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _hash_steps(init: int, mult: int):
-    """(xor, multiplier) of each successive hash in one SeedSequence hash
-    chain: constants k, k * mult, k * mult**2, ... (mod 2**32), pairwise."""
-    return itertools.pairwise(itertools.accumulate(
-        itertools.repeat(mult), lambda k, m: k * m & _MASK32, initial=init))
+@functools.cache
+def _hash_steps(words: int) -> tuple:
+    """SeedSequence's hash constants for a seed of ``words`` >= 4 32-bit
+    words and one spawn-key word: the entropy chain's (xor, multiplier)
+    pairs that mix the seed into the pool, then that chain's next 4 and
+    the output chain's 4 as uint32 (xor, multiplier) rows, which hash
+    (B, 4) arrays.  A chain's constants are k, k * mult, k * mult**2, ...
+    (mod 2**32), pairwise."""
+    def chain(init, mult, count):
+        return list(itertools.islice(itertools.pairwise(
+            itertools.accumulate(itertools.repeat(mult),
+                                 lambda k, m: k * m & _MASK32,
+                                 initial=init)), count))
+
+    entropy = chain(_INIT_A, _MULT_A, 4 * words + 4)
+    return (entropy[:-4], np.array(entropy[-4:], dtype=np.uint32).T,
+            np.array(chain(_INIT_B, _MULT_B, 4), dtype=np.uint32).T)
 
 
 def _hash(value, xor, mul):
@@ -559,18 +571,16 @@ def _rep_keys(seed: int, reps) -> np.ndarray:
     words = [seed >> i & _MASK32
              for i in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (4 - len(words))
-    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool_steps, spawn_steps, output_steps = _hash_steps(len(words))
+    steps = iter(pool_steps)
     pool = [_hash(w, *next(steps)) for w in words[:4]]
     for i, j in itertools.permutations(range(4), 2):
         pool[j] = _mix(pool[j], _hash(pool[i], *next(steps)))
     for w in words[4:]:
         pool = [_mix(p, _hash(w, *next(steps))) for p in pool]
-    xor, mul = np.array(list(itertools.islice(steps, 4)), dtype=np.uint32).T
     spawn = np.asarray(reps, dtype=np.uint32)[:, None]
-    pool = _mix(np.array(pool, dtype=np.uint32), _hash(spawn, xor, mul))
-    xor, mul = np.array(list(itertools.islice(
-        _hash_steps(_INIT_B, _MULT_B), 4)), dtype=np.uint32).T
-    state = _hash(pool, xor, mul).astype(np.uint64)  # 4 words, low first
+    pool = _mix(np.array(pool, dtype=np.uint32), _hash(spawn, *spawn_steps))
+    state = _hash(pool, *output_steps).astype(np.uint64)  # 4 words, low first
     return state[:, ::2] | state[:, 1::2] << 32
 
 
@@ -588,17 +598,19 @@ def _rep_rngs(seed: int, reps):
 
 
 class _Plan(NamedTuple):
-    """Per method (method, model spec, hypothesis), and per (hypothesis,
-    test) (hypothesis, test, its methods' columns, their (spec,
-    estimator, correction, pi) variances); fixed across replications, so
-    built and checked before any trial."""
+    """Per method (method, model spec, hypothesis); the distinct (spec,
+    estimator, correction, pi) variances, in order of first use; and per
+    (hypothesis, test) (hypothesis, test, its methods' columns, the
+    indices of their variances), both index arrays.  Fixed across
+    replications, so built and checked before any trial."""
 
     methods: tuple
+    variances: tuple
     tests: tuple
 
 
 def _plan(s: Scenario, methods, level: float) -> _Plan:
-    rows, groups = [], {}
+    rows, variances, groups = [], {}, {}
     names = _covariate_names(s)
     for m in methods:
         spec = m.model if isinstance(m.model, ModelSpec) \
@@ -617,25 +629,22 @@ def _plan(s: Scenario, methods, level: float) -> _Plan:
                              f"n={s.n}, p={p}")
         h = Hypothesis(measure=m.measure, null_value=m.null_value,
                        level=level, sidedness=m.sidedness)
+        key = spec, m.estimator, m.correction, m.pi
         groups.setdefault((h, m.test), []).append(
-            (len(rows), (spec, m.estimator, m.correction, m.pi)))
+            (len(rows), variances.setdefault(key, len(variances))))
         rows.append((m, spec, h))
-    return _Plan(tuple(rows), tuple((*g, *zip(*members))
-                                    for g, members in groups.items()))
-
-
-def _row_mask(errors: dict, B: int) -> np.ndarray:
-    return np.bincount(list(errors), minlength=B) > 0
+    return _Plan(tuple(rows), tuple(variances), tuple(
+        (*g, *(np.array(a, dtype=np.intp) for a in zip(*members)))
+        for g, members in groups.items()))
 
 
 def _fit_spec(trials: _Trials, spec: ModelSpec):
-    """(design, fit, arm means, failed rows) of ``spec`` on a batch of
+    """(design, fit, arm means, {row: error}) of ``spec`` on a batch of
     trials; _plan has checked the model's covariates."""
     design = stack_designs(trials.arm, trials.covariates,
                            trials.covariate_names, spec)
     fitted, errors = fit_batch(design, trials.outcome)
-    return (design, fitted, estimate_mu(fitted, design).mu,
-            _row_mask(errors, len(trials.outcome)))
+    return design, fitted, estimate_mu(fitted, design).mu, errors
 
 
 def _analyze_batch(trials: _Trials, plan: _Plan):
@@ -644,28 +653,31 @@ def _analyze_batch(trials: _Trials, plan: _Plan):
 
     A method fails on a replication where the scalar pipeline raises a
     GScoreError for it (fit, variance or test); its estimate and interval
-    are then NaN and it does not reject.  One fit runs per model spec, one
-    variance per (spec, estimator, correction, pi), and one test kernel per
-    (hypothesis, test), on its k methods' arm means (B, k, 2) and
-    covariances (B, k, 2, 2) stacked.
+    are then NaN and it does not reject.  One fit runs per model spec, and
+    one variance per (spec, estimator, correction, pi), written once into
+    arm means (B, K, 2), covariances (B, K, 2, 2) and failure flags
+    (B, K) for the plan's K variances; one test kernel runs per
+    (hypothesis, test), on its k methods' rows of those (B, k, ...).
     """
     B, n = trials.outcome.shape
     est, lo, hi = (np.empty((B, len(plan.methods))) for _ in range(3))
     reject, failed = (np.empty(est.shape, dtype=bool) for _ in range(2))
-    fits, variances = {}, {}
-    for h, test, cols, keys in plan.tests:
-        for key in keys:
-            if key not in variances:
-                if key[0] not in fits:
-                    fits[key[0]] = _fit_spec(trials, key[0])
-                design, fitted, mu, fit_failed = fits[key[0]]
-                sigma, errors = estimate_variance_batch(fitted, design,
-                                                        *key[1:])
-                variances[key] = mu, sigma, fit_failed | _row_mask(errors, B)
-        mu, sigma, var_failed = (np.stack(a, axis=1) for a in zip(
-            *map(variances.get, keys)))
-        r = run_test_batch(mu, sigma, n, h, test, p_value=False)
-        ok = ~(var_failed | r["failed"])
+    K = len(plan.variances)
+    mus, sigmas = np.empty((B, K, 2)), np.empty((B, K, 2, 2))
+    var_failed = np.zeros((B, K), dtype=bool)
+    fits = {}
+    for k, (spec, *kind) in enumerate(plan.variances):
+        if spec not in fits:
+            fits[spec] = _fit_spec(trials, spec)
+        design, fitted, mus[:, k], fit_errors = fits[spec]
+        sigmas[:, k], errors = estimate_variance_batch(fitted, design, *kind)
+        for rows in (fit_errors, errors):
+            if rows:
+                var_failed[list(rows), k] = True
+    for h, test, cols, ks in plan.tests:
+        r = run_test_batch(mus[:, ks], sigmas[:, ks], n, h, test,
+                           p_value=False)
+        ok = ~(var_failed[:, ks] | r["failed"])
         for out, name in ((est, "estimate"), (lo, "lo"), (hi, "hi")):
             out[:, cols] = np.where(ok, r[name], np.nan)
         reject[:, cols] = ok & r["reject"]
@@ -833,18 +845,20 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
         rate = rej.sum(axis=0) / used
         cov = (ok & (lo <= tv) & (tv <= hi)).sum(axis=0) / used
         se_rate, se_cov = (np.sqrt(x * (1 - x) / used) for x in (rate, cov))
+    # each statistic as Python numbers in one call; a mean is the pairwise
+    # sum of the selected column as one vector over its count, .mean()'s bits
+    tallies = zip(plan.methods, *(a.tolist() for a in (
+        used, rate, cov, se_rate, se_cov)))
     return OCResult(seed=seed, reps=reps, level=level, n=s.n,
                     true_mu=(t1, t2), true_diff=truth["difference"],
                     true_ratio=truth["ratio"], methods=tuple(MethodSummary(
         name=m.name, measure=m.measure, test=m.test, estimator=m.estimator,
         correction=m.correction, model=m.model_label(),
         null_value=h.null_value, sidedness=m.sidedness, n_total=reps,
-        n_failed=reps - int(used[j]), rejection_rate=float(rate[j]),
-        coverage=float(cov[j]), mc_se_rejection=float(se_rate[j]),
-        mc_se_coverage=float(se_cov[j]),
-        # a pairwise sum of the column as one vector, not a strided sum
-        mean_estimate=float(est[ok[:, j], j].mean()) if used[j] else np.nan)
-        for j, (m, _, h) in enumerate(plan.methods)))
+        n_failed=reps - k, rejection_rate=r, coverage=c, mc_se_rejection=sr,
+        mc_se_coverage=sc, mean_estimate=float(
+            np.add.reduce(est[ok[:, j], j])) / k if k else np.nan)
+        for j, ((m, _, h), k, r, c, sr, sc) in enumerate(tallies)))
 
 
 # ------------------------------------------------------------------ #

@@ -1135,6 +1135,12 @@ class TestBatchedEngine:
                 estimator="III"),
         )
         plan = _plan(STRATIFIED40, methods, 0.95)
+        # one variance serves several test groups, and one group takes
+        # variances of several fits, so the (B, K, ...) variance rows are
+        # shared and indexed across fits
+        ks = [set(k.tolist()) for *_, k in plan.tests]
+        assert any(a & b for a, b in itertools.combinations(ks, 2))
+        assert max(len({plan.variances[k][0] for k in g}) for g in ks) == 3
         t = _draw(STRATIFIED40, _rep_rngs(3, range(16)), 16)
         W1 = t.covariates[..., 0]
         t.outcome[1] = (W1[1] > 0.0).astype(float)       # separated
@@ -1208,6 +1214,28 @@ class TestBatchedEngine:
                 assert got[:, j].tobytes() == want[:, 0].tobytes(), m.name
         failed = records[4]
         assert failed[:, 2:4].any() and not failed[:, 2:4].all()
+
+    def test_plan_computes_each_variance_once(self):
+        """The plan lists each (spec, estimator, correction, pi) once, in
+        order of first use, and each (hypothesis, test) group indexes its
+        methods' columns and their variances in method order."""
+        methods = PINNED_METHODS + (
+            MethodSpec("I-wald-diff-again", "wald", _W123),
+            MethodSpec("II-score-diff-again", "score", _W123,
+                       estimator="II", pi=(0.5, 0.5)))
+        plan = _plan(STRATIFIED40, methods, 0.95)
+        keys = [(spec, m.estimator, m.correction, m.pi)
+                for m, spec, _ in plan.methods]
+        assert list(plan.variances) == list(dict.fromkeys(keys))
+        seen = []
+        for h, test, cols, ks in plan.tests:
+            assert cols.dtype == ks.dtype == np.intp
+            assert all(plan.methods[j][2] == h and methods[j].test == test
+                       for j in cols.tolist())
+            assert [plan.variances[k] for k in ks.tolist()] == \
+                [keys[j] for j in cols.tolist()]
+            seen += cols.tolist()
+        assert sorted(seen) == list(range(len(methods)))
 
 
 class TestBatches:
@@ -1427,3 +1455,4 @@ class TestShares:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         _assert_no_helper_left()
+
