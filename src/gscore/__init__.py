@@ -7,7 +7,7 @@ difference and ratio effects, and a Monte Carlo engine for operating
 characteristics.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .dataset import (
     ColumnSchema,
@@ -58,7 +58,6 @@ from .inference import (
     Hypothesis,
     TestResult,
     analyze_trial,
-    effect_diff_variance,
     run_test,
     score_test_diff,
     score_test_ratio,
@@ -79,8 +78,6 @@ from .simulation import (
     generate_trial,
     method_spec_from_config,
     methods_from_config,
-    randomize_complete,
-    randomize_stratified_block,
     run_oc,
     scenario_from_config,
     true_marginal_means,

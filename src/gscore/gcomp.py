@@ -51,7 +51,6 @@ class MuEstimate:
     arm 2; mu1 and mu2 read a single fit's pair."""
 
     mu: np.ndarray
-    n: int
 
     @property
     def mu1(self) -> float:
@@ -82,16 +81,12 @@ class VarianceEstimate:
 
 @dataclass(frozen=True)
 class VarianceDecomposition:
-    """Estimator I split into its three additive 2x2 pieces.
-
-    With ddof=1 the pieces sum to estimator I exactly; with ddof=0 they
-    satisfy the plain n-divisor moment identity instead.
-    """
+    """Estimator I split into its three additive 2x2 pieces, which sum
+    to it exactly."""
 
     beta_term: np.ndarray
     covariate_term: np.ndarray
     cross_term: np.ndarray
-    ddof: int
 
     def total(self) -> np.ndarray:
         return self.beta_term + self.covariate_term + self.cross_term
@@ -240,7 +235,7 @@ def _corrected(sigma: np.ndarray, n: int, p: int, kind: str) -> np.ndarray:
 
 def estimate_mu(fit: FittedGLM, design: DesignMatrix) -> MuEstimate:
     """Average the fit's predictions under both arm settings."""
-    return MuEstimate(mu=fit.counterfactual_means.mean(axis=-1), n=design.n)
+    return MuEstimate(mu=fit.counterfactual_means.mean(axis=-1))
 
 
 def influence_score(fit: FittedGLM, design: DesignMatrix) -> InfluenceMatrix:
@@ -290,33 +285,29 @@ def var_ye(fit: FittedGLM, design: DesignMatrix, pi=None) -> VarianceEstimate:
                             estimator="III", correction="HC0", n=design.n)
 
 
-def variance_decomposition(fit: FittedGLM, design: DesignMatrix,
-                           ddof: int = 1) -> VarianceDecomposition:
+def variance_decomposition(fit: FittedGLM,
+                           design: DesignMatrix) -> VarianceDecomposition:
     """Split estimator I into coefficient, covariate, and cross pieces.
 
     Its influence psi = u + v, from one bread solve, has
     u_a(i) = gbar_a' B^{-1} X_i (Y_i - fitted_i) and
-    v_a(i) = m(beta' X_i(a)) - mu_a; with k = n (n - ddof):
+    v_a(i) = m(beta' X_i(a)) - mu_a; with k = n (n - 1):
 
-    beta_term       u u' / k, the delta-method part G Sigma_beta G' n/(n-ddof)
+    beta_term       u u' / k, the delta-method part G Sigma_beta G' n/(n-1)
                     (Sigma_beta the coefficient sandwich B^{-1} M B^{-1}/n)
     covariate_term  v v' / k, the covariance of prediction pairs / n
     cross_term      (u v' + v u') / k
 
-    ddof=1 (default) matches the sample-covariance convention of
-    estimator I, so the pieces sum to it exactly; ddof=0 gives plain
-    n-divisor moments, which satisfy the same identity against the
-    n-divisor influence covariance.
+    The n-1 divisor is estimator I's sample-covariance convention, so the
+    pieces sum to it exactly; (n-1)/n times each piece is its plain
+    n-divisor moment.
     """
-    if ddof not in (0, 1):
-        raise ValueError(f"ddof must be 0 or 1, got {ddof!r}")
     u, v = _only(*_score_parts(fit, design))
-    k = design.n * (design.n - ddof)
+    k = design.n * (design.n - 1)
     cross_half = u @ v.mT / k
     return VarianceDecomposition(beta_term=u @ u.mT / k,
                                  covariate_term=v @ v.mT / k,
-                                 cross_term=cross_half + cross_half.mT,
-                                 ddof=ddof)
+                                 cross_term=cross_half + cross_half.mT)
 
 
 def apply_correction(v: VarianceEstimate, p: int, kind: str) -> VarianceEstimate:

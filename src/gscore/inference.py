@@ -213,18 +213,14 @@ def _p_value(dev, chi2, sidedness: str):
 
 
 def _diff_variance(sigma: np.ndarray) -> np.ndarray:
-    return np.maximum(
-        sigma[..., 1, 1] - 2.0 * sigma[..., 1, 0] + sigma[..., 0, 0], 0.0)
-
-
-def effect_diff_variance(v: VarianceEstimate) -> float:
     """Variance of mu_2 - mu_1: Sigma_22 - 2 Sigma_21 + Sigma_11.
 
     Influence-based estimators make this nonnegative by construction; the
     cellwise estimator can dip below zero in degenerate samples, in which
     case it is clipped to zero.
     """
-    return float(_diff_variance(v.sigma))
+    return np.maximum(
+        sigma[..., 1, 1] - 2.0 * sigma[..., 1, 0] + sigma[..., 0, 0], 0.0)
 
 
 def _wald_diff(mu, sigma, n: int, h: Hypothesis) -> dict:

@@ -79,6 +79,15 @@ _CHUNK = 250
 # ------------------------------------------------------------------ #
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int if it is a Python or NumPy integer;
+    otherwise a TypeError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class CovariateSpec:
     """One iid covariate: standard normal, or Bernoulli(p)."""
@@ -107,7 +116,8 @@ class StratificationRule:
     threshold: float
 
     def __post_init__(self):
-        object.__setattr__(self, "covariate", int(self.covariate))
+        object.__setattr__(self, "covariate",
+                           _integer("stratify covariate", self.covariate))
         object.__setattr__(self, "threshold", float(self.threshold))
         if self.covariate < 1:
             raise ValueError("stratification covariate index is 1-based")
@@ -131,8 +141,9 @@ class Scenario:
     stratify: StratificationRule | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "block_size", int(self.block_size))
+        object.__setattr__(self, "n", _integer("scenario n", self.n))
+        object.__setattr__(self, "block_size",
+                           _integer("scenario block_size", self.block_size))
         object.__setattr__(self, "covariates", tuple(
             map(covariate_spec_from_config, self.covariates)))
         object.__setattr__(self, "beta_W", tuple(float(b) for b in self.beta_W))
@@ -261,22 +272,6 @@ class OCResult:
 # ------------------------------------------------------------------ #
 
 
-def _complete_arms(n: int, allocation) -> np.ndarray:
-    """The arms complete randomization permutes: floor(n * share_1) 1s,
-    then 2s for the rest."""
-    n1 = int(np.floor(n * float(allocation[0])))
-    return np.repeat(_ARMS, (n1, n - n1))
-
-
-def randomize_complete(n: int, allocation, rng: np.random.Generator) -> np.ndarray:
-    """Exact-split assignment: floor(n * share_1) subjects to arm 1,
-    the rest (including any rounding remainder) to arm 2, positions
-    uniformly permuted."""
-    arm = _complete_arms(n, allocation)
-    rng.shuffle(arm)
-    return arm
-
-
 def _block_arm1_count(block_size: int, allocation) -> int:
     """Arm-1 slots in one permuted block: block_size * share_1, which must
     be integral (within 1e-9) and leave both arms a slot."""
@@ -289,64 +284,20 @@ def _block_arm1_count(block_size: int, allocation) -> int:
     return b1
 
 
-def _block_slots(B: int, blocks: int, block_size: int,
-                 allocation) -> np.ndarray:
-    """(B, blocks, block_size) unpermuted blocks, arm-1 slots first."""
-    b1 = _block_arm1_count(block_size, allocation)
-    return np.tile(np.repeat(_ARMS, (b1, block_size - b1)), (B, blocks, 1))
-
-
-def _permute_blocks(rng: np.random.Generator, slots: np.ndarray,
-                    sizes) -> None:
-    """Permute in place the leading blocks of one trial's ``slots``
-    (blocks, block_size) that strata of ``sizes`` subjects fill, each
-    stratum from a new block.  One rng.permuted call draws as one
-    rng.permutation per block would, in block order."""
-    used = slots[:sum(-(-m // slots.shape[-1]) for m in sizes)]
-    rng.permuted(used, axis=1, out=used)
-
-
-def _assign_blocks(strata: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Arms (B, n) of strata labels (B, n) from each trial's permuted
-    blocks (B, blocks, block_size): strata in sorted label order, each
-    from a new block, a stratum's subjects in index order taking its
-    slots in turn."""
-    B, n = strata.shape
-    order = np.argsort(strata, axis=-1, kind="stable")  # stratum by stratum
-    rows = np.arange(B)[:, None]  # with order, indexes each trial's row
-    ordered = strata[rows, order]
-    pos = np.arange(n)
-    start = np.ones((B, n), dtype=bool)
-    start[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    first = np.maximum.accumulate(np.where(start, pos, 0), axis=-1)
-    # a stratum's first slot follows the unused tail of the stratum before
-    skip = np.zeros((B, n), dtype=np.intp)
-    skip[:, 1:] = np.where(start[:, 1:],
-                           (first[:, :-1] - pos[1:]) % slots.shape[-1], 0)
-    arms = np.empty((B, n), dtype=int)
-    arms[rows, order] = slots.reshape(B, -1)[rows,
-                                             pos + np.cumsum(skip, axis=-1)]
-    return arms
-
-
-def randomize_stratified_block(strata, block_size: int, allocation,
-                               rng: np.random.Generator) -> np.ndarray:
-    """Permuted blocks within each stratum.
-
-    Each full block holds exactly block_size * share_1 arm-1 slots (that
-    product must be integral); a final short block is the truncation of
-    one more fully permuted block.  The blocks of every stratum, strata
-    in sorted label order, are permuted by one rng.permuted call, which
-    draws as one rng.permutation per block would, in block order.
-    """
-    strata = np.asarray(strata)
-    if strata.dtype.kind in "fc" and not np.isfinite(strata).all():
-        raise ValueError("stratum labels must be finite")
-    sizes = np.unique(strata, return_counts=True)[1]
-    slots = _block_slots(1, strata.size // block_size + sizes.size,
-                         block_size, allocation)
-    _permute_blocks(rng, slots[0], sizes)
-    return _assign_blocks(strata[None], slots)[0]
+def _assign_blocks(stratum: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Arms (B, n) of 0/1 strata (B, n) from each trial's permuted blocks
+    (B, blocks, block_size): stratum 0 from the first block, stratum 1
+    from the block after stratum 0's last, a stratum's subjects in index
+    order taking its slots in turn.  A subject's slot is its rank in its
+    stratum, plus ceil(m0 / block_size) * block_size in stratum 1, for
+    the m0 subjects of stratum 0."""
+    B, n = stratum.shape
+    size = slots.shape[-1]
+    ones = np.cumsum(stratum, axis=-1, dtype=np.intp)  # stratum 1 so far
+    m0 = n - ones[:, -1:]
+    slot = np.where(stratum, -(-m0 // size) * size + ones - 1,
+                    np.arange(n) - ones)
+    return np.take_along_axis(slots.reshape(B, -1), slot, axis=-1)
 
 
 # ------------------------------------------------------------------ #
@@ -376,17 +327,28 @@ def _draw(s: Scenario, rngs, B: int) -> _Trials:
     its covariates, then its randomization, then one uniform per subject
     for the outcome, each written in place.  A generator is used up
     before the next is taken, so one re-keyed per trial may be passed.
-    Scenario validation ensures that no randomization empties an arm."""
+
+    Complete randomization shuffles floor(n * share_1) arm-1 labels and
+    arm-2 labels for the rest (any rounding remainder included).
+    Stratified blocks permute, in one rng.permuted call, the blocks that
+    strata S = 0 and then S = 1 fill, each stratum from a new block; this
+    draws as one rng.permutation per block would, in block order.  A
+    block holds block_size * share_1 arm-1 slots, and a stratum's short
+    last block is the truncation of one more permuted block.  Scenario
+    validation ensures that no randomization empties an arm."""
     n, q, names = s.n, len(s.covariates), _covariate_names(s)
     rows = np.empty((B, len(names), n))
     u = np.empty((B, n))
     runs = [(spec, len(list(g))) for spec, g in itertools.groupby(s.covariates)]
     if s.scheme == "complete":
-        arm = np.tile(_complete_arms(n, s.allocation), (B, 1))
+        n1 = int(np.floor(n * s.allocation[0]))
+        arm = np.tile(np.repeat(_ARMS, (n1, n - n1)), (B, 1))
     else:
-        # two strata of sizes m, n - m fill at most n // block_size + 2
-        slots = _block_slots(B, n // s.block_size + 2, s.block_size,
-                             s.allocation)
+        size = s.block_size
+        b1 = _block_arm1_count(size, s.allocation)
+        # two strata of sizes m, n - m fill at most n // size + 2 blocks
+        slots = np.tile(np.repeat(_ARMS, (b1, size - b1)),
+                        (B, n // size + 2, 1))
     for b, rng in zip(range(B), rngs):
         j = 0
         for spec, k in runs:  # one (k, n) draw: the stream of k draws of n
@@ -402,8 +364,10 @@ def _draw(s: Scenario, rngs, B: int) -> _Trials:
                 out=rows[b, q]))
         if s.scheme == "complete":
             rng.shuffle(arm[b])
-        else:
-            _permute_blocks(rng, slots[b], (n - m, m))
+        else:  # the ceil((n - m) / size) + ceil(m / size) blocks in use
+            blocks = -(-(n - m) // size) - (-m // size)
+            used = slots[b, :blocks]
+            rng.permuted(used, axis=1, out=used)
         rng.random(out=u[b])
     if s.scheme != "complete":
         arm = _assign_blocks(rows[:, q], slots)
@@ -713,15 +677,6 @@ def _run_chunk(s: Scenario, plan, seed: int, reps: range, helpers=()):
             if proc.exitcode:
                 raise _died(proc)
     return tuple(np.concatenate(a) for a in zip(*parts))
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int if it is a Python or NumPy integer;
-    otherwise a TypeError naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _usable_cpus() -> int:

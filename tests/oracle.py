@@ -96,6 +96,29 @@ def oracle_stacked_sigma(X, y, beta):
     return (Bti @ M_theta @ Bti.T / n)[:2, :2]
 
 
+def oracle_sigma_iii(y, arm, fitted, m1, m2):
+    """Estimator III's conditional-moment cells, with empirical arm shares,
+    from outcomes, arm labels, fitted values and the predictions m1, m2
+    under each arm setting."""
+    def svar(v):
+        return float(np.var(v, ddof=1))
+
+    def scov(u, v):
+        return float(np.cov(u, v, ddof=1)[0, 1])
+
+    n = len(y)
+    i1, i2 = arm == 1, arm == 2
+    sigma = np.empty((2, 2))
+    for a, ia, ma in ((0, i1, m1), (1, i2, m2)):
+        sigma[a, a] = (svar(y[ia] - fitted[ia]) / (n * float(ia.mean()))
+                       + 2.0 / n * scov(y[ia], fitted[ia])
+                       - svar(ma) / n)
+    sigma[0, 1] = sigma[1, 0] = (scov(y[i1], m2[i1]) / n
+                                 + scov(y[i2], m1[i2]) / n
+                                 - scov(m1, m2) / n)
+    return sigma
+
+
 def oracle_all(level=0.95):
     y, arm, w = load_fixture()
     n = len(y)
@@ -133,22 +156,7 @@ def oracle_all(level=0.95):
     ])
     sigma_II = np.cov(psi2.T, ddof=1) / n
 
-    # estimator III: conditional-moment cells
-    def svar(v):
-        return float(np.var(v, ddof=1))
-
-    def scov(u, v):
-        return float(np.cov(u, v, ddof=1)[0, 1])
-
-    i1, i2 = arm == 1, arm == 2
-    sigma_III = np.empty((2, 2))
-    for a, ia, pa, ma in ((0, i1, pi1, m1), (1, i2, pi2, m2)):
-        sigma_III[a, a] = (svar(y[ia] - fitted[ia]) / (n * pa)
-                           + 2.0 / n * scov(y[ia], fitted[ia])
-                           - svar(ma) / n)
-    sigma_III[0, 1] = sigma_III[1, 0] = (scov(y[i1], m2[i1]) / n
-                                         + scov(y[i2], m1[i2]) / n
-                                         - scov(m1, m2) / n)
+    sigma_III = oracle_sigma_iii(y, arm, fitted, m1, m2)
 
     # stacked-equation sandwich: theta = (mu1, mu2, beta), block bread
     p = X.shape[1]

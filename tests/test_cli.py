@@ -494,6 +494,30 @@ class TestSimulate:
                      "--out", str(tmp_path / "oc.csv")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", 60.7), ("n", "60"), ("block_size", 4.9), ("block_size", "4"),
+        ("covariate", 1.7), ("covariate", "3")],
+        ids=["n-float", "n-string", "block_size-float", "block_size-string",
+             "covariate-float", "covariate-string"])
+    def test_non_integer_scenario_field_exits_2(self, tmp_path, capsys, key,
+                                                value):
+        """A float or string where a scenario integer belongs is refused
+        with its field named, not truncated; writes no table."""
+        doc = {**scenario_doc(), "scheme": "stratified-block",
+               "block_size": 4, "stratify": {"covariate": 3,
+                                             "threshold": 0.25}}
+        if key == "covariate":
+            doc["stratify"][key] = value
+        else:
+            doc[key] = value
+        scen = write_yaml(tmp_path / "scen.yaml", doc)
+        meth = write_yaml(tmp_path / "meth.yaml", methods_doc())
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "5", "--seed", "1",
+                     "--out", str(tmp_path / "oc.csv")]) == 2
+        assert f"must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "oc.csv").exists()
+
     def test_scenario_family_key_exits_2(self, tmp_path, capsys):
         """Generated outcomes are bernoulli-logit only; a scenario has no
         family key."""

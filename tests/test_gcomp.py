@@ -54,7 +54,6 @@ class TestEstimateMu:
     def test_matches_frozen_oracle(self, fixture_fit, fixture_design):
         mu = estimate_mu(fixture_fit, fixture_design)
         np.testing.assert_allclose(mu.mu, MU, atol=1e-10)
-        assert mu.n == fixture_design.n
         assert mu.mu1 == mu.mu[0] and mu.mu2 == mu.mu[1]
 
     def test_bernoulli_mu_in_unit_interval(self):
@@ -258,6 +257,62 @@ class TestVarianceEstimators:
             var_ye(fit_res, design)
 
 
+def _arm_of(size, n=14, seed=5):
+    """Gaussian-identity data of n subjects on one covariate, ``size`` of
+    them in arm 1 at shuffled positions, with its W1 design."""
+    rng = np.random.default_rng(seed)
+    arm = rng.permutation([1] * size + [2] * (n - size))
+    w = rng.standard_normal(n)
+    y = 0.3 * (arm == 2) + 0.5 * w + rng.standard_normal(n)
+    data = TrialDataset(outcome=y, arm=arm, covariates=w[:, None],
+                        covariate_names=("W1",))
+    return data, build_design(data, ModelSpec("gaussian-identity", ("W1",)))
+
+
+class TestEstimatorIIISmallArms:
+    """Estimator III where its within-arm moments have the fewest
+    subjects they can: an arm of two."""
+
+    def test_arm_of_two_matches_the_oracle(self):
+        """n = 14, one arm of 2: the cells equal the oracle's np.var and
+        np.cov(ddof=1) transcriptions of the formulas."""
+        from oracle import design, design_setting, oracle_sigma_iii
+
+        data, X = _arm_of(2)
+        fitted = fit(X, data.outcome)
+        arm, w = data.arm, data.covariates[:, 0]
+        np.testing.assert_array_equal(X.X, design(arm, w))
+        ref = oracle_sigma_iii(data.outcome, arm, design(arm, w)
+                               @ fitted.beta,
+                               *(design_setting(arm, w, a) @ fitted.beta
+                                 for a in (1, 2)))
+        np.testing.assert_allclose(
+            estimate_variance(fitted, X, "III").sigma, ref, rtol=0,
+            atol=1e-12)
+
+    def test_batch_fails_only_the_row_with_a_one_subject_arm(self):
+        """Arms of 2, 1 and 12 subjects in one batch: only the row with a
+        one-subject arm fails, with the conditional-moment DataError, and
+        the others equal their single-fit estimates."""
+        rows = [_arm_of(size) for size in (2, 1, 12)]
+        data = [d for d, _ in rows]
+        stacked = stack_designs(np.stack([d.arm for d in data]),
+                                np.stack([d.covariates for d in data]),
+                                ("W1",), rows[0][1].spec)
+        fitted, fit_errors = glm.fit_batch(
+            stacked, np.stack([d.outcome for d in data]))
+        assert fit_errors == {}
+        sigma, errors = estimate_variance_batch(fitted, stacked, "III")
+        assert list(errors) == [1]
+        assert isinstance(errors[1], DataError)
+        assert "at least 2 subjects per arm" in str(errors[1])
+        for b in (0, 2):
+            d, X = rows[b]
+            np.testing.assert_array_equal(
+                sigma[b], estimate_variance(fit(X, d.outcome), X,
+                                            "III").sigma)
+
+
 class TestSingularBread:
     """Estimator I and the decomposition solve against the bread; an
     exactly singular one is rank deficiency, never NaNs or a bare
@@ -303,14 +358,19 @@ class TestVarianceDecomposition:
     def test_terms_match_frozen_oracle(self, fixture_fit, fixture_design):
         """The frozen beta term is the delta-method image G Sigma_beta G'
         of the coefficient sandwich; the oracle computes it exactly that
-        way, so this doubles as the delta-method cross-check."""
-        dec = variance_decomposition(fixture_fit, fixture_design, ddof=0)
-        np.testing.assert_allclose(dec.beta_term, COMP_BETA, atol=1e-12)
-        np.testing.assert_allclose(dec.covariate_term, COMP_COV, atol=1e-12)
-        np.testing.assert_allclose(dec.cross_term, COMP_CROSS, atol=1e-12)
+        way, so this doubles as the delta-method cross-check.  The frozen
+        terms are n-divisor moments: (n-1)/n times the pieces."""
+        n = fixture_design.n
+        dec = variance_decomposition(fixture_fit, fixture_design)
+        np.testing.assert_allclose(dec.beta_term * (n - 1) / n, COMP_BETA,
+                                   atol=1e-12)
+        np.testing.assert_allclose(dec.covariate_term * (n - 1) / n,
+                                   COMP_COV, atol=1e-12)
+        np.testing.assert_allclose(dec.cross_term * (n - 1) / n, COMP_CROSS,
+                                   atol=1e-12)
 
-    def test_ddof1_total_equals_estimator_i(self):
-        """With ddof=1 the three terms sum exactly to estimator I."""
+    def test_total_equals_estimator_i(self):
+        """The three terms sum exactly to estimator I."""
         rng = np.random.default_rng(53)
         for i in range(9):
             family = FAMILIES[i % 3]
@@ -319,24 +379,25 @@ class TestVarianceDecomposition:
             design = build_design(data, spec)
             fit_res = fit(design, data.outcome)
             sig = var_from_influence(influence_score(fit_res, design)).sigma
-            dec = variance_decomposition(fit_res, design, ddof=1)
+            dec = variance_decomposition(fit_res, design)
             np.testing.assert_allclose(dec.total(), sig, atol=1e-10)
 
-    def test_ddof0_total_is_plain_moment(self, fixture_fit, fixture_design):
-        """With ddof=0 the total is the n-divisor second moment of the
+    def test_rescaled_total_is_plain_moment(self, fixture_fit,
+                                            fixture_design):
+        """(n-1)/n times the total is the n-divisor second moment of the
         influence rows."""
         psi = influence_score(fixture_fit, fixture_design).values
         n = fixture_design.n
         plain = psi.T @ psi / (n * n)
-        dec = variance_decomposition(fixture_fit, fixture_design, ddof=0)
-        np.testing.assert_allclose(dec.total(), plain, atol=1e-14)
+        dec = variance_decomposition(fixture_fit, fixture_design)
+        np.testing.assert_allclose(dec.total() * (n - 1) / n, plain,
+                                   atol=1e-14)
 
     def test_component_structure(self, fixture_fit, fixture_design):
-        dec = variance_decomposition(fixture_fit, fixture_design, ddof=1)
+        dec = variance_decomposition(fixture_fit, fixture_design)
         for term in (dec.beta_term, dec.covariate_term):
             np.testing.assert_allclose(term, term.T, atol=1e-15)
             assert np.all(np.linalg.eigvalsh(term) > -1e-12)
-        assert dec.ddof == 1
 
     def test_one_bread_solve(self, fixture_fit, fixture_design, monkeypatch):
         """The decomposition reads estimator I's two influence parts, so
@@ -348,14 +409,8 @@ class TestVarianceDecomposition:
             return per_matrix(*args)
 
         monkeypatch.setattr(gcomp, "per_matrix", counted)
-        for ddof in (0, 1):
-            variance_decomposition(fixture_fit, fixture_design, ddof=ddof)
-            assert len(calls) == 1
-            calls.clear()
-
-    def test_bad_ddof_rejected(self, fixture_fit, fixture_design):
-        with pytest.raises(ValueError):
-            variance_decomposition(fixture_fit, fixture_design, ddof=2)
+        variance_decomposition(fixture_fit, fixture_design)
+        assert len(calls) == 1
 
 
 class TestCorrections:
@@ -400,8 +455,8 @@ class TestProperties:
            heterogeneous=st.booleans())
     def test_decomposition_sums_to_influence_covariance(
             self, seed, family, n, q, heterogeneous):
-        """The ddof=1 pieces sum to estimator I and the ddof=0 pieces to
-        the n-divisor covariance of the influence rows over n."""
+        """The pieces sum to estimator I, and (n-1)/n times them to the
+        n-divisor covariance of the influence rows over n."""
         data = random_trial(np.random.default_rng(seed), n, family, q)
         design = build_design(data, ModelSpec(
             family, data.covariate_names, heterogeneous))
@@ -412,12 +467,11 @@ class TestProperties:
         infl = influence_score(fitted, design)
         psi, sigma = infl.values, var_from_influence(infl).sigma
         atol = 1e-12 * np.abs(sigma).max()
-        np.testing.assert_allclose(
-            variance_decomposition(fitted, design, ddof=1).total(), sigma,
-            rtol=0, atol=atol)
-        np.testing.assert_allclose(
-            variance_decomposition(fitted, design, ddof=0).total(),
-            np.cov(psi.T, bias=True) / n, rtol=0, atol=atol)
+        total = variance_decomposition(fitted, design).total()
+        np.testing.assert_allclose(total, sigma, rtol=0, atol=atol)
+        np.testing.assert_allclose(total * (n - 1) / n,
+                                   np.cov(psi.T, bias=True) / n,
+                                   rtol=0, atol=atol)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 200),

@@ -22,7 +22,6 @@ from gscore import (
     TrialDataset,
     VarianceEstimate,
     analyze_trial,
-    effect_diff_variance,
     run_test,
     score_test_diff,
     score_test_ratio,
@@ -36,7 +35,7 @@ from gscore.inference import TESTS, run_test_batch
 
 def _estimate(mu, sigma, n):
     """Bundle plain numbers into the pipeline's value types."""
-    return (MuEstimate(mu=np.asarray(mu, dtype=float), n=n),
+    return (MuEstimate(mu=np.asarray(mu, dtype=float)),
             VarianceEstimate(sigma=np.asarray(sigma, dtype=float),
                              estimator="I", correction="HC0", n=n))
 
@@ -83,22 +82,26 @@ class TestHypothesis:
         assert {"chi2_quantile", "z_quantile"} <= set(vars(h))
 
 
+def _diff_variance(sigma, n):
+    """Plug-in variance of the difference, as a difference test's se**2."""
+    mu, v = _estimate([0.0, 0.0], sigma, n)
+    return run_test(mu, v, Hypothesis(), "wald").se ** 2
+
+
 class TestEffectDiffVariance:
     """Plug-in variance of the difference."""
 
     def test_matches_frozen_value(self):
-        _, v = _estimate([0.0, 0.0], fv.SIGMA_I, 20)
-        assert abs(effect_diff_variance(v) - fv.SD2) < 1e-14
+        assert abs(_diff_variance(fv.SIGMA_I, 20) - fv.SD2) < 1e-14
 
     def test_simple_diagonal_case(self):
         """Sigma = 0.01 I gives Var(mu2 - mu1) = 0.02."""
-        _, v = _estimate([0.0, 0.0], np.eye(2) * 0.01, 100)
-        assert effect_diff_variance(v) == pytest.approx(0.02, abs=1e-15)
+        assert _diff_variance(np.eye(2) * 0.01, 100) == pytest.approx(
+            0.02, abs=1e-15)
 
     def test_negative_value_clipped_to_zero(self):
         """The cellwise estimator can produce a negative quadratic form."""
-        _, v = _estimate([0.0, 0.0], [[0.01, 0.02], [0.02, 0.01]], 100)
-        assert effect_diff_variance(v) == 0.0
+        assert _diff_variance([[0.01, 0.02], [0.02, 0.01]], 100) == 0.0
 
 
 @pytest.fixture(scope="module")

@@ -31,8 +31,6 @@ from gscore import (
     generate_trial,
     method_spec_from_config,
     methods_from_config,
-    randomize_complete,
-    randomize_stratified_block,
     run_oc,
     run_test,
     scenario_from_config,
@@ -236,8 +234,34 @@ def _recording(rngs, states):
             states.append(rng.bit_generator.state)
 
 
+def _sequential_arms(s, rng):
+    """Reference arms of one trial of s, drawn as generate_trial draws
+    them: its covariates one at a time, then one rng.permutation of the
+    complete split or the _sequential_blocks of its strata S = I(W_j > c),
+    then its outcome uniforms, so that ``rng`` ends where the trial's
+    generator does."""
+    W = [rng.standard_normal(s.n) if spec.kind == "standard-normal"
+         else rng.random(s.n) < spec.p for spec in s.covariates]
+    if s.scheme == "complete":
+        n1 = int(np.floor(s.n * s.allocation[0]))
+        arm = rng.permutation([1] * n1 + [2] * (s.n - n1))
+    else:
+        strata = W[s.stratify.covariate - 1] > s.stratify.threshold
+        arm = _sequential_blocks(strata, s.block_size, s.allocation, rng)
+    rng.random(s.n)
+    return arm
+
+
+def _blocked(n, block_size=4, allocation=(0.5, 0.5), threshold=0.25):
+    """Stratified blocks on S = I(W1 > threshold), one normal covariate."""
+    return Scenario(n=n, beta_A=(-0.4, 0.3), beta_W=(0.5,),
+                    covariates=("standard-normal",), allocation=allocation,
+                    scheme="stratified-block", block_size=block_size,
+                    stratify=StratificationRule(1, threshold))
+
+
 class TestRandomization:
-    """Assignment generators."""
+    """Assignment by _draw, the one randomization path."""
 
     @pytest.mark.parametrize("block_size, allocation", [
         (2, (0.5, 0.5)), (4, (0.5, 0.5)), (6, (0.5, 0.5)), (8, (0.5, 0.5)),
@@ -245,53 +269,60 @@ class TestRandomization:
     ])
     def test_blocks_draw_as_one_permutation_per_block(self, block_size,
                                                       allocation):
-        """The same arms as the sequential reference, bit for bit, and the
-        generator left where the reference leaves it, over stratum
-        sizes that end in a short block and ones that do not."""
+        """The same arms as the sequential reference, bit for bit, and
+        each generator left where the reference leaves it, over trials
+        of every n modulo the block size (odd n among them) whose
+        stratum sizes end in a short block and ones that do not, drawn
+        in one batch by default_rng generators or substreams."""
         cases = np.random.default_rng(block_size)
         for seed in range(40):
-            n = int(cases.integers(1, 9)) * block_size \
-                + seed % block_size
-            strata = cases.integers(0, 3, n)
+            n = int(cases.integers(3, 10)) * block_size + seed % block_size
+            s = _blocked(n, block_size, allocation,
+                         float(cases.uniform(-1.0, 1.0)))
             for make in (np.random.default_rng,
-                         lambda s: _rep_rng(s, block_size)):
-                rng, ref = make(seed), make(seed)
-                np.testing.assert_array_equal(
-                    randomize_stratified_block(strata, block_size,
-                                               allocation, rng),
-                    _sequential_blocks(strata, block_size, allocation, ref))
-                assert rng.random() == ref.random()
+                         lambda r: _rep_rng(seed, r)):
+                reps = range(6)
+                states = []
+                rngs = _recording([make(r) for r in reps], states)
+                t = _draw(s, rngs, len(reps))
+                rngs.close()
+                for arm, state, r in zip(t.arm, states, reps):
+                    ref = make(r)
+                    np.testing.assert_array_equal(arm,
+                                                  _sequential_arms(s, ref))
+                    np.testing.assert_equal(state, ref.bit_generator.state)
 
     def test_complete_split_is_exact(self):
         rng = np.random.default_rng(1)
-        arm = randomize_complete(10, (0.5, 0.5), rng)
+        arm = generate_trial(Scenario(n=10, beta_A=(0, 0)), rng).arm
         assert (arm == 1).sum() == 5 and (arm == 2).sum() == 5
-        arm = randomize_complete(326, (0.5, 0.5), rng)
+        arm = generate_trial(Scenario(n=326, beta_A=(0, 0)), rng).arm
         assert (arm == 1).sum() == 163 and (arm == 2).sum() == 163
 
     def test_complete_odd_n_remainder_goes_to_arm_2(self):
         rng = np.random.default_rng(2)
-        arm = randomize_complete(11, (0.5, 0.5), rng)
+        arm = generate_trial(Scenario(n=11, beta_A=(0, 0)), rng).arm
         assert (arm == 1).sum() == 5 and (arm == 2).sum() == 6
 
     def test_complete_all_assignments_reachable(self):
         """n=4 at 1:1 has 6 possible assignments; all appear over seeds."""
+        s = Scenario(n=4, beta_A=(0, 0))
         seen = set()
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            seen.add(tuple(randomize_complete(4, (0.5, 0.5), rng)))
+            seen.add(tuple(generate_trial(s, rng).arm))
         assert len(seen) == 6
 
     def test_complete_is_reproducible(self):
-        a = randomize_complete(50, (0.5, 0.5), np.random.default_rng(7))
-        b = randomize_complete(50, (0.5, 0.5), np.random.default_rng(7))
+        s = Scenario(n=50, beta_A=(0, 0))
+        a = generate_trial(s, np.random.default_rng(7)).arm
+        b = generate_trial(s, np.random.default_rng(7)).arm
         np.testing.assert_array_equal(a, b)
 
     def test_block_two_alternates_within_stratum(self):
         """Block size 2 at 1:1 puts one of each arm in every pair."""
-        strata = np.zeros(40, dtype=int)
-        arm = randomize_stratified_block(strata, 2, (0.5, 0.5),
-                                         np.random.default_rng(3))
+        arm = generate_trial(_blocked(40, 2, threshold=50.0),
+                             np.random.default_rng(3)).arm
         pairs = arm.reshape(-1, 2)
         assert (pairs.sum(axis=1) == 3).all()
 
@@ -300,64 +331,46 @@ class TestRandomization:
         truncated final block is the only source of imbalance)."""
         rng = np.random.default_rng(4)
         for trial in range(50):
-            strata = rng.integers(0, 3, size=rng.integers(5, 60))
-            arm = randomize_stratified_block(strata, 4, (0.5, 0.5), rng)
-            for s in np.unique(strata):
-                in_s = strata == s
-                n1 = (arm[in_s] == 1).sum()
-                n2 = (arm[in_s] == 2).sum()
+            s = _blocked(int(rng.integers(5, 60)),
+                         threshold=float(rng.uniform(-1.0, 1.0)))
+            data = generate_trial(s, rng)
+            for lab in (0, 1):
+                in_s = data.stratum == lab
+                n1 = (data.arm[in_s] == 1).sum()
+                n2 = (data.arm[in_s] == 2).sum()
                 assert abs(int(n1) - int(n2)) <= 2
 
     def test_block_full_blocks_exactly_balanced(self):
-        strata = np.zeros(24, dtype=int)
-        arm = randomize_stratified_block(strata, 4, (0.5, 0.5),
-                                         np.random.default_rng(5))
+        arm = generate_trial(_blocked(24, threshold=50.0),
+                             np.random.default_rng(5)).arm
         blocks = arm.reshape(-1, 4)
         assert ((blocks == 1).sum(axis=1) == 2).all()
 
     def test_block_incompatible_allocation_rejected(self):
-        strata = np.zeros(12, dtype=int)
-        with pytest.raises(ValueError):
-            randomize_stratified_block(strata, 4, (1 / 3, 2 / 3),
-                                       np.random.default_rng(6))
+        with pytest.raises(ValueError, match="integral arm-1 count"):
+            _blocked(12, 4, (1 / 3, 2 / 3))
 
     def test_block_reproducible(self):
-        strata = np.tile([0, 1], 20)
-        a = randomize_stratified_block(strata, 4, (0.5, 0.5),
-                                       np.random.default_rng(8))
-        b = randomize_stratified_block(strata, 4, (0.5, 0.5),
-                                       np.random.default_rng(8))
+        s = _blocked(40)
+        a = generate_trial(s, np.random.default_rng(8)).arm
+        b = generate_trial(s, np.random.default_rng(8)).arm
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("labels", [
-        [0, 1], [False, True], [-7, 3, 40], [2, 0], [5], [0, 2, 4]])
-    def test_block_labels_of_any_kind_and_an_absent_stratum(self, labels):
-        """Bool labels, int labels in any order, one stratum only, and a
-        label set with a gap (1 and 3 absent from 0, 2, 4) all draw
-        like the sequential reference, strata in sorted label order,
-        and leave the generator where it leaves it."""
-        cases = np.random.default_rng(len(labels))
+    @pytest.mark.parametrize("threshold", [-50.0, 0.25, 50.0],
+                             ids=["only-S1", "both", "only-S0"])
+    def test_block_one_stratum_or_both(self, threshold):
+        """A trial whose subjects all fall in S = 1, or all in S = 0,
+        draws like the sequential reference, as one with both strata
+        does, and leaves the generator where it leaves it."""
+        s = _blocked(37, threshold=threshold)
         for seed in range(30):
-            strata = np.asarray(labels)[cases.integers(0, len(labels), 37)]
             rng, ref = _rep_rng(seed, 0), _rep_rng(seed, 0)
-            np.testing.assert_array_equal(
-                randomize_stratified_block(strata, 4, (0.5, 0.5), rng),
-                _sequential_blocks(strata, 4, (0.5, 0.5), ref))
+            data = generate_trial(s, rng)
+            np.testing.assert_array_equal(data.arm, _sequential_arms(s, ref))
             np.testing.assert_equal(rng.bit_generator.state,
                                     ref.bit_generator.state)
-
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_block_rejects_non_finite_labels(self, bad):
-        """A NaN label equals no other label, so it would make each such
-        subject a one-subject stratum; non-finite labels are refused up
-        front, before any draw."""
-        strata = np.array([0, bad, 1, bad, 0, 1, bad, 0])
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="finite"):
-            randomize_stratified_block(strata, 2, (0.5, 0.5), rng)
-        assert rng.bit_generator.state == state
+            if threshold != 0.25:
+                assert (data.stratum == (threshold < 0)).all()
 
 
 class TestGenerateTrial:
@@ -1020,18 +1033,56 @@ class TestConfigParsers:
 
     def test_python_callers_get_the_config_conversions(self):
         """Values a config file would hold convert the same way when a
-        dataclass is built directly."""
-        s = Scenario(n=40.0, beta_A=(0, 0), block_size=4.0,
+        dataclass is built directly; NumPy integers become ints."""
+        s = Scenario(n=np.int64(40), beta_A=(0, 0), block_size=np.int32(4),
                      covariates=(CovariateSpec(kind="bernoulli", p="0.5"),),
                      beta_W=(1,), scheme="stratified-block",
-                     stratify=StratificationRule(covariate="1",
+                     stratify=StratificationRule(covariate=np.int64(1),
                                                  threshold="0.5"))
         assert (type(s.n), type(s.block_size)) == (int, int)
+        assert type(s.stratify.covariate) is int
         assert s.covariates[0].p == 0.5
         assert s.stratify == StratificationRule(covariate=1, threshold=0.5)
         assert ModelSpec(family="bernoulli-logit",
                          heterogeneous=1).heterogeneous is True
         assert MethodSpec(name=7, test="wald").name == "7"
+
+    @pytest.mark.parametrize("key, name", [
+        ("n", "scenario n"), ("block_size", "scenario block_size"),
+        ("covariate", "stratify covariate")], ids=["n", "block_size",
+                                                   "covariate"])
+    @pytest.mark.parametrize("bad", [40.7, 4.0, "40"],
+                             ids=["float", "integral-float", "string"])
+    def test_integer_fields_refuse_floats_and_strings(self, key, name, bad):
+        """n, block_size and the stratify covariate are read as integers,
+        never truncated: a float, even an integral one, or a string is a
+        TypeError naming the field, from Python and from a config."""
+        d = {"n": 40, "beta_A": [0, 0], "covariates": ["standard-normal"],
+             "beta_W": [0.5], "scheme": "stratified-block", "block_size": 4,
+             "stratify": {"covariate": 1, "threshold": 0.0}}
+        if key == "covariate":
+            d["stratify"] = {**d["stratify"], key: bad}
+        else:
+            d[key] = bad
+        message = f"{name} must be an integer, got {bad!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            scenario_from_config(d)
+        with pytest.raises(TypeError, match=re.escape(message)):
+            Scenario(**{**d, "stratify": StratificationRule(**d["stratify"])})
+
+    def test_numpy_integer_fields_are_the_same_scenario(self):
+        """NumPy integers in the integer fields of a config give the
+        scenario that Python integers give."""
+        d = {"n": 40, "beta_A": [0, 0], "covariates": ["standard-normal"],
+             "beta_W": [0.5], "scheme": "stratified-block", "block_size": 4,
+             "stratify": {"covariate": 1, "threshold": 0.0}}
+        s = scenario_from_config({**d, "n": np.int64(40),
+                                  "block_size": np.int32(4),
+                                  "stratify": {"covariate": np.int16(1),
+                                               "threshold": 0.0}})
+        assert s == scenario_from_config(d)
+        assert {type(s.n), type(s.block_size),
+                type(s.stratify.covariate)} == {int}
 
     def test_scenario_unknown_key_rejected(self):
         with pytest.raises(ValueError):
