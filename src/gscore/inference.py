@@ -16,8 +16,8 @@ otherwise ``run_test`` and the named tests raise an IntervalUndefinedError
 carrying the still-valid test result and diagnostics, and
 ``analyze_trial`` records the reason.  One-sided p-values come from the
 signed square root of the chi-square statistic.  Whether a test rejects
-at its level is decided from that statistic and the critical value,
-without the p-value; ``run_oc`` tallies it.
+at its level is decided from that statistic and the critical value, so
+only a single fit's TestResult carries a p-value; ``run_oc`` forms none.
 
 ``run_test`` runs a (measure, test) pair's kernel as one row of
 ``run_test_batch``; ``analyze_trial`` composes fit, standardization, the
@@ -26,7 +26,9 @@ variance from ``gcomp.estimate_variance`` and the requested tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from functools import cached_property
 from statistics import NormalDist
 
@@ -60,6 +62,8 @@ class Hypothesis:
             null = 1.0 if self.measure == "ratio" else 0.0
         object.__setattr__(self, "null_value", float(null))
         object.__setattr__(self, "level", float(self.level))
+        if not math.isfinite(self.null_value):
+            raise ValueError(f"null_value must be finite, got {null!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {self.level}")
         if self.measure == "ratio" and self.null_value <= 0.0:
@@ -107,17 +111,9 @@ class TestResult:
         return d
 
 
-# Distribution functions need no scipy.  The quantiles come from the
-# standard library's NormalDist.inv_cdf (Wichura's AS241), the
-# chi-square-1 one as its square: within 1e-14 relative of scipy.stats
-# for levels in [0.8, 0.99].  Every p-value is a chi-square-1 tail or a
-# normal one, and both go through _erfc, a NumPy port of the rational
-# forms cephes evaluates (Cody 1969).  It takes exp(-a^2) from the square
-# the caller knows exactly, half the statistic, not from sqrt(stat / 2)
-# squared: within 2e-15 relative of scipy.special.erfc, and within 4e-14
-# of chdtrc for statistics up to 1e3, where erfc(sqrt(x / 2)) is off by
-# 1e-13.  Its arithmetic is elementwise, so a value's bits do not depend
-# on the shape of the array it comes in.
+# No scipy: the quantiles come from the standard library's NormalDist
+# (Wichura's AS241), the chi-square-1 one as its square, within 1e-14
+# relative of scipy.stats for levels in [0.8, 0.99].
 #
 # Each test is written once, as a kernel over any leading shape: arm
 # means (..., 2) and covariances (..., 2, 2) from fits of n subjects give
@@ -127,89 +123,30 @@ class TestResult:
 # row with no leading axis, built by _test_row.  x * x, not
 # x ** 2: numpy scalars (one fit) compute ** by pow, off by an ulp at times.
 
-# cephes ndtr.c's coefficients, highest degree first: erf(a) = a T(a^2) /
-# U(a^2) below 1, erfc(a) = exp(-a^2) P(a) / Q(a) below 8 and
-# exp(-a^2) R(a) / S(a) beyond.
-_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
-      2.23200534594684319226E3, 7.00332514112805075473E3,
-      5.55923013010394962768E4)
-_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
-      4.59432382970980127987E3, 2.26290000613890934246E4,
-      4.92673942608635921086E4)
-_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
-      7.46321056442269912687E0, 4.86371970985681366614E1,
-      1.96520832956077098242E2, 5.26445194995477358631E2,
-      9.34528527171957607540E2, 1.02755188689515710272E3,
-      5.57535335369399327526E2)
-_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
-      3.54937778887819891062E2, 9.75708501743205489753E2,
-      1.82390916687909736289E3, 2.24633760818710981792E3,
-      1.65666309194161350182E3, 5.57535340817727675546E2)
-_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
-      5.01905042251180477414E0, 6.16021097993053585195E0,
-      7.40974269950448939160E0, 2.97886665372100240670E0)
-_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
-      1.20489539808096656605E1, 1.70814450747565897222E1,
-      9.60896809063285878198E0, 3.36907645100081516050E0)
-
-
-def _erfc_table() -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients of a^j, j < 16, in the numerator and denominator
-    of each form, as erfc(a) = exp(-a^2 [form > 0]) num(a) / den(a)
-    (below 1, (U(a^2) - a T(a^2)) / U(a^2)): the (8, 2, 3) tables of the
-    even and the odd j."""
-    table = np.zeros((16, 2, 3))
-    table[0:12:2, :, 0] = np.array(_U[::-1])[:, None]
-    table[1:10:2, 0, 0] = -np.array(_T[::-1])
-    for form, (num, den) in ((1, (_P, _Q)), (2, (_R, _S))):
-        table[:len(num), 0, form] = num[::-1]
-        table[:len(den), 1, form] = den[::-1]
-    return table[0::2], table[1::2]
-
-
-_ERFC_EVEN, _ERFC_ODD = _erfc_table()
-_ERFC_EDGES = np.array([1.0, 8.0])
-_ERFC_EXP = np.array([0.0, 1.0, 1.0])
-
-
-def _erfc(a, a2):
-    """erfc(a) for a >= 0 (or NaN), given a2 = a^2 as the caller knows it.
-
-    Each value picks its form's coefficients and evaluates both
-    polynomials by Estrin's scheme in four elementwise steps.  a is
-    capped at 27, past erfc's underflow, so no 0 * inf arises at inf.
-    """
-    form = np.searchsorted(_ERFC_EDGES, a, side="right")  # NaN sorts last
-    v = np.minimum(a, 27.0)
-    w = (np.take(_ERFC_EVEN, form, axis=-1)
-         + np.take(_ERFC_ODD, form, axis=-1) * v)
-    for _ in range(3):
-        v = v * v
-        w = w[0::2] + w[1::2] * v
-    return np.exp(-(a2 * _ERFC_EXP[form])) * w[0, 0] / w[0, 1]
-
-
-def _chi2_sf(x):
-    """Upper tail of chi-square-1, erfc(sqrt(x / 2)); 1 below 0."""
-    half = np.maximum(x, 0.0) / 2.0
-    return _erfc(np.sqrt(half), half)
-
 
 def _on_side(dev, sidedness: str):
     """Whether the deviation dev lies on a one-sided alternative's side."""
     return dev > 0.0 if sidedness == "greater" else dev < 0.0
 
 
-def _p_value(dev, chi2, sidedness: str):
-    """p-value of a chi-square-1 statistic chi2 = z^2 whose normal
-    deviate z has the sign of dev: P(Z^2 > chi2) two-sided, else
+def _p_value(dev: float, chi2: float, sidedness: str) -> float:
+    """p-value of a chi-square-1 statistic chi2 = z^2 (0 if below) whose
+    normal deviate z has the sign of dev: P(Z^2 > chi2) two-sided, else
     P(Z > z) ("greater") or P(Z < z) ("less"), half of erfc(|z| / sqrt 2)
-    on the alternative's side and its complement on the other."""
+    on the alternative's side and its complement on the other.
+
+    erfc(a) falls as exp(-a^2), so a^2 is chi2 / 2 itself, not a rounded
+    a = sqrt(chi2 / 2) squared: erfc(a) exp(a^2 - chi2 / 2), the exponent
+    exact in Fractions.  Within 4e-14 relative of scipy's chdtrc on
+    [0, 1e3], where erfc(sqrt(x / 2)) is off by 1e-13."""
+    a2 = max(chi2, 0.0) / 2.0  # NaN stays NaN
+    a = math.sqrt(a2)
+    q = math.erfc(a)
+    if q > 0.0:  # neither NaN nor past the underflow (a2 finite)
+        q *= math.exp(float(Fraction(a) ** 2 - Fraction(a2)))
     if sidedness == "two-sided":
-        return _chi2_sf(chi2)
-    half = chi2 / 2.0
-    q = 0.5 * _erfc(np.sqrt(half), half)
-    return np.where(_on_side(dev, sidedness), q, 1.0 - q)
+        return q
+    return 0.5 * q if _on_side(dev, sidedness) else 1.0 - 0.5 * q
 
 
 def _diff_variance(sigma: np.ndarray) -> np.ndarray:
@@ -297,27 +234,25 @@ _TESTS = {
 
 
 def run_test_batch(mu: np.ndarray, sigma: np.ndarray, n: int, h: Hypothesis,
-                   test: str, p_value: bool = True) -> dict:
+                   test: str) -> dict:
     """``run_test`` for a batch: arm means (..., 2) and covariances
     (..., 2, 2) from fits of n subjects each.
 
-    Returns arrays of the leading shape: estimate, statistic, p_value
-    (unless ``p_value`` is False), lo and hi (the interval), ``reject``,
-    whether the test rejects the null at ``h.level``, and ``failed``, the
-    rows for which ``run_test`` raises: non-positive arm means for a
-    ratio, or an undefined score interval.  A test rejects when its
-    chi-square-1 statistic reaches ``h.chi2_quantile``, on the
-    alternative's side if one-sided: a p-value of at most 1 - level
-    (half that one-sided), up to rounding at the boundary.
+    Returns arrays of the leading shape: estimate, statistic, dev and
+    chi2 (the signed deviation and the chi-square-1 statistic a p-value
+    is formed from), lo and hi (the interval), ``reject``, whether the
+    test rejects the null at ``h.level``, and ``failed``, the rows for
+    which ``run_test`` raises: non-positive arm means for a ratio, or an
+    undefined score interval.  A test rejects when chi2 reaches
+    ``h.chi2_quantile``, on the alternative's side if one-sided: a
+    p-value of at most 1 - level (half that one-sided), up to rounding
+    at the boundary.  No p-value is formed here.
     """
     check_choices("run_test", (test, TESTS, "test"))
     with np.errstate(divide="ignore", invalid="ignore"):
         cols = _TESTS[(h.measure, test)][0](mu, sigma, n, h)
-        dev, chi2 = cols["dev"], cols["chi2"]
-        cols["reject"] = (chi2 >= h.chi2_quantile) & (
-            h.sidedness == "two-sided" or _on_side(dev, h.sidedness))
-        if p_value:
-            cols["p_value"] = _p_value(dev, chi2, h.sidedness)
+        cols["reject"] = (cols["chi2"] >= h.chi2_quantile) & (
+            h.sidedness == "two-sided" or _on_side(cols["dev"], h.sidedness))
     cols["failed"] = (cols.get("nonpositive", False)
                       | cols.get("undefined", False)) \
         & np.ones(mu.shape[:-1], dtype=bool)
@@ -340,7 +275,8 @@ def _test_row(mu: MuEstimate, v: VarianceEstimate, h: Hypothesis,
     result = TestResult(
         method=test, measure=h.measure, estimate=r["estimate"],
         statistic=r["statistic"], distribution=_TESTS[(h.measure, test)][1],
-        p_value=r["p_value"], ci=(r["lo"], r["hi"]) if defined else None,
+        p_value=_p_value(r["dev"], r["chi2"], h.sidedness),
+        ci=(r["lo"], r["hi"]) if defined else None,
         null_value=h.null_value, level=h.level, sidedness=h.sidedness,
         variance_tag=(v.estimator, v.correction), n=v.n, se=r.get("se"),
         meta=meta)

@@ -88,6 +88,14 @@ def _integer(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _finite(name: str, values) -> tuple[float, ...]:
+    """``values`` as floats; a ValueError naming ``name`` unless finite."""
+    out = tuple(map(float, values))
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite, got {out}")
+    return out
+
+
 @dataclass(frozen=True)
 class CovariateSpec:
     """One iid covariate: standard normal, or Bernoulli(p)."""
@@ -118,7 +126,8 @@ class StratificationRule:
     def __post_init__(self):
         object.__setattr__(self, "covariate",
                            _integer("stratify covariate", self.covariate))
-        object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(self, "threshold", _finite(
+            "stratify threshold", (self.threshold,))[0])
         if self.covariate < 1:
             raise ValueError("stratification covariate index is 1-based")
 
@@ -146,10 +155,9 @@ class Scenario:
                            _integer("scenario block_size", self.block_size))
         object.__setattr__(self, "covariates", tuple(
             map(covariate_spec_from_config, self.covariates)))
-        object.__setattr__(self, "beta_W", tuple(float(b) for b in self.beta_W))
-        object.__setattr__(self, "beta_A", tuple(float(b) for b in self.beta_A))
-        object.__setattr__(self, "allocation",
-                           tuple(float(a) for a in self.allocation))
+        for name in ("beta_W", "beta_A", "allocation"):
+            object.__setattr__(self, name, _finite(f"scenario {name}",
+                                                   getattr(self, name)))
         if self.n < 2:
             raise ValueError(f"scenario n must be >= 2, got {self.n}")
         if len(self.beta_W) != len(self.covariates):
@@ -447,8 +455,10 @@ def calibrate_intercepts(targets, beta_W, covariates,
     The marginal mean is strictly increasing in the intercept, so plain
     bisection on [-40, 40] is exact to any requested precision.
     """
-    targets, beta_W = tuple(targets), tuple(beta_W)
+    targets, beta_W = tuple(targets), _finite("beta_W", beta_W)
     covariates = tuple(map(covariate_spec_from_config, covariates))
+    if not 0.0 < precision < np.inf:
+        raise ValueError(f"precision must be finite and > 0, got {precision}")
     if len(targets) != 2:
         raise ValueError("targets must be a pair of marginal means")
     if len(beta_W) != len(covariates):
@@ -639,8 +649,7 @@ def _analyze_batch(trials: _Trials, plan: _Plan):
             if rows:
                 var_failed[list(rows), k] = True
     for h, test, cols, ks in plan.tests:
-        r = run_test_batch(mus[:, ks], sigmas[:, ks], n, h, test,
-                           p_value=False)
+        r = run_test_batch(mus[:, ks], sigmas[:, ks], n, h, test)
         ok = ~(var_failed[:, ks] | r["failed"])
         for out, name in ((est, "estimate"), (lo, "lo"), (hi, "hi")):
             out[:, cols] = np.where(ok, r[name], np.nan)

@@ -225,6 +225,13 @@ class TestAnalyze:
         assert "estimator" in err and "'IV'" in err
         assert "absent.csv" not in err
 
+    def test_non_finite_null_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = analyze_config(tmp_path, null_value=float("nan"))
+        assert main(["analyze", "--config", cfg,
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "null_value must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_scalar_pi_exits_2_naming_pi(self, tmp_path, capsys):
         cfg = analyze_config(tmp_path, estimator="II", pi=0.5)
         assert main(["analyze", "--config", cfg,
@@ -518,6 +525,30 @@ class TestSimulate:
         assert f"must be an integer, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "oc.csv").exists()
 
+    @pytest.mark.parametrize("key", ["beta_A", "beta_W", "threshold",
+                                     "null_value"])
+    def test_non_finite_value_exits_2_naming_it(self, tmp_path, capsys,
+                                                key):
+        """A NaN coefficient, threshold or null is refused with its field
+        named, not run; writes no table."""
+        doc = {**scenario_doc(), "scheme": "stratified-block",
+               "block_size": 4, "stratify": {"covariate": 3,
+                                             "threshold": 0.25}}
+        methods = methods_doc()
+        if key == "threshold":
+            doc["stratify"][key] = float("nan")
+        elif key == "null_value":
+            methods["methods"][0][key] = float("nan")
+        else:
+            doc[key] = [*doc[key][:-1], float("nan")]
+        scen = write_yaml(tmp_path / "scen.yaml", doc)
+        meth = write_yaml(tmp_path / "meth.yaml", methods)
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "5", "--seed", "1",
+                     "--out", str(tmp_path / "oc.csv")]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "oc.csv").exists()
+
     def test_scenario_family_key_exits_2(self, tmp_path, capsys):
         """Generated outcomes are bernoulli-logit only; a scenario has no
         family key."""
@@ -565,6 +596,18 @@ class TestCalibrate:
                      "--beta-w", "0.1", "0.2",
                      "--covariates", "standard-normal"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--precision", "nan"], "precision must be finite and > 0"),
+        (["--precision", "-1"], "precision must be finite and > 0"),
+        (["--beta-w", "nan"], "beta_W must be finite")],
+        ids=["precision-nan", "precision-negative", "beta_w-nan"])
+    def test_bad_precision_or_slope_exits_2_naming_it(self, capsys, args,
+                                                      message):
+        argv = ["calibrate", "--targets", "0.3", "0.45", "--beta-w", "0.4",
+                "--covariates", "standard-normal", *args]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_covariate_token_exits_2(self, capsys):
         assert main(["calibrate", "--targets", "0.3", "0.45",

@@ -70,6 +70,14 @@ class TestHypothesis:
         with pytest.raises(ValueError):
             Hypothesis(measure="ratio", null_value=-1.0)
 
+    @pytest.mark.parametrize("null", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("measure", ["difference", "ratio"])
+    def test_non_finite_null_refused(self, measure, null):
+        """A NaN null would give a NaN statistic and p-value beside a
+        finite interval: refused, with the field named."""
+        with pytest.raises(ValueError, match="null_value must be finite"):
+            Hypothesis(measure=measure, null_value=null)
+
     @pytest.mark.parametrize("level", [0.8, 0.95, 0.99])
     def test_critical_values_computed_once(self, level):
         """The quantiles are the chi-square-1 and normal ones, and stay
@@ -607,39 +615,6 @@ class TestBatchKernels:
     """The batch-axis test kernels: the paper's dominance row by row, and
     the scalar tests as their batch-of-one rows."""
 
-    def test_chi_square_tail_matches_chdtrc(self):
-        """erfc(sqrt(x / 2)) is chi-square-1's upper tail: within 1e-13
-        relative of scipy's chdtrc on [0, 1e3], 1 at and below 0, 0 at
-        infinity, NaN for NaN."""
-        x = np.concatenate([np.linspace(0.0, 1e3, 100_001),
-                            np.geomspace(1e-300, 1e3, 20_001)])
-        np.testing.assert_allclose(inference._chi2_sf(x), chdtrc(1, x),
-                                   rtol=1e-13, atol=0)
-        edge = inference._chi2_sf(np.array([-np.inf, -1.0, -0.0, 0.0,
-                                            np.inf, np.nan]))
-        np.testing.assert_array_equal(edge, [1, 1, 1, 1, 0, np.nan])
-        assert inference._chi2_sf(np.float64(-3.0)) == 1.0
-
-    def test_only_two_sided_p_values_take_the_chi_square_tail(
-            self, monkeypatch):
-        """A one-sided p-value comes from the normal tail, so the kernels
-        never form the two-sided one for it."""
-        mu = np.array([[0.30, 0.45], [0.20, 0.18]])
-        sigma = np.tile(0.002 * np.eye(2), (2, 1, 1))
-        calls = []
-        chi2_sf = inference._chi2_sf
-        monkeypatch.setattr(inference, "_chi2_sf",
-                            lambda x: calls.append(x) or chi2_sf(x))
-        for measure, test in (("difference", "wald"),
-                              ("difference", "score"), ("ratio", "score")):
-            for sidedness in ("greater", "less"):
-                run_test_batch(mu, sigma, 100, Hypothesis(
-                    measure=measure, sidedness=sidedness), test)
-            assert not calls
-            run_test_batch(mu, sigma, 100, Hypothesis(measure=measure), test)
-            assert len(calls) == 1
-            calls.clear()
-
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(mean_batches(), st.floats(-0.5, 0.5),
            st.sampled_from((0.8, 0.9, 0.95, 0.99)))
@@ -686,24 +661,32 @@ class TestBatchKernels:
                 np.testing.assert_array_equal(
                     (r.estimate, r.statistic, r.p_value),
                     (cols["estimate"][b], cols["statistic"][b],
-                     cols["p_value"][b]))
+                     _p_values(cols["dev"][b], cols["chi2"][b],
+                               h.sidedness)))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(edge_batches(), hypotheses)
     def test_reject_is_the_p_value_at_the_level(self, batch, h):
-        """``reject`` (what run_oc tallies) is p <= 1 - level, half that
-        one-sided, and leaving the p-values out changes no other column."""
+        """``reject`` (what run_oc tallies) is the row's p <= 1 - level,
+        half that one-sided."""
         mu, sigma, n = batch
         thr = (1.0 - h.level) / 2.0 if h.sidedness != "two-sided" \
             else 1.0 - h.level
         for test in TESTS:
             cols = run_test_batch(mu, sigma, n, h, test)
-            np.testing.assert_array_equal(cols["reject"],
-                                          cols["p_value"] <= thr)
-            bare = run_test_batch(mu, sigma, n, h, test, p_value=False)
-            assert bare.keys() == cols.keys() - {"p_value"}
-            for key in bare:
-                np.testing.assert_array_equal(bare[key], cols[key])
+            assert "p_value" not in cols
+            np.testing.assert_array_equal(
+                cols["reject"],
+                _p_values(cols["dev"], cols["chi2"], h.sidedness) <= thr)
+
+
+def _p_values(dev, chi2, sidedness="two-sided"):
+    """The scalar ``inference._p_value`` at each (dev, chi2) pair."""
+    dev, chi2 = np.broadcast_arrays(dev, chi2)
+    return np.array([inference._p_value(d, c, sidedness)
+                     for d, c in zip(dev.ravel().tolist(),
+                                     chi2.ravel().tolist())]
+                    ).reshape(chi2.shape)
 
 
 def _rel_err(got, want):
@@ -715,7 +698,7 @@ def _rel_err(got, want):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestTails:
-    """The NumPy tails against scipy.special, and their exact edges.
+    """The scalar p-value against scipy.special, and its exact edges.
 
     erfc underflows past a ~ 26.6 (a^2 > 709.78 in cephes); scipy's values
     between 26.55 and 26.64 are subnormal, and the relative error is
@@ -725,9 +708,23 @@ class TestTails:
     a = np.concatenate([np.linspace(0.0, 27.0, 270_001),
                         np.geomspace(5e-324, 27.0, 20_001)])
 
+    def test_chi_square_tail_matches_chdtrc(self):
+        """erfc(sqrt(x / 2)) is chi-square-1's upper tail: within 1e-13
+        relative of scipy's chdtrc on [0, 1e3], 1 at and below 0, 0 at
+        infinity, NaN for NaN."""
+        x = np.concatenate([np.linspace(0.0, 1e3, 100_001),
+                            np.geomspace(1e-300, 1e3, 20_001)])
+        np.testing.assert_allclose(_p_values(1.0, x), chdtrc(1, x),
+                                   rtol=1e-13, atol=0)
+        edge = _p_values(1.0, [-np.inf, -1.0, -0.0, 0.0, np.inf, np.nan])
+        np.testing.assert_array_equal(edge, [1, 1, 1, 1, 0, np.nan])
+        assert inference._p_value(1.0, np.float64(-3.0), "two-sided") == 1.0
+
     def test_erfc_matches_scipy(self):
+        """The two-sided p-value of 2 a^2 is erfc(a), the square taken
+        as cephes takes it."""
         a = self.a
-        got = inference._erfc(a, a * a)
+        got = _p_values(1.0, 2.0 * (a * a))
         assert _rel_err(got, erfc(a)).max() <= 3e-15
         # wherever scipy's value is not normal, ours is not either
         assert (got[erfc(a) < np.finfo(float).tiny]
@@ -737,10 +734,10 @@ class TestTails:
         a = np.array([0.0, -0.0, 5e-324, 1e-17, 27.3, 30.0, 1e10, 1e300,
                       np.inf, np.nan])
         with np.errstate(over="ignore"):
-            a2 = a * a
-        np.testing.assert_array_equal(inference._erfc(a, a2),
+            chi2 = 2.0 * (a * a)
+        np.testing.assert_array_equal(_p_values(1.0, chi2),
                                       [1, 1, 1, 1, 0, 0, 0, 0, 0, np.nan])
-        assert inference._erfc(np.float64(0.0), np.float64(0.0)) == 1.0
+        assert inference._p_value(1.0, np.float64(0.0), "two-sided") == 1.0
 
     def test_normal_tail_matches_ndtr(self):
         """The one-sided p-values are ndtr(-z) ("greater") and ndtr(z)
@@ -753,7 +750,7 @@ class TestTails:
         chi2 = np.square(np.minimum(np.abs(z), 40.0))
         bound = 4e-15 + 4e-16 * z * z
         for side, want in (("greater", ndtr(-z)), ("less", ndtr(z))):
-            got = inference._p_value(z, chi2, side)
+            got = _p_values(z, chi2, side)
             assert (_rel_err(got, want) <= bound).all(), side
 
     def test_normal_tail_edges(self):
@@ -761,10 +758,10 @@ class TestTails:
                       -np.inf, np.nan])
         chi2 = np.square(np.minimum(np.abs(z), 40.0))
         np.testing.assert_array_equal(
-            inference._p_value(z, chi2, "greater"),
+            _p_values(z, chi2, "greater"),
             [0.5, 0.5, 0.5, 0.5, 0, 1, 0, 1, np.nan])
         np.testing.assert_array_equal(
-            inference._p_value(z, chi2, "less"),
+            _p_values(z, chi2, "less"),
             [0.5, 0.5, 0.5, 0.5, 1, 0, 1, 0, np.nan])
 
     def test_far_ratio_wald_tail_is_silent(self):
@@ -773,11 +770,12 @@ class TestTails:
         no warning."""
         mu, sigma = np.array([0.30, 0.45]), 1e-312 * np.eye(2)
         for side, p in (("greater", 0.0), ("less", 1.0), ("two-sided", 0.0)):
-            cols = run_test_batch(mu, sigma, 50, Hypothesis(
-                measure="ratio", sidedness=side), "wald")
-            assert cols["statistic"] > 1e155
-            assert cols["p_value"] == p
-            assert cols["reject"] == (side != "less")
+            h = Hypothesis(measure="ratio", sidedness=side)
+            r = run_test(*_estimate(mu, sigma, 50), h, "wald")
+            assert r.statistic > 1e155
+            assert r.p_value == p
+            assert run_test_batch(mu, sigma, 50, h, "wald")["reject"] \
+                == (side != "less")
 
     def test_chi_square_tail_matches_scipy_erfc(self):
         """erfc(sqrt(x / 2)) from scipy rounds the square root first, so it
@@ -785,20 +783,8 @@ class TestTails:
         x = np.concatenate([np.linspace(0.0, 1500.0, 150_001),
                             np.geomspace(5e-324, 1500.0, 20_001)])
         want = erfc(np.sqrt(x / 2.0))
-        got = inference._chi2_sf(x)
+        got = _p_values(1.0, x)
         assert (_rel_err(got, want) <= 4e-15 + 2.5e-16 * x).all()
-        edge = inference._chi2_sf(np.array([-1e300, -0.0, 5e-324, 1500.0,
-                                            1e300, np.inf, np.nan]))
+        edge = _p_values(1.0, [-1e300, -0.0, 5e-324, 1500.0, 1e300, np.inf,
+                               np.nan])
         np.testing.assert_array_equal(edge, [1, 1, 1, 0, 0, 0, np.nan])
-
-    def test_values_do_not_depend_on_the_array_shape(self):
-        """Each value's bits are the same alone, in a vector and in a
-        matrix: the tail is elementwise, never a reduction or a product."""
-        a = self.a[::700]
-        whole = inference._erfc(a, a * a)
-        alone = [inference._erfc(np.float64(x), np.float64(x) * x)
-                 for x in a]
-        np.testing.assert_array_equal(alone, whole)
-        m = a[:400].reshape(20, 20)
-        np.testing.assert_array_equal(inference._erfc(m, m * m).ravel(),
-                                      whole[:400])

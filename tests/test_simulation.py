@@ -92,6 +92,32 @@ class TestScenarioValidation:
             Scenario(n=100, covariates=THREE_NORMALS, beta_W=(0.1,),
                      beta_A=(0.0, 0.0))
 
+    @pytest.mark.parametrize("key, value", [
+        ("beta_A", (0.0, np.nan)), ("beta_A", (np.inf, 0.0)),
+        ("beta_W", (0.5, 0.5, np.nan)), ("beta_W", (-np.inf, 0.5, 0.5))],
+        ids=["beta_A-nan", "beta_A-inf", "beta_W-nan", "beta_W-inf"])
+    def test_non_finite_coefficients_refused(self, key, value):
+        """A NaN intercept would give every subject of its arm outcome 0
+        (u < nan is false) and run without notice."""
+        fields = {"n": 40, "beta_A": (0.0, 0.0), "covariates": THREE_NORMALS,
+                  "beta_W": (0.5, 0.5, 0.5), key: value}
+        with pytest.raises(ValueError,
+                           match=f"scenario {key} must be finite"):
+            Scenario(**fields)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_refused(self, threshold):
+        """A NaN threshold would put every subject in stratum 0."""
+        with pytest.raises(ValueError,
+                           match="stratify threshold must be finite"):
+            StratificationRule(covariate=1, threshold=threshold)
+        with pytest.raises(ValueError,
+                           match="stratify threshold must be finite"):
+            scenario_from_config({
+                "n": 40, "beta_A": [0, 0], "covariates": ["standard-normal"],
+                "beta_W": [0.5], "scheme": "stratified-block",
+                "stratify": {"covariate": 1, "threshold": threshold}})
+
     def test_allocation_must_be_two_positive_shares(self):
         with pytest.raises(ValueError):
             scenario1(allocation=(0.7, 0.7))
@@ -605,6 +631,27 @@ class TestCalibrateIntercepts:
             calibrate_intercepts((0.2, 0.3, 0.4), (0.4,),
                                  (CovariateSpec("standard-normal"),))
         assert calls == []
+
+    @pytest.mark.parametrize("precision", [np.nan, np.inf, 0.0, -1.0])
+    def test_refuses_a_bad_precision_before_bisecting(self, monkeypatch,
+                                                      precision):
+        """A NaN precision would switch the final check off, and a
+        negative one would report a failed bisection."""
+        calls = []
+        monkeypatch.setattr(simulation, "_marginal_mean",
+                            lambda *args: calls.append(1))
+        with pytest.raises(ValueError,
+                           match="precision must be finite and > 0"):
+            calibrate_intercepts((0.3, 0.45), (0.4,), ("standard-normal",),
+                                 precision=precision)
+        assert calls == []
+
+    @pytest.mark.parametrize("slope", [np.nan, np.inf])
+    def test_refuses_non_finite_slopes(self, slope):
+        """Not "outside the bracket": the slope is named."""
+        with pytest.raises(ValueError, match="beta_W must be finite"):
+            calibrate_intercepts((0.3, 0.45), (0.4, slope),
+                                 ("standard-normal", "standard-normal"))
 
     def test_one_slope_per_covariate(self):
         """An extra slope is an error, not silently dropped."""
