@@ -7,7 +7,7 @@ difference and ratio effects, and a Monte Carlo engine for operating
 characteristics.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .dataset import (
     ColumnSchema,

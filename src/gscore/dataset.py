@@ -58,14 +58,12 @@ class TrialDataset:
     outcome : (n,) float
     arm     : (n,) int, values in {1, 2}, both present
     covariates : (n, q) float, column order matches covariate_names
-    stratum : optional (n,) int labels, used only by randomization schemes
     """
 
     outcome: np.ndarray
     arm: np.ndarray
     covariates: np.ndarray
     covariate_names: tuple[str, ...]
-    stratum: np.ndarray | None = None
 
     def __post_init__(self):
         y = np.asarray(self.outcome, dtype=float)
@@ -94,17 +92,10 @@ class TrialDataset:
             raise SchemaError("covariate_names length does not match columns")
         if len(set(self.covariate_names)) != len(self.covariate_names):
             raise SchemaError("duplicate covariate names")
-        strat = self.stratum
-        if strat is not None:
-            strat = np.asarray(strat)
-            if strat.shape != (n,):
-                raise DataError("stratum must have one label per subject")
-            strat = _readonly(strat)
         object.__setattr__(self, "outcome", _readonly(y))
         object.__setattr__(self, "arm", _readonly(arm))
         object.__setattr__(self, "covariates", _readonly(cov))
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
-        object.__setattr__(self, "stratum", strat)
 
     @property
     def n(self) -> int:
@@ -193,7 +184,6 @@ class ColumnSchema:
     outcome: str
     arm: str
     covariates: tuple[str, ...] = ()
-    stratum: str | None = None
     arm_map: dict | None = None
     delimiter: str = ","
 
@@ -204,8 +194,6 @@ class ColumnSchema:
                               f"'\"', '\\r' and '\\n', got {d!r}")
         object.__setattr__(self, "covariates", tuple(self.covariates))
         used = [self.outcome, self.arm, *self.covariates]
-        if self.stratum is not None:
-            used.append(self.stratum)
         if len(set(used)) != len(used):
             raise SchemaError("schema assigns one column to multiple roles")
 
@@ -283,12 +271,12 @@ def _block_numbers(rows, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _parse_block(rows, first: int, idx: dict, schema: ColumnSchema,
-                 arm_code: dict, strat_code: dict):
-    """(outcome, arm, covariates, strata) of the complete rows of a block
-    whose rows all have the header's field count; strata is None without
-    a stratum column.  The first bad row raises, numbered from ``first``
-    (outcome, then arm, then covariates in schema order).  arm_code and
-    strat_code carry each distinct token's reading from block to block."""
+                 arm_code: dict):
+    """(outcome, arm, covariates) of the complete rows of a block whose
+    rows all have the header's field count.  The first bad row raises,
+    numbered from ``first`` (outcome, then arm, then covariates in schema
+    order).  arm_code carries each distinct arm token's reading from
+    block to block."""
     m = len(rows)
     y, missing, bad = _block_numbers(rows, idx[schema.outcome])
     arms = list(map(itemgetter(idx[schema.arm]), rows))
@@ -307,15 +295,6 @@ def _parse_block(rows, first: int, idx: dict, schema: ColumnSchema,
         cov[:, k], c_missing, c_bad = _block_numbers(rows, idx[c])
         missing |= c_missing
         bad |= c_bad
-    strata = None
-    if schema.stratum is not None:
-        tokens = list(map(itemgetter(idx[schema.stratum]), rows))
-        for token in set(tokens).difference(strat_code):
-            # a missing token reads as "", which no other token strips to
-            strat_code[token] = "" if _is_missing(token) else token.strip()
-        strata = list(map(strat_code.__getitem__, tokens))
-        missing |= np.fromiter(map(len, strata), int, m) == 0
-
     bad &= ~missing
     if bad.any():
         i = int(np.argmax(bad))
@@ -326,9 +305,7 @@ def _parse_block(rows, first: int, idx: dict, schema: ColumnSchema,
         for c in schema.covariates:
             _parse_number(row[idx[c]], c, rownum)
     keep = ~missing
-    if strata is not None:
-        strata = list(itertools.compress(strata, keep.tolist()))
-    return y[keep], arm[keep], cov[keep], strata
+    return y[keep], arm[keep], cov[keep]
 
 
 def _shape_bytes(delimiter: str) -> bytes | None:
@@ -362,7 +339,7 @@ def _has_width(lines, text: str, width: int, delimiter: str,
 
 def _plain_block(lines, usecols, width: int, delimiter: str,
                  shape_bytes: bytes | None):
-    """(outcome, arm, covariates, None) of a block of raw lines, read by
+    """(outcome, arm, covariates) of a block of raw lines, read by
     NumPy's C reader, or None when the token path must read the block.
 
     A block is *plain*, and taken, when the token path would read it with
@@ -398,7 +375,7 @@ def _plain_block(lines, usecols, width: int, delimiter: str,
     if (len(values) != len(lines) or np.isnan(values).any()
             or not ((arm == 1) | (arm == 2)).all()):
         return None
-    return values[:, 0], arm.astype(int), values[:, 2:], None
+    return values[:, 0], arm.astype(int), values[:, 2:]
 
 
 def _then_raise(lines, exc: Exception):
@@ -422,12 +399,11 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
     sets off no collection passes over them.
 
     Two readers share the work and give bit-identical results.  Without
-    an arm map or a stratum column, the data rows are read as raw lines,
-    and plain blocks (see _plain_block) are parsed by NumPy's C text
-    reader.  From the first block that is not plain, the rest of the file
-    is split by csv.reader and parsed column by column in Python (the
-    token path), the only path that drops rows, maps arms, reads strata
-    and reports errors.
+    an arm map, the data rows are read as raw lines, and plain blocks
+    (see _plain_block) are parsed by NumPy's C text reader.  From the
+    first block that is not plain, the rest of the file is split by
+    csv.reader and parsed column by column in Python (the token path),
+    the only path that drops rows, maps arms and reports errors.
 
     An error names the first bad row in file order (within a row: a wrong
     field count, then the outcome, arm and covariates in schema order),
@@ -443,8 +419,6 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
             raise EmptyDataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
         used = [schema.outcome, schema.arm, *schema.covariates]
-        if schema.stratum is not None:
-            used.append(schema.stratum)
         missing_cols = [c for c in used if c not in header]
         if missing_cols:
             raise SchemaError(f"{path}: missing columns {missing_cols}")
@@ -455,11 +429,11 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
         idx = {c: header.index(c) for c in used}
         width = len(header)
         usecols = [idx[c] for c in used]
-        arm_code, strat_code = {}, {}
+        arm_code = {}
         parts = []  # per block: its complete rows' parsed columns
         n = 0  # data rows before the block
         rows = reader  # the token path's rows
-        if not schema.arm_map and schema.stratum is None:
+        if not schema.arm_map:
             # plain blocks go to NumPy's reader; from the first block
             # that is not plain (at the latest the empty one at the end),
             # the token path reads the rest of the file
@@ -490,8 +464,7 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
             ragged = np.flatnonzero(lengths != width)
             if ragged.size:
                 del block[ragged[0]:]
-            parts.append(_parse_block(block, n + 1, idx, schema,
-                                      arm_code, strat_code))
+            parts.append(_parse_block(block, n + 1, idx, schema, arm_code))
             n += len(block)
             if ragged.size:
                 raise DataError(
@@ -502,7 +475,7 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
             if len(block) < _BLOCK:
                 break
 
-    y, arm, cov, strata = zip(*parts)
+    y, arm, cov = zip(*parts)
     kept = sum(map(len, y))
     if not kept:
         raise EmptyDataError(f"{path}: no usable rows after dropping incomplete ones")
@@ -511,8 +484,6 @@ def load_csv(path: str, schema: ColumnSchema) -> tuple[TrialDataset, int]:
         arm=np.concatenate(arm),
         covariates=np.concatenate(cov),
         covariate_names=schema.covariates,
-        stratum=None if schema.stratum is None
-        else np.array(list(itertools.chain.from_iterable(strata))),
     )
     return data, n - kept
 

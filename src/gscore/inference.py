@@ -388,18 +388,16 @@ def analyze_trial(data: TrialDataset, spec: ModelSpec, h: Hypothesis, *,
 
 
 def unadjusted_analysis(data: TrialDataset, h: Hypothesis,
-                        method: str = "wald",
-                        family: str | None = None) -> TestResult:
+                        method: str = "wald") -> TestResult:
     """Arm-means-only analysis, run through the same pipeline.
 
-    Uses an arm-only model spec with the score-equation variance; for
-    arm-only designs the influence collapses to the same matrix under
-    every canonical family, so the family (auto-chosen by outcome type
-    unless given) does not change the numbers.
+    Uses an arm-only model spec with the score-equation variance, its
+    family chosen by outcome type (logistic for 0/1 outcomes, Gaussian
+    otherwise); for arm-only designs the influence collapses to the same
+    matrix under every canonical family.
     """
-    if family is None:
-        binary = np.isin(data.outcome, (0.0, 1.0)).all()
-        family = "bernoulli-logit" if binary else "gaussian-identity"
+    binary = np.isin(data.outcome, (0.0, 1.0)).all()
+    family = "bernoulli-logit" if binary else "gaussian-identity"
     res = analyze_trial(data, ModelSpec(family=family), h,
                         estimator="I", methods=(method,))
     return res.tests[method]

@@ -217,6 +217,10 @@ class MethodSpec:
                       (self.estimator, ESTIMATORS, "estimator"),
                       (self.correction, CORRECTIONS, "correction"),
                       (self.sidedness, SIDEDNESS, "sidedness"))
+        try:
+            Hypothesis(self.measure, self.null_value)
+        except ValueError as err:
+            raise ValueError(f"{owner}: {err}") from None
         if not isinstance(self.model, ModelSpec) \
                 and self.model != "unadjusted":
             raise ValueError(f"{owner}: model must be a ModelSpec or "
@@ -387,14 +391,12 @@ def _draw(s: Scenario, rngs, B: int) -> _Trials:
 
 
 def generate_trial(s: Scenario, rng: np.random.Generator) -> TrialDataset:
-    """One simulated trial; the stratum (if any) is exposed both as the
-    dataset's stratum labels and as a 0/1 covariate column named "S"."""
+    """One simulated trial; the stratum (if any) is its last covariate,
+    the 0/1 column named "S"."""
     t = _draw(s, [rng], 1)
     return TrialDataset(outcome=t.outcome[0], arm=t.arm[0],
                         covariates=t.covariates[0],
-                        covariate_names=t.covariate_names,
-                        stratum=None if s.stratify is None
-                        else t.covariates[0, :, -1].astype(int))
+                        covariate_names=t.covariate_names)
 
 
 @functools.cache

@@ -170,6 +170,17 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "schema" in err and "weights" in err
 
+    def test_stratum_schema_key_exits_2(self, tmp_path, capsys):
+        """A schema has no stratum role: strata enter the model as
+        covariates, named in schema.covariates."""
+        cfg = analyze_config(tmp_path, schema={
+            "outcome": "y", "arm": "arm", "covariates": ["w1"],
+            "stratum": "site"})
+        assert main(["analyze", "--config", cfg,
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "unknown schema keys: ['stratum']" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("measure, no_effect", [("difference", 0.0),
                                                     ("ratio", 1.0)])
     def test_absent_keys_take_the_defaults(self, tmp_path, capsys, measure,
@@ -547,6 +558,23 @@ class TestSimulate:
                      "--reps", "5", "--seed", "1",
                      "--out", str(tmp_path / "oc.csv")]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("measure, null, message", [
+        ("difference", float("nan"), "null_value must be finite, got nan"),
+        ("difference", float("inf"), "null_value must be finite, got inf"),
+        ("ratio", -1.0, "ratio null value must be positive"),
+    ], ids=["nan", "inf", "ratio-negative"])
+    def test_bad_method_null_exits_2_naming_the_method(
+            self, tmp_path, capsys, measure, null, message):
+        methods = methods_doc()
+        methods["methods"][1].update(measure=measure, null_value=null)
+        scen = write_yaml(tmp_path / "scen.yaml", scenario_doc())
+        meth = write_yaml(tmp_path / "meth.yaml", methods)
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "5", "--seed", "1",
+                     "--out", str(tmp_path / "oc.csv")]) == 2
+        assert f"method 'gc-score-I': {message}" in capsys.readouterr().err
         assert not (tmp_path / "oc.csv").exists()
 
     def test_scenario_family_key_exits_2(self, tmp_path, capsys):

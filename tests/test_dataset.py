@@ -53,14 +53,12 @@ def reference_load_csv(path: str, schema: ColumnSchema):
             raise EmptyDataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
         used = [schema.outcome, schema.arm, *schema.covariates]
-        if schema.stratum is not None:
-            used.append(schema.stratum)
         missing_cols = [c for c in used if c not in header]
         if missing_cols:
             raise SchemaError(f"{path}: missing columns {missing_cols}")
         idx = {c: header.index(c) for c in used}
 
-        y, arm, cov, strat = [], [], [], []
+        y, arm, cov = [], [], []
         dropped = 0
         for rownum, row in enumerate(reader, start=1):
             if len(row) != len(header):
@@ -75,8 +73,6 @@ def reference_load_csv(path: str, schema: ColumnSchema):
             arm.append(_canonical_arm(tokens[schema.arm], schema.arm_map, rownum))
             cov.append([_parse_number(tokens[c], c, rownum)
                         for c in schema.covariates])
-            if schema.stratum is not None:
-                strat.append(tokens[schema.stratum].strip())
 
     if not y:
         raise EmptyDataError(f"{path}: no usable rows after dropping incomplete ones")
@@ -85,7 +81,6 @@ def reference_load_csv(path: str, schema: ColumnSchema):
         arm=np.array(arm),
         covariates=np.array(cov, dtype=float).reshape(len(y), len(schema.covariates)),
         covariate_names=schema.covariates,
-        stratum=np.array(strat) if schema.stratum is not None else None,
     )
     return data, dropped
 
@@ -103,9 +98,9 @@ def load_outcome(loader, path, schema):
 
 def loaded_outcome(data, dropped):
     """load_outcome of a loader that returned (data, dropped)."""
-    arrays = (data.outcome, data.arm, data.covariates, data.stratum)
-    return ([None if a is None else (a.dtype.str, a.shape, a.tobytes())
-             for a in arrays], data.covariate_names, dropped)
+    arrays = (data.outcome, data.arm, data.covariates)
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            data.covariate_names, dropped)
 
 
 # load_csv parses the file in blocks of dataset._BLOCK rows; the block
@@ -141,23 +136,25 @@ ARM_MAPS = [
     ({"ctl": 1, 7: 2, "x": 3}, ["ctl", "7", "7.0"]),
 ]
 BAD_ARMS = ["3", "0", "x", "2.5", "-1", "arm", "1e9"]
-STRATA = ["a", "b", " a ", "site 3", "c"]
+# labels in the unused "site" column
+SITES = ["a", "b", " a ", "site 3", "c"]
 
 
 @st.composite
 def csv_files(draw):
     """(text, schema): a random trial CSV and the schema to read it with.
     Most cells are clean; a row may have one or two cells replaced by a
-    missing, non-numeric or special token, and one row may be ragged."""
+    missing, non-numeric or special token, and one row may be ragged.
+    Four of the five ARM_MAPS have a map, which sends the whole file down
+    the token path."""
     arm_map, arms = draw(st.sampled_from(ARM_MAPS))
     covariates = draw(st.sampled_from([(), ("w1",), ("w2", "w1")]))
-    stratum = draw(st.sampled_from([None, "site"]))
     columns = draw(st.permutations(["y", "arm", "w1", "w2", "site", "x"]))
-    clean = dict.fromkeys(columns, NUMBERS) | {"arm": arms, "site": STRATA}
+    clean = dict.fromkeys(columns, NUMBERS) | {"arm": arms, "site": SITES}
     taints = {"missing": dict.fromkeys(columns, MISSING),
               "bad": dict.fromkeys(columns, NON_NUMERIC) | {"arm": BAD_ARMS},
               "special": dict.fromkeys(columns, SPECIAL_NUMBERS)}
-    used = ["y", "arm", *covariates] + ([stratum] if stratum else [])
+    used = ["y", "arm", *covariates]
     rows = []
     for _ in range(draw(st.integers(0, 12))):
         row = {c: draw(st.sampled_from(clean[c])) for c in columns}
@@ -178,8 +175,8 @@ def csv_files(draw):
     buf = io.StringIO()
     csv.writer(buf, delimiter=delimiter, quoting=quoting).writerows(
         [header, *rows])
-    schema = ColumnSchema("y", "arm", covariates, stratum=stratum,
-                          arm_map=arm_map, delimiter=delimiter)
+    schema = ColumnSchema("y", "arm", covariates, arm_map=arm_map,
+                          delimiter=delimiter)
     return buf.getvalue(), schema
 
 
@@ -203,10 +200,10 @@ LINE_TAINTS = ["blank", "whitespace", "ragged", "empty fields", "NUL note"]
 
 @st.composite
 def plain_csv_files(draw):
-    """(text, schema, taint_row): a CSV with no arm map and no stratum
-    column, and the 0-based data row of its one taint (None when it has
-    none).  Line endings, a final newline, a byte-order mark and the
-    delimiter vary; about a third of the files carry a taint."""
+    """(text, schema, taint_row): a CSV with no arm map, and the 0-based
+    data row of its one taint (None when it has none).  Line endings, a
+    final newline, a byte-order mark and the delimiter vary; about a
+    third of the files carry a taint."""
     covariates = draw(st.sampled_from([(), ("w1",), ("w2", "w1")]))
     columns = draw(st.permutations(["y", "arm", "w1", "w2", "note"]))
     delimiter = draw(st.sampled_from([",", ";", "\t"]))
@@ -300,14 +297,25 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="fields"):
             load_csv(path, ColumnSchema("y", "arm", ("w",)))
 
-    def test_quoted_fields_and_stratum(self, tmp_path):
-        path = write_csv(tmp_path, 'y,arm,"site"\n1,1,"a"\n0,2,"b"\n1,2,a\n')
-        data, _ = load_csv(path, ColumnSchema("y", "arm", stratum="site"))
-        assert list(data.stratum) == ["a", "b", "a"]
+    def test_quoted_fields(self, tmp_path):
+        """Quoted names and fields, in used columns and in the unused
+        "site" column, are read without their quotes."""
+        path = write_csv(tmp_path,
+                         '"y",arm,"site"\n1,"1","a"\n0,2,"b, c"\n"1",2,a\n')
+        schema = ColumnSchema("y", "arm")
+        data, _ = load_csv(path, schema)
+        assert data.outcome.tolist() == [1, 0, 1]
+        assert data.arm.tolist() == [1, 2, 2]
+        assert_loads_as_reference(path, schema)
 
     def test_schema_role_collision(self):
         with pytest.raises(SchemaError):
             ColumnSchema(outcome="y", arm="y")
+
+    def test_schema_has_no_stratum_role(self):
+        """A stratum is a covariate: name its column in ``covariates``."""
+        with pytest.raises(TypeError, match="stratum"):
+            ColumnSchema("y", "arm", ("w",), stratum="site")
 
     @pytest.mark.parametrize("delimiter", [";;", "", '"', "\n", "\r", 1,
                                            None])
@@ -388,7 +396,7 @@ class TestLoadCsv:
         """Bit-identical arrays and dropped counts, or the same exception
         type and message, on random files of clean, padded, special,
         missing and non-numeric tokens, ragged rows, relabel maps,
-        quoting, delimiters and a stratum column."""
+        quoting, delimiters and an unused text column."""
         text, schema = case
         path = tmp_path_factory.mktemp("diff") / "d.csv"
         path.write_bytes(text.encode())
@@ -494,17 +502,19 @@ class TestLoadCsvBlocks:
         assert_loads_as_reference(path, schema)
 
     def test_block_with_every_row_dropped(self, tmp_path):
+        """The second block of 3 rows loses each row to a missing token in
+        a used column; the token path reads it and the rows after it."""
         rows = ["1,1,0.5,a", "0,2,0.1,b", "1,2,0.3,a",
-                "NA,1,0.5,a", "1,,0.2,b", "0,2,0.4,null",
+                "NA,1,0.5,a", "1,,0.2,b", "0,2,null,b",
                 "0,1,0.7,b", "1,2,0.9, c "]
         path = write_csv(tmp_path, "y,arm,w,site\n" + "\n".join(rows)
                          + "\n")
-        schema = ColumnSchema("y", "arm", ("w",), stratum="site")
+        schema = ColumnSchema("y", "arm", ("w",))
         with mock.patch.object(dataset, "_BLOCK", 3):
             data, dropped = load_csv(path, schema)
         assert dropped == 3
         assert data.outcome.tolist() == [1, 0, 1, 0, 1]
-        assert data.stratum.tolist() == ["a", "b", "a", "b", "c"]
+        assert data.covariates[:, 0].tolist() == [0.5, 0.1, 0.3, 0.7, 0.9]
         assert_loads_as_reference(path, schema)
 
     def test_decode_error_in_a_later_block(self, tmp_path):
@@ -607,7 +617,7 @@ def reference_plain_block(lines, usecols, width, delimiter):
     if (len(values) != len(lines) or np.isnan(values).any()
             or not ((arm == 1) | (arm == 2)).all()):
         return None
-    return values[:, 0], arm.astype(int), values[:, 2:], None
+    return values[:, 0], arm.astype(int), values[:, 2:]
 
 
 def file_lines(text):
@@ -688,8 +698,7 @@ class TestPlainBlockShape:
         want = reference_plain_block(lines, [0, 1, 2], 4, delimiter)
         assert (got is not None, want is not None) == (plain, plain)
         if plain:
-            assert [a.tobytes() for a in got[:3]] == \
-                [a.tobytes() for a in want[:3]]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         path = tmp_path / "d.csv"
         path.write_bytes(delimiter.join(["y", "arm", "w", "note"]).encode()
                          + b"\n" + body.encode())
@@ -761,6 +770,13 @@ class TestTrialDataset:
                          covariates=np.empty((len(arm), 0)),
                          covariate_names=())
         assert str(exc.value) == message
+
+    def test_no_stratum_field(self):
+        """A stratum is a covariate column, not a separate label field."""
+        with pytest.raises(TypeError, match="stratum"):
+            TrialDataset(outcome=np.zeros(2), arm=np.array([1, 2]),
+                         covariates=np.empty((2, 0)), covariate_names=(),
+                         stratum=np.array([0, 1]))
 
     @pytest.mark.parametrize("arm, missing", [([1, 1, 1], 2), ([2, 2], 1)])
     def test_missing_arm_is_degenerate(self, arm, missing):

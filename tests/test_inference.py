@@ -552,8 +552,9 @@ class TestUnadjustedAnalysis:
         """Arm-only designs give identical arm means and influence rows
         under every canonical family."""
         h = Hypothesis(measure="difference")
-        a = unadjusted_analysis(fixture_data, h, family="bernoulli-logit")
-        b = unadjusted_analysis(fixture_data, h, family="gaussian-identity")
+        a, b = (analyze_trial(fixture_data, ModelSpec(family=f), h,
+                              methods=("wald",)).tests["wald"]
+                for f in ("bernoulli-logit", "gaussian-identity"))
         assert a.estimate == pytest.approx(b.estimate, abs=1e-12)
         assert a.se == pytest.approx(b.se, abs=1e-12)
         assert a.statistic == pytest.approx(b.statistic, abs=1e-10)

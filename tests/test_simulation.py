@@ -361,7 +361,7 @@ class TestRandomization:
                          threshold=float(rng.uniform(-1.0, 1.0)))
             data = generate_trial(s, rng)
             for lab in (0, 1):
-                in_s = data.stratum == lab
+                in_s = data.covariates[:, -1] == lab
                 n1 = (data.arm[in_s] == 1).sum()
                 n2 = (data.arm[in_s] == 2).sum()
                 assert abs(int(n1) - int(n2)) <= 2
@@ -396,7 +396,7 @@ class TestRandomization:
             np.testing.assert_equal(rng.bit_generator.state,
                                     ref.bit_generator.state)
             if threshold != 0.25:
-                assert (data.stratum == (threshold < 0)).all()
+                assert (data.covariates[:, -1] == (threshold < 0)).all()
 
 
 class TestGenerateTrial:
@@ -409,7 +409,6 @@ class TestGenerateTrial:
         assert data.covariates.shape == (326, 3)
         assert set(np.unique(data.outcome)) <= {0.0, 1.0}
         assert (data.arm == 1).sum() == 163
-        assert data.stratum is None
 
     def test_stratified_trial_exposes_stratum_as_covariate(self):
         s = scenario1(scheme="stratified-block", block_size=4,
@@ -419,17 +418,16 @@ class TestGenerateTrial:
         assert data.covariate_names == ("W1", "W2", "W3", "S")
         expected = (data.covariates[:, 2] > 0.25).astype(float)
         np.testing.assert_array_equal(data.covariates[:, 3], expected)
-        np.testing.assert_array_equal(data.stratum, expected.astype(int))
         for lab in (0, 1):
-            in_s = data.stratum == lab
+            in_s = data.covariates[:, 3] == lab
             gap = abs(int((data.arm[in_s] == 1).sum())
                       - int((data.arm[in_s] == 2).sum()))
             assert gap <= 2
 
     def test_complete_trial_keeps_its_stratum(self):
         """Complete randomization with a stratify rule still writes S =
-        I(W_j > c), as labels and as the "S" column, after other arrays
-        have been made and freed."""
+        I(W_j > c) as the "S" column, after other arrays have been made
+        and freed."""
         s = scenario1(stratify=StratificationRule(covariate=3,
                                                   threshold=0.25))
         for seed in range(3):
@@ -438,7 +436,6 @@ class TestGenerateTrial:
             assert data.covariate_names == ("W1", "W2", "W3", "S")
             expected = data.covariates[:, 2] > 0.25
             assert 0 < expected.sum() < s.n
-            np.testing.assert_array_equal(data.stratum, expected.astype(int))
             np.testing.assert_array_equal(data.covariates[:, 3], expected)
 
     def test_null_scenario_rate_near_half(self):
@@ -1182,6 +1179,29 @@ class TestConfigParsers:
             method_spec_from_config({"name": "m", "test": "score",
                                      "estimator": "II", "pi": pi})
 
+    @pytest.mark.parametrize("measure, null, message", [
+        ("difference", float("nan"), "null_value must be finite, got nan"),
+        ("difference", float("inf"), "null_value must be finite, got inf"),
+        ("difference", float("-inf"), "null_value must be finite, got -inf"),
+        ("ratio", float("nan"), "null_value must be finite, got nan"),
+        ("ratio", 0.0, "ratio null value must be positive"),
+        ("ratio", -1.0, "ratio null value must be positive"),
+    ], ids=["nan", "inf", "-inf", "ratio-nan", "ratio-zero",
+            "ratio-negative"])
+    def test_method_bad_null_rejected_naming_the_method(self, measure, null,
+                                                         message):
+        """A null the method's Hypothesis refuses fails when the method is
+        built, with the method named; None, and any finite difference or
+        positive ratio null, are taken as given."""
+        with pytest.raises(ValueError,
+                           match=re.escape(f"method 'u': {message}")):
+            MethodSpec(name="u", test="wald", measure=measure,
+                       null_value=null)
+        for ok in (None, -0.5 if measure == "difference" else 0.5):
+            m = MethodSpec(name="u", test="wald", measure=measure,
+                           null_value=ok)
+            assert m.null_value == ok
+
     def test_methods_document_forms(self):
         lst = [{"name": "a", "test": "wald"}, {"name": "b", "test": "score"}]
         assert len(methods_from_config(lst)) == 2
@@ -1249,8 +1269,7 @@ class TestBatchedEngine:
         for b in range(16):
             data = TrialDataset(outcome=t.outcome[b], arm=t.arm[b],
                                 covariates=t.covariates[b],
-                                covariate_names=t.covariate_names,
-                                stratum=t.covariates[b, :, -1])
+                                covariate_names=t.covariate_names)
             for j, (m, spec, h) in enumerate(plan.methods):
                 thr = (1.0 - h.level) / 2.0 if h.sidedness != "two-sided" \
                     else 1.0 - h.level
