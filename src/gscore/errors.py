@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package, and check_choices.
+"""Exception taxonomy shared across the package, and two value checks.
 
 The CLI maps these onto exit codes: configuration/data problems (and a
 bad choice's ValueError) exit 2, model-fitting failures exit 3.
@@ -9,6 +9,8 @@ raise it, analyze_trial records the reason in its place, and
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def check_choices(owner: str, *checks) -> None:
     """ValueError, prefixed by ``owner``, for the first (value, allowed,
@@ -17,6 +19,13 @@ def check_choices(owner: str, *checks) -> None:
         if value not in allowed:
             raise ValueError(f"{owner}: {what} must be one of {allowed}, "
                              f"got {value!r}")
+
+
+def refuse_bool(name: str, value):
+    """``value``, or for a Python or NumPy bool a TypeError naming ``name``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 class GScoreError(Exception):

@@ -36,7 +36,8 @@ import numpy as np
 
 from . import glm
 from .dataset import ModelSpec, TrialDataset, build_design
-from .errors import DataError, IntervalUndefinedError, check_choices
+from .errors import (DataError, IntervalUndefinedError, check_choices,
+                     refuse_bool)
 from .gcomp import MuEstimate, VarianceEstimate, estimate_mu, estimate_variance
 
 MEASURES = ("difference", "ratio")
@@ -57,11 +58,12 @@ class Hypothesis:
     def __post_init__(self):
         check_choices("hypothesis", (self.measure, MEASURES, "measure"),
                       (self.sidedness, SIDEDNESS, "sidedness"))
-        null = self.null_value
+        null = refuse_bool("null_value", self.null_value)
         if null is None:  # no effect
             null = 1.0 if self.measure == "ratio" else 0.0
         object.__setattr__(self, "null_value", float(null))
-        object.__setattr__(self, "level", float(self.level))
+        object.__setattr__(self, "level",
+                           float(refuse_bool("level", self.level)))
         if not math.isfinite(self.null_value):
             raise ValueError(f"null_value must be finite, got {null!r}")
         if not 0.0 < self.level < 1.0:

@@ -12,9 +12,10 @@ Reproducibility: replication r uses the substream spawned as
 SeedSequence(seed, spawn_key=(r,)) feeding a counter-based Philox
 generator, so its data never depend on which replications are drawn
 beside it.  A run derives the Philox keys of a share of replications at
-once (NumPy's SeedSequence hash, written out over the spawn-key word)
-and re-keys one generator per replication; a batch's draws are written
-in place into C-contiguous (B, k, n) covariate rows, the stratum last.
+once (from the pool NumPy's SeedSequence(seed) mixes, with only the
+spawn-key step and the output hash written out) and re-keys one
+generator per replication; a batch's draws are written in place into
+C-contiguous (B, k, n) covariate rows, the stratum last.
 ``run_oc`` analyzes a batch of replications at a time, sized by a
 budget of _BATCH_ROWS (20,480) subject-rows: ~512 trials of n = 40, ~64
 of n = 326, one of n >= 20,480.  Per batch, one IRLS fit runs per model
@@ -45,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import ModelSpec, TrialDataset, stack_designs
-from .errors import check_choices
+from .errors import check_choices, refuse_bool
 from .gcomp import (
     CORRECTIONS,
     ESTIMATORS,
@@ -58,13 +59,12 @@ from .inference import MEASURES, SIDEDNESS, TESTS, Hypothesis, run_test_batch
 _MAX_BERNOULLI_ENUM = 16
 _ARMS = np.array([1, 2])
 
-# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx):
-# the entropy chain's first multiplier and its step, the output chain's,
-# and the pool mix's two multipliers.
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+# for the steps _rep_keys writes out: the entropy chain's first constant
+# and its step, the output chain's, and the pool mix's two multipliers.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
 
 # Subject-rows (replications x n) per kernel call in run_oc, and the least
 # run that is worth a process of its own: run_oc starts one per _CHUNK
@@ -81,16 +81,17 @@ _CHUNK = 250
 
 def _integer(name: str, value) -> int:
     """``value`` as a Python int if it is a Python or NumPy integer;
-    otherwise a TypeError naming ``name``."""
+    otherwise (a bool too) a TypeError naming ``name``."""
     try:
-        return operator.index(value)
+        return operator.index(refuse_bool(name, value))
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _finite(name: str, values) -> tuple[float, ...]:
-    """``values`` as floats; a ValueError naming ``name`` unless finite."""
-    out = tuple(map(float, values))
+    """``values`` as floats; a bool, or else a non-finite value, is an
+    error naming ``name``."""
+    out = tuple(float(refuse_bool(name, v)) for v in values)
     if not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite, got {out}")
     return out
@@ -219,8 +220,8 @@ class MethodSpec:
                       (self.sidedness, SIDEDNESS, "sidedness"))
         try:
             Hypothesis(self.measure, self.null_value)
-        except ValueError as err:
-            raise ValueError(f"{owner}: {err}") from None
+        except (TypeError, ValueError) as err:
+            raise type(err)(f"{owner}: {err}") from None
         if not isinstance(self.model, ModelSpec) \
                 and self.model != "unadjusted":
             raise ValueError(f"{owner}: model must be a ModelSpec or "
@@ -459,7 +460,7 @@ def calibrate_intercepts(targets, beta_W, covariates,
     """
     targets, beta_W = tuple(targets), _finite("beta_W", beta_W)
     covariates = tuple(map(covariate_spec_from_config, covariates))
-    if not 0.0 < precision < np.inf:
+    if not 0.0 < refuse_bool("precision", precision) < np.inf:
         raise ValueError(f"precision must be finite and > 0, got {precision}")
     if len(targets) != 2:
         raise ValueError("targets must be a pair of marginal means")
@@ -502,35 +503,12 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-@functools.cache
-def _hash_steps(words: int) -> tuple:
-    """SeedSequence's hash constants for a seed of ``words`` >= 4 32-bit
-    words and one spawn-key word: the entropy chain's (xor, multiplier)
-    pairs that mix the seed into the pool, then that chain's next 4 and
-    the output chain's 4 as uint32 (xor, multiplier) rows, which hash
-    (B, 4) arrays.  A chain's constants are k, k * mult, k * mult**2, ...
-    (mod 2**32), pairwise."""
-    def chain(init, mult, count):
-        return list(itertools.islice(itertools.pairwise(
-            itertools.accumulate(itertools.repeat(mult),
-                                 lambda k, m: k * m & _MASK32,
-                                 initial=init)), count))
-
-    entropy = chain(_INIT_A, _MULT_A, 4 * words + 4)
-    return (entropy[:-4], np.array(entropy[-4:], dtype=np.uint32).T,
-            np.array(chain(_INIT_B, _MULT_B, 4), dtype=np.uint32).T)
-
-
-def _hash(value, xor, mul):
-    """SeedSequence's hash of 32-bit words, as Python ints or uint32
-    arrays (which wrap, so the mask is a no-op on them)."""
-    value = (value ^ xor) * mul & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of pool word x with hashed word y."""
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+def _hashes(value, init: int, mult: int, start: int = 0):
+    """SeedSequence's hashes of uint32 ``value`` along a last axis of 4, the
+    i-th by k[start + i], k[start + i + 1] for k[j] = init * mult**j."""
+    k = np.array([init * pow(mult, start + i, 2**32) % 2**32
+                  for i in range(5)], dtype=np.uint32)
+    value = (value ^ k[:-1]) * k[1:]
     return value ^ value >> 16
 
 
@@ -538,26 +516,17 @@ def _rep_keys(seed: int, reps) -> np.ndarray:
     """(len(reps), 2) uint64 Philox keys, row i equal to
     SeedSequence(seed, spawn_key=(reps[i],)).generate_state(2, np.uint64).
 
-    NumPy's SeedSequence hash, written out: the seed's 32-bit words,
-    zero-padded to the 4-word pool, are mixed once in Python ints; only
-    the spawn-key word differs between replications, so its mix and the
-    output hash run on (B, 4) uint32 arrays.  Needs seed >= 0 and each
-    rep in [0, 2**32), one spawn-key word, as run_oc checks.
+    SeedSequence(seed).pool holds the seed's w = max(4, ceil(bits / 32))
+    words mixed by the entropy chain's first 4w constants; the spawn-key
+    word's 4 hashes and mixes and the output hash are written out on
+    (B, 4) uint32 arrays.  Needs seed >= 0 and each rep in [0, 2**32).
     """
-    words = [seed >> i & _MASK32
-             for i in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    pool_steps, spawn_steps, output_steps = _hash_steps(len(words))
-    steps = iter(pool_steps)
-    pool = [_hash(w, *next(steps)) for w in words[:4]]
-    for i, j in itertools.permutations(range(4), 2):
-        pool[j] = _mix(pool[j], _hash(pool[i], *next(steps)))
-    for w in words[4:]:
-        pool = [_mix(p, _hash(w, *next(steps))) for p in pool]
+    words = max(4, -(-seed.bit_length() // 32))
     spawn = np.asarray(reps, dtype=np.uint32)[:, None]
-    pool = _mix(np.array(pool, dtype=np.uint32), _hash(spawn, *spawn_steps))
-    state = _hash(pool, *output_steps).astype(np.uint64)  # 4 words, low first
-    return state[:, ::2] | state[:, 1::2] << 32
+    pool = (_MIX_L * np.random.SeedSequence(seed).pool
+            - _MIX_R * _hashes(spawn, _INIT_A, _MULT_A, 4 * words))
+    state = _hashes(pool ^ pool >> 16, _INIT_B, _MULT_B).astype(np.uint64)
+    return state[:, ::2] | state[:, 1::2] << 32  # 4 words, low first
 
 
 def _rep_rngs(seed: int, reps):

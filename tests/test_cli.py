@@ -243,6 +243,36 @@ class TestAnalyze:
         assert "null_value must be finite" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("key", ["null_value", "level"])
+    def test_boolean_null_or_level_exits_2_naming_it(self, tmp_path, capsys,
+                                                     key):
+        """YAML's true is not 1: refused with the field named, before
+        any data is read."""
+        cfg = analyze_config(tmp_path, **{key: True})
+        assert main(["analyze", "--config", cfg,
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert f"{key} must be a number, got True" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_unquoted_exponent_null_is_read_as_its_number(self, tmp_path,
+                                                          capsys):
+        """PyYAML reads an unquoted 1e-3 as the string "1e-3" (YAML 1.1
+        floats need a dot), so numeric strings stay accepted: the run
+        reports a null of 0.001."""
+        cfg = analyze_config(tmp_path)
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write("null_value: 1e-3\n")
+        with open(cfg, encoding="utf-8") as fh:
+            assert yaml.safe_load(fh)["null_value"] == "1e-3"
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["config"]["null_value"] == 0.001
+        assert {t["null_value"] for t in report["tests"].values()} \
+            == {0.001}
+
     def test_scalar_pi_exits_2_naming_pi(self, tmp_path, capsys):
         cfg = analyze_config(tmp_path, estimator="II", pi=0.5)
         assert main(["analyze", "--config", cfg,
@@ -513,14 +543,14 @@ class TestSimulate:
         capsys.readouterr()
 
     @pytest.mark.parametrize("key, value", [
-        ("n", 60.7), ("n", "60"), ("block_size", 4.9), ("block_size", "4"),
-        ("covariate", 1.7), ("covariate", "3")],
-        ids=["n-float", "n-string", "block_size-float", "block_size-string",
-             "covariate-float", "covariate-string"])
+        ("n", 60.7), ("n", "60"), ("n", True), ("block_size", 4.9),
+        ("block_size", "4"), ("covariate", 1.7), ("covariate", "3")],
+        ids=["n-float", "n-string", "n-bool", "block_size-float",
+             "block_size-string", "covariate-float", "covariate-string"])
     def test_non_integer_scenario_field_exits_2(self, tmp_path, capsys, key,
                                                 value):
-        """A float or string where a scenario integer belongs is refused
-        with its field named, not truncated; writes no table."""
+        """A float, string or bool where a scenario integer belongs is
+        refused with its field named, not truncated; writes no table."""
         doc = {**scenario_doc(), "scheme": "stratified-block",
                "block_size": 4, "stratify": {"covariate": 3,
                                              "threshold": 0.25}}
@@ -575,6 +605,31 @@ class TestSimulate:
                      "--reps", "5", "--seed", "1",
                      "--out", str(tmp_path / "oc.csv")]) == 2
         assert f"method 'gc-score-I': {message}" in capsys.readouterr().err
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("key", ["beta_A", "threshold", "null_value"])
+    def test_boolean_number_exits_2_naming_it(self, tmp_path, capsys, key):
+        """YAML's true where a scenario or method number belongs is
+        refused with its field (and method) named, not run as 1; writes
+        no table."""
+        doc = {**scenario_doc(), "scheme": "stratified-block",
+               "block_size": 4, "stratify": {"covariate": 3,
+                                             "threshold": 0.25}}
+        methods = methods_doc()
+        message = f"{key} must be a number, got True"
+        if key == "threshold":
+            doc["stratify"][key] = True
+        elif key == "null_value":
+            methods["methods"][1][key] = True
+            message = f"method 'gc-score-I': {message}"
+        else:
+            doc[key] = [True, *doc[key][1:]]
+        scen = write_yaml(tmp_path / "scen.yaml", doc)
+        meth = write_yaml(tmp_path / "meth.yaml", methods)
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "5", "--seed", "1",
+                     "--out", str(tmp_path / "oc.csv")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "oc.csv").exists()
 
     def test_scenario_family_key_exits_2(self, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,25 @@ class TestHypothesis:
         finite interval: refused, with the field named."""
         with pytest.raises(ValueError, match="null_value must be finite"):
             Hypothesis(measure=measure, null_value=null)
+
+    @pytest.mark.parametrize("field, value", [
+        ("null_value", True), ("null_value", False),
+        ("null_value", np.True_), ("level", True), ("level", np.False_)],
+        ids=["null-true", "null-false", "null-numpy", "level-true",
+             "level-numpy"])
+    @pytest.mark.parametrize("measure", ["difference", "ratio"])
+    def test_boolean_null_or_level_refused(self, measure, field, value):
+        """float() reads True as 1.0: a bool null or level is a TypeError
+        naming the field, not a null of 1 or a level of 0 or 1."""
+        with pytest.raises(TypeError, match=re.escape(
+                f"{field} must be a number, got {value!r}")):
+            Hypothesis(measure=measure, **{field: value})
+
+    def test_numeric_string_null_and_level_are_read(self):
+        """PyYAML reads an unquoted 1e-3 as the string "1e-3", so a
+        numeric string is taken as the number it spells."""
+        h = Hypothesis(null_value="1e-3", level="0.9")
+        assert (h.null_value, h.level) == (0.001, 0.9)
 
     @pytest.mark.parametrize("level", [0.8, 0.95, 0.99])
     def test_critical_values_computed_once(self, level):

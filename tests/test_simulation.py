@@ -643,6 +643,28 @@ class TestCalibrateIntercepts:
                                  precision=precision)
         assert calls == []
 
+    @pytest.mark.parametrize("precision", [True, np.True_],
+                             ids=["bool", "numpy-bool"])
+    def test_refuses_a_boolean_precision_before_bisecting(self, monkeypatch,
+                                                          precision):
+        """True is not a precision of 1.0."""
+        calls = []
+        monkeypatch.setattr(simulation, "_marginal_mean",
+                            lambda *args: calls.append(1))
+        with pytest.raises(TypeError, match=re.escape(
+                f"precision must be a number, got {precision!r}")):
+            calibrate_intercepts((0.3, 0.45), (0.4,), ("standard-normal",),
+                                 precision=precision)
+        assert calls == []
+
+    @pytest.mark.parametrize("slope", [True, np.False_],
+                             ids=["bool", "numpy-bool"])
+    def test_refuses_boolean_slopes(self, slope):
+        with pytest.raises(TypeError, match=re.escape(
+                f"beta_W must be a number, got {slope!r}")):
+            calibrate_intercepts((0.3, 0.45), (0.4, slope),
+                                 ("standard-normal", "standard-normal"))
+
     @pytest.mark.parametrize("slope", [np.nan, np.inf])
     def test_refuses_non_finite_slopes(self, slope):
         """Not "outside the bracket": the slope is named."""
@@ -684,9 +706,11 @@ class TestRepRng:
         b = _rep_rng(99, 6).random(8)
         assert not np.array_equal(a, b)
 
-    # every 32-bit word boundary of the seed, and a seed of five words
-    # (3**100 has 159 bits)
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3, 3**100]
+    # every 32-bit word boundary of the seed, the largest seed that fills
+    # the four-word pool (2**128 - 1), and seeds of five words (2**128 + 3;
+    # 3**100 has 159 bits, 2**160 - 1 all 160)
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128 + 3,
+             3**100, 2**160 - 1]
 
     @staticmethod
     def _reps(seed):
@@ -695,8 +719,9 @@ class TestRepRng:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_batch_keys_are_numpy_seed_sequence_keys(self, seed):
-        """_rep_keys writes out NumPy's SeedSequence hash; each row is the
-        key Philox takes from SeedSequence(seed, spawn_key=(r,))."""
+        """_rep_keys finishes NumPy's SeedSequence hash from its pool;
+        each row is the key Philox takes from
+        SeedSequence(seed, spawn_key=(r,))."""
         reps = self._reps(seed)
         got = _rep_keys(seed, reps)
         assert got.dtype == np.uint64 and got.shape == (len(reps), 2)
@@ -726,13 +751,17 @@ class TestRunOC:
     """The replication engine and its tallies."""
 
     def test_determinism_and_worker_independence(self):
+        """Also for a seed of five 32-bit words (2**128 + 3), whose keys
+        start the spawn-key hash further along NumPy's chain."""
         s = scenario1(n=60)
         methods = (MethodSpec(name="gc-score", test="score", model=ADJUSTED),)
-        a = run_oc(s, methods, reps=300, seed=424, workers=1)
-        b = run_oc(s, methods, reps=300, seed=424, workers=1)
-        c = run_oc(s, methods, reps=300, seed=424, workers=2)
-        assert a == b
-        assert a == c
+        for seed in (424, 2**128 + 3):
+            a = run_oc(s, methods, reps=300, seed=seed, workers=1)
+            b = run_oc(s, methods, reps=300, seed=seed, workers=1)
+            c = run_oc(s, methods, reps=300, seed=seed, workers=2)
+            assert a == b
+            assert a == c
+            assert a.seed == seed
 
     def test_seed_and_truth_echoed(self):
         s = scenario1(n=60)
@@ -910,7 +939,7 @@ class TestRunOC:
 
     @pytest.mark.parametrize("seed, error", [
         (-1, ValueError), (np.int64(-3), ValueError), (1.5, TypeError),
-        ("7", TypeError), (None, TypeError)])
+        ("7", TypeError), (None, TypeError), (True, TypeError)])
     def test_bad_seed_rejected_before_the_plan_truth_or_pool(
             self, monkeypatch, seed, error):
         """A seed that is not a non-negative integer is refused first,
@@ -922,7 +951,8 @@ class TestRunOC:
 
     @pytest.mark.parametrize("name, value", [
         ("workers", 1.5), ("workers", 2.5), ("workers", "2"),
-        ("workers", None), ("reps", 600.0), ("reps", "600")])
+        ("workers", None), ("workers", True), ("reps", 600.0),
+        ("reps", "600"), ("reps", True)])
     def test_non_integer_count_rejected_before_the_plan_truth_or_pool(
             self, monkeypatch, name, value):
         self._refuse_past_the_argument_checks(monkeypatch)
@@ -930,6 +960,13 @@ class TestRunOC:
         counts = {"reps": 600, "workers": 2, name: value}
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
             run_oc(scenario1(n=60), methods, seed=1, **counts)
+
+    @pytest.mark.parametrize("level", [True, np.False_])
+    def test_boolean_level_rejected(self, level):
+        methods = (MethodSpec(name="m", test="wald"),)
+        with pytest.raises(TypeError, match=re.escape(
+                f"level must be a number, got {level!r}")):
+            run_oc(scenario1(n=60), methods, reps=5, seed=1, level=level)
 
     def test_numpy_integer_workers_and_reps_are_the_same_counts(self):
         methods = (MethodSpec(name="m", test="wald"),)
@@ -1095,12 +1132,14 @@ class TestConfigParsers:
         ("n", "scenario n"), ("block_size", "scenario block_size"),
         ("covariate", "stratify covariate")], ids=["n", "block_size",
                                                    "covariate"])
-    @pytest.mark.parametrize("bad", [40.7, 4.0, "40"],
-                             ids=["float", "integral-float", "string"])
+    @pytest.mark.parametrize("bad", [40.7, 4.0, "40", True],
+                             ids=["float", "integral-float", "string",
+                                  "bool"])
     def test_integer_fields_refuse_floats_and_strings(self, key, name, bad):
         """n, block_size and the stratify covariate are read as integers,
-        never truncated: a float, even an integral one, or a string is a
-        TypeError naming the field, from Python and from a config."""
+        never truncated: a float, even an integral one, a string or a
+        bool is a TypeError naming the field, from Python and from a
+        config."""
         d = {"n": 40, "beta_A": [0, 0], "covariates": ["standard-normal"],
              "beta_W": [0.5], "scheme": "stratified-block", "block_size": 4,
              "stratify": {"covariate": 1, "threshold": 0.0}}
@@ -1109,6 +1148,35 @@ class TestConfigParsers:
         else:
             d[key] = bad
         message = f"{name} must be an integer, got {bad!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            scenario_from_config(d)
+        with pytest.raises(TypeError, match=re.escape(message)):
+            Scenario(**{**d, "stratify": StratificationRule(**d["stratify"])})
+
+    @pytest.mark.parametrize("key, bad, message", [
+        ("threshold", True, "stratify threshold must be a number, got True"),
+        ("threshold", np.False_,
+         "stratify threshold must be a number, got np.False_"),
+        ("beta_A", [np.True_, 0.0],
+         "scenario beta_A must be a number, got np.True_"),
+        ("beta_A", [0.0, False], "scenario beta_A must be a number, "
+                                 "got False"),
+        ("beta_W", [True], "scenario beta_W must be a number, got True"),
+        ("allocation", [0.5, np.True_],
+         "scenario allocation must be a number, got np.True_")],
+        ids=["threshold", "threshold-numpy", "beta_A-numpy", "beta_A",
+             "beta_W", "allocation-numpy"])
+    def test_float_fields_refuse_booleans(self, key, bad, message):
+        """float() reads True as 1.0: a Python or NumPy bool in a
+        scenario's coefficient, share or threshold is a TypeError naming
+        the field, from Python and from a config (YAML's true)."""
+        d = {"n": 40, "beta_A": [0, 0], "covariates": ["standard-normal"],
+             "beta_W": [0.5], "scheme": "stratified-block", "block_size": 4,
+             "stratify": {"covariate": 1, "threshold": 0.0}}
+        if key in d["stratify"]:
+            d["stratify"] = {**d["stratify"], key: bad}
+        else:
+            d[key] = bad
         with pytest.raises(TypeError, match=re.escape(message)):
             scenario_from_config(d)
         with pytest.raises(TypeError, match=re.escape(message)):
@@ -1201,6 +1269,21 @@ class TestConfigParsers:
             m = MethodSpec(name="u", test="wald", measure=measure,
                            null_value=ok)
             assert m.null_value == ok
+
+    @pytest.mark.parametrize("measure", ["difference", "ratio"])
+    @pytest.mark.parametrize("null", [True, False, np.True_],
+                             ids=["true", "false", "numpy-true"])
+    def test_method_boolean_null_rejected_naming_the_method(self, measure,
+                                                             null):
+        """A null of True is not 1.0: a TypeError when the method is
+        built, from Python and from a config, with the method named."""
+        message = f"method 'u': null_value must be a number, got {null!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            MethodSpec(name="u", test="wald", measure=measure,
+                       null_value=null)
+        with pytest.raises(TypeError, match=re.escape(message)):
+            method_spec_from_config({"name": "u", "test": "wald",
+                                     "measure": measure, "null_value": null})
 
     def test_methods_document_forms(self):
         lst = [{"name": "a", "test": "wald"}, {"name": "b", "test": "score"}]
