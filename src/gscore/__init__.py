@@ -7,7 +7,7 @@ difference and ratio effects, and a Monte Carlo engine for operating
 characteristics.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .dataset import (
     ColumnSchema,
@@ -51,7 +51,6 @@ from .glm import (
     Family,
     FittedGLM,
     fit,
-    resolve_family,
 )
 from .inference import (
     AnalysisResult,

@@ -260,16 +260,13 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_covariate_token(tok: str):
-    if ":" in tok:
-        kind, _, p = tok.partition(":")
-        return covariate_spec_from_config({kind: float(p)})
-    return covariate_spec_from_config(tok)
+    kind, colon, p = tok.partition(":")
+    return covariate_spec_from_config({kind: p} if colon else tok)
 
 
 def cmd_calibrate(args) -> int:
     covs = tuple(_parse_covariate_token(t) for t in args.covariates)
-    b1, b2 = calibrate_intercepts(args.targets, args.beta_w, covs,
-                                  precision=args.precision)
+    b1, b2 = calibrate_intercepts(args.targets, args.beta_w, covs)
     print(f"beta_A = ({b1:.6f}, {b2:.6f})")
     if args.out:
         payload = {
@@ -279,7 +276,6 @@ def cmd_calibrate(args) -> int:
             "covariates": [
                 {"kind": c.kind, **({"p": c.p} if c.p is not None else {})}
                 for c in covs],
-            "precision": args.precision,
             "beta_A": [b1, b2],
         }
         _write_json(args.out, payload)
@@ -326,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                     dest="beta_w", metavar="B")
     pc.add_argument("--covariates", required=True, nargs="+", metavar="SPEC",
                     help="per covariate: 'standard-normal' or 'bernoulli:P'")
-    pc.add_argument("--precision", type=float, default=1e-6)
     pc.add_argument("--out", default=None, help="optional JSON output path")
     pc.set_defaults(func=cmd_calibrate)
     return parser

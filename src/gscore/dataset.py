@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -527,12 +526,6 @@ def stack_designs(arm: np.ndarray, covariates: np.ndarray,
         raise SchemaError(f"model covariates not in dataset: {unknown}")
     W = np.asarray(covariates).mT
     rows = [names.index(c) for c in spec.covariates]
-    if spec.heterogeneous:
-        for name, r in zip(spec.covariates, rows):
-            if (np.ptp(W[..., r, :], axis=-1) == 0.0).any():
-                warnings.warn(
-                    f"covariate {name!r} is constant; its per-arm columns "
-                    "duplicate the arm indicators", stacklevel=3)
     X = _readonly(_columns(arm == 1, W, rows, spec.heterogeneous)).mT
     return DesignMatrix(X=X, spec=spec)
 

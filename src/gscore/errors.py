@@ -21,11 +21,16 @@ def check_choices(owner: str, *checks) -> None:
                              f"got {value!r}")
 
 
-def refuse_bool(name: str, value):
-    """``value``, or for a Python or NumPy bool a TypeError naming ``name``."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return value
+def number(name: str, value) -> float:
+    """``value`` as float() reads it (a numeric string too); a Python or
+    NumPy bool, or anything float() refuses, is a TypeError naming
+    ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise TypeError(f"{name} must be a number, got {value!r}")
 
 
 class GScoreError(Exception):

@@ -46,11 +46,12 @@ _COND_MAX = 1e8
 class Family:
     """Canonical family: mean m, its derivative m' as a function of the
     mean (canonical links allow it), and the rules that differ by family:
-    outcomes names and tests the valid outcomes; loglik is up to terms
+    outcomes names the valid outcomes and tests them (fit_batch refuses
+    a fit with any other, or a non-finite one); loglik is up to terms
     free of beta, summed over the last axis; initial_intercept is
     link(arm mean), clipped to stay finite; a max |beta| above
-    separation_norm is separation.  All but validate_outcome act
-    elementwise, so they also serve a batch of fits.
+    separation_norm is separation.  All act elementwise, so they also
+    serve a batch of fits.
     """
 
     name: str
@@ -60,12 +61,6 @@ class Family:
     loglik: Callable[[np.ndarray, np.ndarray], np.ndarray]
     initial_intercept: Callable[[np.ndarray], np.ndarray]
     separation_norm: float = np.inf
-
-    def validate_outcome(self, y: np.ndarray) -> None:
-        if not np.isfinite(y).all():
-            raise DataError("y contains non-finite values")
-        if not self.outcomes[1](y).all():
-            raise DataError(f"{self.name} requires {self.outcomes[0]} outcomes")
 
 
 def _logit_mean(eta: np.ndarray) -> np.ndarray:
@@ -114,16 +109,8 @@ GAUSSIAN_IDENTITY = Family(
     initial_intercept=np.asarray,
 )
 
+# by name; ModelSpec admits no other
 _FAMILIES = {f.name: f for f in (BERNOULLI_LOGIT, POISSON_LOG, GAUSSIAN_IDENTITY)}
-
-
-def resolve_family(family: str | Family) -> Family:
-    if isinstance(family, Family):
-        return family
-    if family not in _FAMILIES:
-        raise DataError(f"unknown family {family!r}; expected one of "
-                        f"{sorted(_FAMILIES)}")
-    return _FAMILIES[family]
 
 
 # ------------------------------------------------------------------ #
@@ -224,7 +211,7 @@ def fit_batch(design: DesignMatrix, y: np.ndarray):
     that failed; those rows hold zero coefficients, means and residuals,
     counterfactual means 1/2 and an identity bread, and are not converged.
     """
-    fam = resolve_family(design.spec.family)
+    fam = _FAMILIES[design.spec.family]
     X, labels = design.X, design.column_labels
     n, p = X.shape[-2:]
     y = np.asarray(y, dtype=float)
@@ -234,13 +221,11 @@ def fit_batch(design: DesignMatrix, y: np.ndarray):
     # every product reads this form, so no bit depends on X's layout
     XB, y = np.ascontiguousarray(X.mT).reshape(-1, p, n), y.reshape(-1, n)
     B = len(y)
-    valid = (np.isfinite(y) & fam.outcomes[1](y)).all(axis=-1)
-    errors = {}
-    for b in (~valid).nonzero()[0]:
-        try:
-            fam.validate_outcome(y[b])
-        except DataError as err:
-            errors[int(b)] = err
+    finite = np.isfinite(y).all(axis=-1)
+    valid = finite & fam.outcomes[1](y).all(axis=-1)
+    errors = {int(b): DataError(
+        f"{fam.name} requires {fam.outcomes[0]} outcomes" if finite[b]
+        else "y contains non-finite values") for b in (~valid).nonzero()[0]}
 
     out_beta, out_mu = np.zeros((B, p)), np.zeros((B, n))
     iterations, score_norm = np.zeros(B, dtype=int), np.full(B, np.nan)

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import ModelSpec, TrialDataset, stack_designs
-from .errors import check_choices, refuse_bool
+from .errors import check_choices, number
 from .gcomp import (
     CORRECTIONS,
     ESTIMATORS,
@@ -82,16 +82,18 @@ _CHUNK = 250
 def _integer(name: str, value) -> int:
     """``value`` as a Python int if it is a Python or NumPy integer;
     otherwise (a bool too) a TypeError naming ``name``."""
-    try:
-        return operator.index(refuse_bool(name, value))
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _finite(name: str, values) -> tuple[float, ...]:
-    """``values`` as floats; a bool, or else a non-finite value, is an
+    """``values`` as numbers (errors.number), each finite; otherwise an
     error naming ``name``."""
-    out = tuple(float(refuse_bool(name, v)) for v in values)
+    out = tuple(number(name, v) for v in values)
     if not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite, got {out}")
     return out
@@ -106,7 +108,7 @@ class CovariateSpec:
 
     def __post_init__(self):
         if self.p is not None:
-            object.__setattr__(self, "p", float(self.p))
+            object.__setattr__(self, "p", number("covariate p", self.p))
         if self.kind not in ("standard-normal", "bernoulli"):
             raise ValueError(f"unknown covariate kind {self.kind!r}")
         if self.kind == "bernoulli":
@@ -450,18 +452,17 @@ def true_marginal_means(s: Scenario) -> tuple[float, float]:
             _marginal_mean(s.beta_A[1], s.beta_W, s.covariates))
 
 
-def calibrate_intercepts(targets, beta_W, covariates,
-                         precision: float = 1e-6) -> tuple[float, float]:
+def calibrate_intercepts(targets, beta_W, covariates) -> tuple[float, float]:
     """Per-arm intercepts hitting a pair of target marginal means, with
     one beta_W slope per covariate, covariates read as Scenario reads them.
 
-    The marginal mean is strictly increasing in the intercept, so plain
-    bisection on [-40, 40] is exact to any requested precision.
+    The marginal mean is strictly increasing in the intercept, so 100
+    halvings of [-40, 40] end at adjacent floats: the intercept is exact
+    to the bracket's last float.
     """
-    targets, beta_W = tuple(targets), _finite("beta_W", beta_W)
+    targets = tuple(number("targets", t) for t in targets)
+    beta_W = _finite("beta_W", beta_W)
     covariates = tuple(map(covariate_spec_from_config, covariates))
-    if not 0.0 < refuse_bool("precision", precision) < np.inf:
-        raise ValueError(f"precision must be finite and > 0, got {precision}")
     if len(targets) != 2:
         raise ValueError("targets must be a pair of marginal means")
     if len(beta_W) != len(covariates):
@@ -469,7 +470,6 @@ def calibrate_intercepts(targets, beta_W, covariates,
                          f"{len(covariates)} covariates")
     out = []
     for t in targets:
-        t = float(t)
         if not 0.0 < t < 1.0:
             raise ValueError(f"target marginal means must be in (0, 1), got {t}")
         lo, hi = -40.0, 40.0
@@ -482,11 +482,7 @@ def calibrate_intercepts(targets, beta_W, covariates,
                 lo = mid
             else:
                 hi = mid
-        mid = 0.5 * (lo + hi)
-        if abs(_marginal_mean(mid, beta_W, covariates) - t) > precision:
-            raise ValueError(f"bisection failed to reach precision {precision} "
-                             f"for target {t}")
-        out.append(mid)
+        out.append(0.5 * (lo + hi))
     return out[0], out[1]
 
 
@@ -764,6 +760,7 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
     workers = _integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    level = Hypothesis(level=level).level
     methods = tuple(methods)
     if len({m.name for m in methods}) != len(methods):
         raise ValueError("method names must be unique")

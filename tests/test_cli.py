@@ -607,23 +607,28 @@ class TestSimulate:
         assert f"method 'gc-score-I': {message}" in capsys.readouterr().err
         assert not (tmp_path / "oc.csv").exists()
 
-    @pytest.mark.parametrize("key", ["beta_A", "threshold", "null_value"])
-    def test_boolean_number_exits_2_naming_it(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key, value", [
+        ("beta_A", True), ("threshold", True), ("null_value", True),
+        ("beta_A", "x")],
+        ids=["beta_A", "threshold", "null_value", "beta_A-string"])
+    def test_boolean_number_exits_2_naming_it(self, tmp_path, capsys, key,
+                                              value):
         """YAML's true where a scenario or method number belongs is
-        refused with its field (and method) named, not run as 1; writes
-        no table."""
+        refused with its field (and method) named, not run as 1; so is
+        what float() refuses, not with float()'s own message; writes no
+        table."""
         doc = {**scenario_doc(), "scheme": "stratified-block",
                "block_size": 4, "stratify": {"covariate": 3,
                                              "threshold": 0.25}}
         methods = methods_doc()
-        message = f"{key} must be a number, got True"
+        message = f"{key} must be a number, got {value!r}"
         if key == "threshold":
-            doc["stratify"][key] = True
+            doc["stratify"][key] = value
         elif key == "null_value":
-            methods["methods"][1][key] = True
+            methods["methods"][1][key] = value
             message = f"method 'gc-score-I': {message}"
         else:
-            doc[key] = [True, *doc[key][1:]]
+            doc[key] = [value, *doc[key][1:]]
         scen = write_yaml(tmp_path / "scen.yaml", doc)
         meth = write_yaml(tmp_path / "meth.yaml", methods)
         assert main(["simulate", "--scenario", scen, "--methods", meth,
@@ -681,12 +686,12 @@ class TestCalibrate:
         capsys.readouterr()
 
     @pytest.mark.parametrize("args, message", [
-        (["--precision", "nan"], "precision must be finite and > 0"),
-        (["--precision", "-1"], "precision must be finite and > 0"),
-        (["--beta-w", "nan"], "beta_W must be finite")],
-        ids=["precision-nan", "precision-negative", "beta_w-nan"])
-    def test_bad_precision_or_slope_exits_2_naming_it(self, capsys, args,
-                                                      message):
+        (["--beta-w", "nan"], "beta_W must be finite"),
+        (["--covariates", "bernoulli:x"],
+         "covariate p must be a number, got 'x'")],
+        ids=["beta_w-nan", "bernoulli-p-string"])
+    def test_bad_number_exits_2_naming_it(self, capsys, args, message):
+        """``args`` repeats a flag; argparse keeps the last one."""
         argv = ["calibrate", "--targets", "0.3", "0.45", "--beta-w", "0.4",
                 "--covariates", "standard-normal", *args]
         assert main(argv) == 2

@@ -6,6 +6,7 @@ import io
 import itertools
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -30,8 +31,10 @@ from gscore.errors import (
     DataError,
     DegenerateArmError,
     EmptyDataError,
+    RankDeficiencyError,
     SchemaError,
 )
+from gscore.glm import fit
 from gscore.simulation import from_config
 
 
@@ -832,14 +835,20 @@ class TestBuildDesign:
         with pytest.raises(SchemaError, match="nope"):
             build_design(fixture_data, ModelSpec("bernoulli-logit", ("nope",)))
 
-    def test_constant_covariate_heterogeneous_warns_not_fails(self):
+    def test_constant_covariate_heterogeneous_is_rank_deficient(self):
+        """A constant covariate's per-arm columns copy the arm indicators:
+        build_design says nothing, and fit names the dependent columns."""
         data = TrialDataset(outcome=np.array([1.0, 0.0, 1.0, 0.0]),
                             arm=np.array([1, 2, 1, 2]),
                             covariates=np.ones((4, 1)),
                             covariate_names=("c",))
-        with pytest.warns(UserWarning, match="constant"):
-            build_design(data, ModelSpec("bernoulli-logit", ("c",),
-                                         heterogeneous=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            design = build_design(data, ModelSpec("bernoulli-logit", ("c",),
+                                                  heterogeneous=True))
+        with pytest.raises(RankDeficiencyError) as err:
+            fit(design, data.outcome)
+        assert sorted(err.value.columns) == ["c:arm1", "c:arm2"]
 
     def test_arm_only_design(self, fixture_data):
         d = build_design(fixture_data, ModelSpec("bernoulli-logit"))

@@ -33,7 +33,6 @@ from gscore.glm import (
     POISSON_LOG,
     fit,
     fit_batch,
-    resolve_family,
 )
 
 
@@ -103,18 +102,21 @@ class TestFamilies:
                                                np.inf, -np.inf]))
         assert m.tolist() == [0.0, 0.0, 1.0, 1.0, 0.0]
 
-    def test_resolve_by_name_and_instance(self):
-        assert resolve_family("poisson-log") is POISSON_LOG
-        assert resolve_family(POISSON_LOG) is POISSON_LOG
-        with pytest.raises(DataError):
-            resolve_family("logit")
-
-    def test_outcome_validation(self):
-        with pytest.raises(DataError):
-            BERNOULLI_LOGIT.validate_outcome(np.array([0.0, 2.0]))
-        with pytest.raises(DataError):
-            POISSON_LOG.validate_outcome(np.array([1.0, -1.0]))
-        GAUSSIAN_IDENTITY.validate_outcome(np.array([-5.0, 5.0]))
+    @pytest.mark.parametrize("family, y, message", [
+        ("bernoulli-logit", [0.0, 2.0], "bernoulli-logit requires 0/1"),
+        ("poisson-log", [1.0, -1.0], "poisson-log requires nonnegative"),
+        ("gaussian-identity", [-5.0, 5.0], None)],
+        ids=["bernoulli", "poisson", "gaussian"])
+    def test_outcome_validation(self, family, y, message):
+        """fit refuses an outcome its family does not admit, naming the
+        rule; an arm-only design fits any admitted one."""
+        design = stack_designs(np.array([1, 2]), np.empty((2, 0)), (),
+                               ModelSpec(family))
+        if message is None:
+            assert fit(design, np.array(y)).converged
+        else:
+            with pytest.raises(DataError, match=message):
+                fit(design, np.array(y))
 
 
 class TestFitFixture:
@@ -335,17 +337,16 @@ MIXED_ERRORS = {
 
 
 def _loglik_calls(monkeypatch, design, y, family):
-    """Halvings in fit of one design, from its family's log-likelihood
+    """Halvings in fit of one design, from ``family``'s log-likelihood
     counted: one call at the start and per step, plus one per halving."""
     calls = []
-    base = resolve_family(family)
 
     def counted(y, eta):
         calls.append(1)
-        return base.loglik(y, eta)
+        return family.loglik(y, eta)
 
     with monkeypatch.context() as m:
-        m.setitem(glm._FAMILIES, family, replace(base, loglik=counted))
+        m.setitem(glm._FAMILIES, family.name, replace(family, loglik=counted))
         f = fit(design, y)
     return len(calls) - 1 - f.iterations
 
@@ -383,11 +384,11 @@ class TestFitBatch:
         halved steps, the clean ones full steps."""
         mp = monkeypatch
         d, y = _mixed_stack("poisson-log")
-        assert _loglik_calls(mp, _row(d, 0), y[0], "poisson-log") == 0
-        assert _loglik_calls(mp, _row(d, 4), y[4], "poisson-log") > 0
+        assert _loglik_calls(mp, _row(d, 0), y[0], POISSON_LOG) == 0
+        assert _loglik_calls(mp, _row(d, 4), y[4], POISSON_LOG) > 0
         d, y = _heavy_logit_stack()
-        assert _loglik_calls(mp, _row(d, 0), y[0], "bernoulli-logit") == 0
-        assert _loglik_calls(mp, _row(d, 2), y[2], "bernoulli-logit") > 0
+        assert _loglik_calls(mp, _row(d, 0), y[0], BERNOULLI_LOGIT) == 0
+        assert _loglik_calls(mp, _row(d, 2), y[2], BERNOULLI_LOGIT) > 0
 
     def test_ill_conditioned_rows_take_qr_steps(self, monkeypatch):
         """The 1e5-scaled covariate's row steps by pivoted QR and clean

@@ -82,13 +82,17 @@ class TestHypothesis:
 
     @pytest.mark.parametrize("field, value", [
         ("null_value", True), ("null_value", False),
-        ("null_value", np.True_), ("level", True), ("level", np.False_)],
+        ("null_value", np.True_), ("level", True), ("level", np.False_),
+        ("null_value", "x"), ("null_value", [0.0]), ("level", "95%"),
+        ("level", {})],
         ids=["null-true", "null-false", "null-numpy", "level-true",
-             "level-numpy"])
+             "level-numpy", "null-string", "null-list", "level-string",
+             "level-dict"])
     @pytest.mark.parametrize("measure", ["difference", "ratio"])
     def test_boolean_null_or_level_refused(self, measure, field, value):
         """float() reads True as 1.0: a bool null or level is a TypeError
-        naming the field, not a null of 1 or a level of 0 or 1."""
+        naming the field, not a null of 1 or a level of 0 or 1; so is
+        what float() refuses, not with float()'s own message."""
         with pytest.raises(TypeError, match=re.escape(
                 f"{field} must be a number, got {value!r}")):
             Hypothesis(measure=measure, **{field: value})

@@ -597,8 +597,7 @@ class TestCalibrateIntercepts:
     def test_roundtrip_identity_within_precision(self):
         """true_marginal_means after calibration returns the targets."""
         targets = (0.3, 0.45)
-        b0 = calibrate_intercepts(targets, BETA_W3, THREE_NORMALS,
-                                  precision=1e-8)
+        b0 = calibrate_intercepts(targets, BETA_W3, THREE_NORMALS)
         s = scenario1(beta_A=b0)
         mu = true_marginal_means(s)
         assert mu[0] == pytest.approx(targets[0], abs=1e-8)
@@ -629,34 +628,6 @@ class TestCalibrateIntercepts:
                                  (CovariateSpec("standard-normal"),))
         assert calls == []
 
-    @pytest.mark.parametrize("precision", [np.nan, np.inf, 0.0, -1.0])
-    def test_refuses_a_bad_precision_before_bisecting(self, monkeypatch,
-                                                      precision):
-        """A NaN precision would switch the final check off, and a
-        negative one would report a failed bisection."""
-        calls = []
-        monkeypatch.setattr(simulation, "_marginal_mean",
-                            lambda *args: calls.append(1))
-        with pytest.raises(ValueError,
-                           match="precision must be finite and > 0"):
-            calibrate_intercepts((0.3, 0.45), (0.4,), ("standard-normal",),
-                                 precision=precision)
-        assert calls == []
-
-    @pytest.mark.parametrize("precision", [True, np.True_],
-                             ids=["bool", "numpy-bool"])
-    def test_refuses_a_boolean_precision_before_bisecting(self, monkeypatch,
-                                                          precision):
-        """True is not a precision of 1.0."""
-        calls = []
-        monkeypatch.setattr(simulation, "_marginal_mean",
-                            lambda *args: calls.append(1))
-        with pytest.raises(TypeError, match=re.escape(
-                f"precision must be a number, got {precision!r}")):
-            calibrate_intercepts((0.3, 0.45), (0.4,), ("standard-normal",),
-                                 precision=precision)
-        assert calls == []
-
     @pytest.mark.parametrize("slope", [True, np.False_],
                              ids=["bool", "numpy-bool"])
     def test_refuses_boolean_slopes(self, slope):
@@ -664,6 +635,12 @@ class TestCalibrateIntercepts:
                 f"beta_W must be a number, got {slope!r}")):
             calibrate_intercepts((0.3, 0.45), (0.4, slope),
                                  ("standard-normal", "standard-normal"))
+
+    @pytest.mark.parametrize("target", ["x", True, None])
+    def test_refuses_a_target_that_is_not_a_number(self, target):
+        with pytest.raises(TypeError, match=re.escape(
+                f"targets must be a number, got {target!r}")):
+            calibrate_intercepts((0.3, target), (0.4,), ("standard-normal",))
 
     @pytest.mark.parametrize("slope", [np.nan, np.inf])
     def test_refuses_non_finite_slopes(self, slope):
@@ -968,6 +945,34 @@ class TestRunOC:
                 f"level must be a number, got {level!r}")):
             run_oc(scenario1(n=60), methods, reps=5, seed=1, level=level)
 
+    def test_level_is_read_as_hypothesis_reads_it(self):
+        """A numeric string is the level it spells, also in the result;
+        a level outside (0, 1) or not a number is refused even with no
+        methods."""
+        r = run_oc(scenario1(n=60), (MethodSpec(name="m", test="wald"),),
+                   reps=5, seed=1, level="0.9")
+        assert r.level == 0.9 and type(r.level) is float
+        with pytest.raises(ValueError, match=re.escape(
+                "level must be in (0, 1), got 5.0")):
+            run_oc(scenario1(n=60), (), reps=5, seed=1, level=5)
+        with pytest.raises(TypeError, match=re.escape(
+                "level must be a number, got 'x'")):
+            run_oc(scenario1(n=60), (), reps=5, seed=1, level="x")
+
+    def test_per_arm_run_under_warnings_as_errors(self):
+        """A covariate that is constant in most trials (Bernoulli(0.05),
+        n = 20) makes most per-arm fits rank deficient: they are counted
+        as failed replications, with no warning, so a run under
+        warnings-as-errors gives the default filter's tallies."""
+        s = Scenario(n=20, beta_A=(-1.0, -1.0), beta_W=(0.0,),
+                     covariates=({"bernoulli": 0.05},))
+        m = MethodSpec("per-arm-wald", "wald", ModelSpec(
+            "bernoulli-logit", ("W1",), heterogeneous=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run_oc(s, (m,), reps=300, seed=1)
+        assert (r.methods[0].n_total, r.methods[0].n_failed) == (300, 249)
+
     def test_numpy_integer_workers_and_reps_are_the_same_counts(self):
         methods = (MethodSpec(name="m", test="wald"),)
         s = scenario1(n=60)
@@ -1163,13 +1168,24 @@ class TestConfigParsers:
                                  "got False"),
         ("beta_W", [True], "scenario beta_W must be a number, got True"),
         ("allocation", [0.5, np.True_],
-         "scenario allocation must be a number, got np.True_")],
+         "scenario allocation must be a number, got np.True_"),
+        ("threshold", "x", "stratify threshold must be a number, got 'x'"),
+        ("beta_A", ["x", 0.0], "scenario beta_A must be a number, got 'x'"),
+        ("beta_W", [None], "scenario beta_W must be a number, got None"),
+        ("allocation", [0.5, "1/2"],
+         "scenario allocation must be a number, got '1/2'"),
+        ("covariates", [{"bernoulli": "x"}],
+         "covariate p must be a number, got 'x'")],
         ids=["threshold", "threshold-numpy", "beta_A-numpy", "beta_A",
-             "beta_W", "allocation-numpy"])
+             "beta_W", "allocation-numpy", "threshold-string",
+             "beta_A-string", "beta_W-none", "allocation-string",
+             "p-string"])
     def test_float_fields_refuse_booleans(self, key, bad, message):
         """float() reads True as 1.0: a Python or NumPy bool in a
-        scenario's coefficient, share or threshold is a TypeError naming
-        the field, from Python and from a config (YAML's true)."""
+        scenario's coefficient, share, threshold or Bernoulli p is a
+        TypeError naming the field, from Python and from a config (YAML's
+        true); so is what float() refuses, not with float()'s own
+        message."""
         d = {"n": 40, "beta_A": [0, 0], "covariates": ["standard-normal"],
              "beta_W": [0.5], "scheme": "stratified-block", "block_size": 4,
              "stratify": {"covariate": 1, "threshold": 0.0}}
