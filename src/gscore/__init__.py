@@ -7,7 +7,7 @@ difference and ratio effects, and a Monte Carlo engine for operating
 characteristics.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .dataset import (
     ColumnSchema,
@@ -75,7 +75,6 @@ from .simulation import (
     covariate_spec_from_config,
     from_config,
     generate_trial,
-    method_spec_from_config,
     methods_from_config,
     run_oc,
     scenario_from_config,

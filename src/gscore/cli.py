@@ -26,11 +26,10 @@ import yaml
 
 from . import __version__
 from .dataset import ColumnSchema, ModelSpec, load_csv
-from .errors import FitError, GScoreError, check_choices
+from .errors import FitError, GScoreError, allocation_shares, check_choices
 from .gcomp import CORRECTIONS, ESTIMATORS
 from .inference import Hypothesis, analyze_trial
 from .simulation import (
-    allocation_pair,
     calibrate_intercepts,
     covariate_spec_from_config,
     from_config,
@@ -105,7 +104,8 @@ class AnalyzeConfig:
     def __post_init__(self):
         check_choices("config", (self.estimator, ESTIMATORS, "estimator"),
                       (self.correction, CORRECTIONS, "correction"))
-        object.__setattr__(self, "pi", allocation_pair("config", self.pi))
+        object.__setattr__(self, "pi", self.pi if self.pi is None else
+                           allocation_shares("config: pi", self.pi))
 
 
 def _parse_analyze_config(doc: dict, base_dir: str):

@@ -27,6 +27,7 @@ from .errors import (
     DegenerateArmError,
     EmptyDataError,
     SchemaError,
+    sequence,
 )
 
 FAMILY_NAMES = ("bernoulli-logit", "poisson-log", "gaussian-identity")
@@ -69,7 +70,7 @@ class TrialDataset:
         arm = np.asarray(self.arm, dtype=int)
         cov = np.asarray(self.covariates, dtype=float)
         if cov.ndim == 1:
-            cov = cov.reshape(-1, 1 if self.covariate_names else 0)
+            cov = cov.reshape(-1, 1)
         if cov.ndim != 2:
             raise DataError("covariates must be a 2-d array")
         n = y.shape[0]
@@ -120,7 +121,8 @@ class ModelSpec:
         if self.family not in FAMILY_NAMES:
             raise SchemaError(
                 f"unknown family {self.family!r}; expected one of {FAMILY_NAMES}")
-        object.__setattr__(self, "covariates", tuple(self.covariates))
+        object.__setattr__(self, "covariates",
+                           sequence("model covariates", self.covariates))
         if self.heterogeneous not in (True, False):
             raise SchemaError(f"heterogeneous must be true or false, got "
                               f"{self.heterogeneous!r}")
@@ -191,7 +193,8 @@ class ColumnSchema:
         if not isinstance(d, str) or len(d) != 1 or d in '"\r\n':
             raise SchemaError("delimiter must be one character other than "
                               f"'\"', '\\r' and '\\n', got {d!r}")
-        object.__setattr__(self, "covariates", tuple(self.covariates))
+        object.__setattr__(self, "covariates",
+                           sequence("schema covariates", self.covariates))
         used = [self.outcome, self.arm, *self.covariates]
         if len(set(used)) != len(used):
             raise SchemaError("schema assigns one column to multiple roles")

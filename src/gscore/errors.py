@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package, and two value checks.
+"""Exception taxonomy shared across the package, and four value checks.
 
 The CLI maps these onto exit codes: configuration/data problems (and a
 bad choice's ValueError) exit 2, model-fitting failures exit 3.
@@ -31,6 +31,28 @@ def number(name: str, value) -> float:
         except (TypeError, ValueError, OverflowError):
             pass
     raise TypeError(f"{name} must be a number, got {value!r}")
+
+
+def sequence(name: str, values) -> tuple:
+    """``values`` as a tuple; a string, or what tuple() refuses, is a
+    TypeError naming ``name``."""
+    if not isinstance(values, str):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be a list, got {values!r}")
+
+
+def allocation_shares(name: str, value) -> tuple[float, float]:
+    """``value`` as two numbers in (0, 1) that sum to 1, the allocation
+    probabilities of arms 1 and 2; otherwise an error naming ``name``."""
+    pair = tuple(number(name, x) for x in sequence(name, value))
+    if len(pair) != 2 or not all(0.0 < x < 1.0 for x in pair) \
+            or not np.isclose(sum(pair), 1.0):
+        raise ValueError(f"{name} must be two shares in (0, 1) summing to "
+                         f"1, got {value!r}")
+    return pair
 
 
 class GScoreError(Exception):

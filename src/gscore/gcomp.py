@@ -33,7 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import DesignMatrix
-from .errors import DataError, RankDeficiencyError, check_choices
+from .errors import (DataError, RankDeficiencyError, allocation_shares,
+                     check_choices)
 from .glm import FittedGLM, per_matrix
 
 ESTIMATORS = ("I", "II", "III")
@@ -147,13 +148,12 @@ def _arm_cov(ind: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _resolve_pi(design: DesignMatrix, pi):
-    if pi is None:
-        out = design.X[..., :2].mT.mean(axis=-1)
-    else:
-        out = np.asarray(pi, dtype=float)
-        if out.shape != (2,):
-            raise DataError(f"pi must be a pair, got shape {out.shape}")
-        out = np.broadcast_to(out, design.X.shape[:-2] + (2,))
+    """Allocation shares (..., 2): the fixed pair ``pi``, or each design's
+    arm shares with {row: error} for a design that leaves an arm empty."""
+    if pi is not None:
+        return np.broadcast_to(allocation_shares("pi", pi),
+                               design.X.shape[:-2] + (2,)), {}
+    out = design.X[..., :2].mT.mean(axis=-1)
     bad = np.flatnonzero(~((out > 0.0) & (out < 1.0)).all(axis=-1))
     return out, {int(b): DataError("allocation probabilities must lie in "
                                    f"(0, 1), got {out.reshape(-1, 2)[b]}")
@@ -254,8 +254,9 @@ def influence_aipw(fit: FittedGLM, design: DesignMatrix,
     """Influence rows with inverse allocation weights on the residual.
 
     psi_a(i) = I(A_i=a)/pi_a (Y_i - fitted_i) + m(beta' X_i(a)) - mu_a.
-    ``pi`` defaults to the empirical arm proportions; pass a fixed pair
-    to use design allocation probabilities instead.
+    ``pi`` defaults to the empirical arm proportions; pass a fixed pair,
+    two shares in (0, 1) summing to 1, to use design allocation
+    probabilities instead.
     """
     return InfluenceMatrix(values=_only(*_influence_aipw(fit, design, pi)).T,
                            kind="aipw")
@@ -279,7 +280,7 @@ def var_ye(fit: FittedGLM, design: DesignMatrix, pi=None) -> VarianceEstimate:
         - (1/n) Cov[m_a, m_b]                   (covariance over all n)
 
     All moments use the n-1 divisor.  ``pi`` defaults to empirical arm
-    proportions; a fixed allocation pair is accepted.
+    proportions; a fixed allocation pair is accepted, as in influence_aipw.
     """
     return VarianceEstimate(sigma=_only(*_var_ye(fit, design, pi)),
                             estimator="III", correction="HC0", n=design.n)

@@ -21,7 +21,7 @@ only a single fit's TestResult carries a p-value; ``run_oc`` forms none.
 
 ``run_test`` runs a (measure, test) pair's kernel as one row of
 ``run_test_batch``; ``analyze_trial`` composes fit, standardization, the
-variance from ``gcomp.estimate_variance`` and the requested tests.
+variance from ``gcomp.estimate_variance`` and ``run_test`` for each test.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class TestResult:
 # a dict of arrays of that shape, with masks for the rows where the arm
 # means are not positive (ratio) or the score interval does not exist.
 # run_test_batch runs a kernel on a batch; a single-fit test is its one
-# row with no leading axis, built by _test_row.  x * x, not
+# row with no leading axis, built by run_test.  x * x, not
 # x ** 2: numpy scalars (one fit) compute ** by pow, off by an ulp at times.
 
 
@@ -265,11 +265,12 @@ def run_test_batch(mu: np.ndarray, sigma: np.ndarray, n: int, h: Hypothesis,
     return cols
 
 
-def _test_row(mu: MuEstimate, v: VarianceEstimate, h: Hypothesis,
-              test: str) -> tuple[TestResult, tuple[str, dict] | None]:
-    """``run_test_batch`` on one fit: its TestResult (no interval if the
-    row failed) and the reason (message, diagnostics) the score interval
-    is undefined, or None.  DataError for non-positive ratio arm means."""
+def run_test(mu: MuEstimate, v: VarianceEstimate, h: Hypothesis,
+             test: str) -> TestResult:
+    """Run the named test ("wald" or "score") for ``h``'s effect measure,
+    as ``run_test_batch`` on one fit.  DataError for non-positive ratio
+    arm means; IntervalUndefinedError, carrying the result (no interval)
+    and the failing quantities, if no interval exists."""
     r = {k: float(x) for k, x in
          run_test_batch(mu.mu, v.sigma, v.n, h, test).items()}
     if r.get("nonpositive"):
@@ -287,28 +288,19 @@ def _test_row(mu: MuEstimate, v: VarianceEstimate, h: Hypothesis,
         variance_tag=(v.estimator, v.correction), n=v.n, se=r.get("se"),
         meta=meta)
     if defined:
-        return result, None
+        return result
     c = h.chi2_quantile
     if h.measure == "difference":
-        return result, (f"score interval needs n > {c:.4g}, got n={v.n}",
-                        {"n": v.n, "critical": c})
-    if r["bad_den"]:
-        return result, ("ratio interval undefined: (1 - c/n) mu_1^2 must "
-                        "exceed c Sigma_11",
-                        {"denominator": r["den"], "critical": c, "n": v.n})
-    return result, ("ratio interval undefined: negative discriminant",
-                    {"a": r["a"], "b": r["b"], "discriminant": r["disc"]})
-
-
-def run_test(mu: MuEstimate, v: VarianceEstimate, h: Hypothesis,
-             test: str) -> TestResult:
-    """Run the named test ("wald" or "score") for ``h``'s effect measure;
-    IntervalUndefinedError, carrying the result, if no interval exists."""
-    result, reason = _test_row(mu, v, h, test)
-    if reason is not None:
-        raise IntervalUndefinedError(reason[0], result=result,
-                                     diagnostics=reason[1])
-    return result
+        reason = (f"score interval needs n > {c:.4g}, got n={v.n}",
+                  {"n": v.n, "critical": c})
+    elif r["bad_den"]:
+        reason = ("ratio interval undefined: (1 - c/n) mu_1^2 must exceed "
+                  "c Sigma_11",
+                  {"denominator": r["den"], "critical": c, "n": v.n})
+    else:
+        reason = ("ratio interval undefined: negative discriminant",
+                  {"a": r["a"], "b": r["b"], "discriminant": r["disc"]})
+    raise IntervalUndefinedError(reason[0], result, reason[1])
 
 
 def _for_measure(h: Hypothesis, measure: str) -> Hypothesis:
@@ -362,7 +354,6 @@ def score_test_ratio(mu: MuEstimate, v: VarianceEstimate,
 class AnalysisResult:
     """Everything one model spec + variance choice yields on a dataset."""
 
-    spec: ModelSpec
     mu: MuEstimate
     variance: VarianceEstimate
     fit: glm.FittedGLM
@@ -372,25 +363,23 @@ class AnalysisResult:
 
 def analyze_trial(data: TrialDataset, spec: ModelSpec, h: Hypothesis, *,
                   estimator: str = "I", correction: str = "HC0",
-                  pi=None, methods: tuple[str, ...] = ("wald", "score"),
-                  ) -> AnalysisResult:
-    """Fit, standardize, estimate the covariance, and run the tests.
-
-    Undefined score intervals do not abort the analysis: the partial
-    result (statistic and p-value, no interval) is kept and the reason
-    recorded in ``undefined_intervals``.
-    """
+                  pi=None) -> AnalysisResult:
+    """Fit, standardize, estimate the covariance, and run_test each of
+    TESTS; an undefined score interval keeps the partial result that
+    run_test's error carries (statistic and p-value, no interval) and
+    records its message in ``undefined_intervals``."""
     design = build_design(data, spec)
     fit = glm.fit(design, data.outcome)
     mu = estimate_mu(fit, design)
     v = estimate_variance(fit, design, estimator, correction, pi)
     tests, undefined = {}, {}
-    for m in methods:
-        tests[m], reason = _test_row(mu, v, h, m)
-        if reason is not None:
-            undefined[m] = reason[0]
-    return AnalysisResult(spec=spec, mu=mu, variance=v, fit=fit,
-                          tests=tests, undefined_intervals=undefined)
+    for t in TESTS:
+        try:
+            tests[t] = run_test(mu, v, h, t)
+        except IntervalUndefinedError as err:
+            tests[t], undefined[t] = err.result, str(err)
+    return AnalysisResult(mu=mu, variance=v, fit=fit, tests=tests,
+                          undefined_intervals=undefined)
 
 
 def unadjusted_analysis(data: TrialDataset, h: Hypothesis,
@@ -402,8 +391,8 @@ def unadjusted_analysis(data: TrialDataset, h: Hypothesis,
     otherwise); for arm-only designs the influence collapses to the same
     matrix under every canonical family.
     """
+    check_choices("unadjusted_analysis", (method, TESTS, "method"))
     binary = np.isin(data.outcome, (0.0, 1.0)).all()
     family = "bernoulli-logit" if binary else "gaussian-identity"
-    res = analyze_trial(data, ModelSpec(family=family), h,
-                        estimator="I", methods=(method,))
-    return res.tests[method]
+    return analyze_trial(data, ModelSpec(family=family), h,
+                         estimator="I").tests[method]

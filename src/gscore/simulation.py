@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import ModelSpec, TrialDataset, stack_designs
-from .errors import check_choices, number
+from .errors import allocation_shares, check_choices, number, sequence
 from .gcomp import (
     CORRECTIONS,
     ESTIMATORS,
@@ -91,9 +91,9 @@ def _integer(name: str, value) -> int:
 
 
 def _finite(name: str, values) -> tuple[float, ...]:
-    """``values`` as numbers (errors.number), each finite; otherwise an
-    error naming ``name``."""
-    out = tuple(number(name, v) for v in values)
+    """``values``, a list (errors.sequence) of numbers (errors.number),
+    each finite; otherwise an error naming ``name``."""
+    out = tuple(number(name, v) for v in sequence(name, values))
     if not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite, got {out}")
     return out
@@ -156,20 +156,20 @@ class Scenario:
         object.__setattr__(self, "n", _integer("scenario n", self.n))
         object.__setattr__(self, "block_size",
                            _integer("scenario block_size", self.block_size))
-        object.__setattr__(self, "covariates", tuple(
-            map(covariate_spec_from_config, self.covariates)))
-        for name in ("beta_W", "beta_A", "allocation"):
+        object.__setattr__(self, "covariates", tuple(map(
+            covariate_spec_from_config,
+            sequence("scenario covariates", self.covariates))))
+        for name in ("beta_W", "beta_A"):
             object.__setattr__(self, name, _finite(f"scenario {name}",
                                                    getattr(self, name)))
+        object.__setattr__(self, "allocation", allocation_shares(
+            "scenario allocation", self.allocation))
         if self.n < 2:
             raise ValueError(f"scenario n must be >= 2, got {self.n}")
         if len(self.beta_W) != len(self.covariates):
             raise ValueError("beta_W length must match covariates")
         if len(self.beta_A) != 2:
             raise ValueError("beta_A must have one intercept per arm")
-        if len(self.allocation) != 2 or not np.isclose(sum(self.allocation), 1.0) \
-                or min(self.allocation) <= 0.0:
-            raise ValueError("allocation must be two positive shares summing to 1")
         if self.scheme not in ("complete", "stratified-block"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scheme == "complete" \
@@ -198,8 +198,8 @@ class MethodSpec:
 
     ``model`` is either a ModelSpec or the string "unadjusted".  A null
     of None means no effect, as in Hypothesis.  ``pi`` of None uses
-    empirical arm shares for estimators II/III; a pair fixes the
-    allocation probabilities.
+    empirical arm shares for estimators II/III; a pair of shares in
+    (0, 1) summing to 1 fixes the allocation probabilities.
     """
 
     name: str
@@ -228,7 +228,8 @@ class MethodSpec:
                 and self.model != "unadjusted":
             raise ValueError(f"{owner}: model must be a ModelSpec or "
                              f"'unadjusted', got {self.model!r}")
-        object.__setattr__(self, "pi", allocation_pair(owner, self.pi))
+        object.__setattr__(self, "pi", self.pi if self.pi is None else
+                           allocation_shares(f"{owner}: pi", self.pi))
 
     def resolved_null(self) -> float:
         """The null value as Hypothesis resolves it."""
@@ -460,9 +461,10 @@ def calibrate_intercepts(targets, beta_W, covariates) -> tuple[float, float]:
     halvings of [-40, 40] end at adjacent floats: the intercept is exact
     to the bracket's last float.
     """
-    targets = tuple(number("targets", t) for t in targets)
+    targets = tuple(number("targets", t) for t in sequence("targets", targets))
     beta_W = _finite("beta_W", beta_W)
-    covariates = tuple(map(covariate_spec_from_config, covariates))
+    covariates = tuple(map(covariate_spec_from_config,
+                           sequence("covariates", covariates)))
     if len(targets) != 2:
         raise ValueError("targets must be a pair of marginal means")
     if len(beta_W) != len(covariates):
@@ -805,20 +807,6 @@ def reject_unknown_keys(d: dict, allowed, what: str) -> None:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
-def allocation_pair(owner: str, pi) -> tuple[float, float] | None:
-    """``pi`` as a pair of floats in (0, 1), or None for empirical arm
-    shares; anything else is a ValueError prefixed by ``owner``."""
-    try:
-        pair = None if pi is None else tuple(map(float, pi))
-    except (TypeError, ValueError):
-        pair = ()
-    if pair is not None and not (
-            len(pair) == 2 and all(0.0 < x < 1.0 for x in pair)):
-        raise ValueError(f"{owner}: pi must be a pair of floats in (0, 1), "
-                         f"got {pi!r}")
-    return pair
-
-
 def from_config(cls, d, what: str, **parse):
     """Dataclass ``cls`` built from the config mapping ``d``.
 
@@ -859,16 +847,13 @@ def scenario_from_config(d: dict) -> Scenario:
             StratificationRule, sd, "stratify"))
 
 
-def method_spec_from_config(d: dict) -> MethodSpec:
-    """MethodSpec's fields as keys; model is "unadjusted" or a model
-    mapping."""
-    return from_config(MethodSpec, d, "method", model=lambda m: (
-        from_config(ModelSpec, m, "model") if isinstance(m, dict) else m))
-
-
 def methods_from_config(d) -> tuple[MethodSpec, ...]:
-    """A list of method mappings, bare or under the one key "methods"."""
+    """A list of method mappings, bare or under the one key "methods",
+    each with MethodSpec's fields as keys; a method's model is
+    "unadjusted" or a model mapping."""
     if isinstance(d, dict):
         reject_unknown_keys(d, ("methods",), "methods document")
         d = d["methods"]
-    return tuple(method_spec_from_config(m) for m in d)
+    return tuple(from_config(MethodSpec, m, "method", model=lambda md: (
+        from_config(ModelSpec, md, "model") if isinstance(md, dict) else md))
+        for m in sequence("methods", d))

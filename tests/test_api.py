@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "covariate_spec_from_config", "dataset", "errors", "estimate_mu",
     "estimate_variance", "fit", "from_config", "gcomp", "generate_trial",
     "glm", "inference", "influence_aipw", "influence_score", "load_csv",
-    "method_spec_from_config", "methods_from_config",
+    "methods_from_config",
     "run_oc", "run_test", "scenario_from_config", "score_test_diff",
     "score_test_ratio",
     "simulation", "true_marginal_means", "unadjusted_analysis",

@@ -277,7 +277,36 @@ class TestAnalyze:
         cfg = analyze_config(tmp_path, estimator="II", pi=0.5)
         assert main(["analyze", "--config", cfg,
                      "--out", str(tmp_path / "r.json")]) == 2
-        assert "config: pi must be a pair" in capsys.readouterr().err
+        assert "config: pi must be a list, got 0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pi", [[0.9, 0.9], [0.3, 0.3]])
+    def test_pi_not_summing_to_one_exits_2_naming_pi(self, tmp_path, capsys,
+                                                     pi):
+        """Two arms' allocation probabilities sum to 1; a pair that does
+        not is refused before any number is reported."""
+        out = tmp_path / "r.json"
+        cfg = analyze_config(tmp_path, estimator="II", pi=pi)
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+        assert ("config: pi must be two shares in (0, 1) summing to 1, "
+                f"got {pi!r}") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_string_covariates_exit_2_naming_them(self, tmp_path, capsys):
+        """``covariates: ab`` is one name, not the columns a and b."""
+        data = tmp_path / "ab.csv"
+        rows = ["y,arm,a,b"] + [f"{i % 2},{1 + i // 5 % 2},{i},{i * i % 7}"
+                                for i in range(20)]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "r.json"
+        cfg = analyze_config(tmp_path, data=str(data),
+                             schema={"outcome": "y", "arm": "arm",
+                                     "covariates": "ab"},
+                             model={"family": "bernoulli-logit",
+                                    "covariates": "ab"})
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+        assert "covariates must be a list, got 'ab'" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_separated_data_exits_3(self, tmp_path, capsys):
         rows = ["y,arm,w1"]
@@ -635,6 +664,40 @@ class TestSimulate:
                      "--reps", "5", "--seed", "1",
                      "--out", str(tmp_path / "oc.csv")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("pi", [[0.9, 0.9], [0.3, 0.3]])
+    def test_method_pi_not_summing_to_one_exits_2_naming_it(
+            self, tmp_path, capsys, pi):
+        """A gc-score-II method whose fixed allocation probabilities do not
+        sum to 1 is refused before any replication, with the method
+        named; it writes no table."""
+        methods = methods_doc()
+        methods["methods"].append({
+            "name": "gc-score-II", "test": "score", "estimator": "II",
+            "pi": pi, "model": {"family": "bernoulli-logit",
+                                "covariates": ["W1", "W2", "W3"]}})
+        scen = write_yaml(tmp_path / "scen.yaml", scenario_doc())
+        meth = write_yaml(tmp_path / "meth.yaml", methods)
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "5", "--seed", "1",
+                     "--out", str(tmp_path / "oc.csv")]) == 2
+        assert ("method 'gc-score-II': pi must be two shares in (0, 1) "
+                f"summing to 1, got {pi!r}") in capsys.readouterr().err
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("key, bad", [
+        ("covariates", "standard-normal"), ("beta_A", -0.9355)])
+    def test_scalar_or_string_list_field_exits_2_naming_it(
+            self, tmp_path, capsys, key, bad):
+        scen = write_yaml(tmp_path / "scen.yaml", {**scenario_doc(),
+                                                   key: bad})
+        meth = write_yaml(tmp_path / "meth.yaml", methods_doc())
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "5", "--seed", "1",
+                     "--out", str(tmp_path / "oc.csv")]) == 2
+        assert f"scenario {key} must be a list, got {bad!r}" \
+            in capsys.readouterr().err
         assert not (tmp_path / "oc.csv").exists()
 
     def test_scenario_family_key_exits_2(self, tmp_path, capsys):

@@ -315,6 +315,15 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             ColumnSchema(outcome="y", arm="y")
 
+    @pytest.mark.parametrize("covariates", ["ab", "w", 3])
+    def test_schema_covariates_must_be_a_list(self, covariates):
+        """A bare string is one name, not its characters: it is refused
+        with the field named, as is a scalar."""
+        message = f"schema covariates must be a list, got {covariates!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            ColumnSchema("y", "arm", covariates)
+        assert ColumnSchema("y", "arm", ["a", "b"]).covariates == ("a", "b")
+
     def test_schema_has_no_stratum_role(self):
         """A stratum is a covariate: name its column in ``covariates``."""
         with pytest.raises(TypeError, match="stratum"):
@@ -781,6 +790,23 @@ class TestTrialDataset:
                          covariates=np.empty((2, 0)), covariate_names=(),
                          stratum=np.array([0, 1]))
 
+    def test_one_dimensional_covariates_are_one_column(self):
+        """A 1-d covariate array is one column: with one name it loads,
+        and with none or with the wrong length the mismatch is reported
+        as the package's own error, not NumPy's reshape error."""
+        y, arm = np.array([1.0, 0.0, 1.0]), np.array([1, 2, 2])
+        data = TrialDataset(outcome=y, arm=arm,
+                            covariates=np.array([0.5, 1.5, 2.5]),
+                            covariate_names=("w",))
+        assert data.covariates.tolist() == [[0.5], [1.5], [2.5]]
+        with pytest.raises(SchemaError, match="covariate_names length"):
+            TrialDataset(outcome=y, arm=arm,
+                         covariates=np.array([0.5, 1.5, 2.5]),
+                         covariate_names=())
+        with pytest.raises(DataError, match="must share length"):
+            TrialDataset(outcome=y, arm=arm, covariates=np.array([0.5, 1.5]),
+                         covariate_names=())
+
     @pytest.mark.parametrize("arm, missing", [([1, 1, 1], 2), ([2, 2], 1)])
     def test_missing_arm_is_degenerate(self, arm, missing):
         with pytest.raises(DegenerateArmError) as exc:
@@ -791,6 +817,16 @@ class TestTrialDataset:
 
 
 class TestModelSpec:
+    @pytest.mark.parametrize("covariates", ["ab", "w", None])
+    def test_covariates_must_be_a_list(self, covariates):
+        """A bare string is not split into one-letter covariates."""
+        message = f"model covariates must be a list, got {covariates!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            ModelSpec(family="bernoulli-logit", covariates=covariates)
+        with pytest.raises(TypeError, match=re.escape(message)):
+            from_config(ModelSpec, {"family": "bernoulli-logit",
+                                    "covariates": covariates}, "model")
+
     def test_unknown_family(self):
         with pytest.raises(SchemaError, match="family"):
             ModelSpec(family="probit")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -136,12 +137,28 @@ class TestInfluence:
         assert influence_aipw(fixture_fit, fixture_design).kind == "aipw"
 
     def test_aipw_pi_validation(self, fixture_fit, fixture_design):
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError, match="pi must be two shares"):
             influence_aipw(fixture_fit, fixture_design, pi=(0.5,))
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError, match="pi must be two shares"):
             influence_aipw(fixture_fit, fixture_design, pi=(0.0, 1.0))
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError, match="pi must be two shares"):
             influence_aipw(fixture_fit, fixture_design, pi=(0.5, -0.5))
+
+    @pytest.mark.parametrize("pi", [(0.9, 0.9), (0.3, 0.3)])
+    def test_fixed_pi_must_sum_to_one(self, fixture_fit, fixture_design, pi):
+        """Two arms' allocation probabilities sum to 1: every function
+        that takes a fixed pi refuses a pair that does not, before any
+        variance is formed."""
+        message = ("pi must be two shares in (0, 1) summing to 1, "
+                   f"got {pi!r}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            influence_aipw(fixture_fit, fixture_design, pi=pi)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            var_ye(fixture_fit, fixture_design, pi=pi)
+        for estimator in ("II", "III"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                estimate_variance(fixture_fit, fixture_design, estimator,
+                                  pi=pi)
 
     def test_aipw_fixed_pi_matches_empirical_when_balanced(
             self, fixture_fit, fixture_design):

@@ -24,6 +24,10 @@ from gscore import (
     TrialDataset,
     VarianceEstimate,
     analyze_trial,
+    build_design,
+    estimate_mu,
+    estimate_variance,
+    fit,
     run_test,
     score_test_diff,
     score_test_ratio,
@@ -500,7 +504,45 @@ class TestAnalyzeTrial:
         h = Hypothesis(measure="difference")
         spec = ModelSpec(family="bernoulli-logit", covariates=("w1",))
         with pytest.raises(ValueError):
-            analyze_trial(fixture_data, spec, h, methods=("wald", "lrt"))
+            unadjusted_analysis(fixture_data, h, "lrt")
+        res = analyze_trial(fixture_data, spec, h)
+        with pytest.raises(ValueError):
+            run_test(res.mu, res.variance, h, "lrt")
+
+    @pytest.mark.parametrize("estimator", ["I", "II", "III"])
+    @pytest.mark.parametrize("measure", ["difference", "ratio"])
+    def test_tests_are_run_test_on_the_same_pieces(self, measure,
+                                                   estimator):
+        """analyze_trial composes the public pieces: each of TESTS, in
+        order, is run_test on the same fit's means and variance, and an
+        undefined interval keeps the result run_test's error carries and
+        records its message.  Arm 1 has 1 success in 10, so the ratio's
+        score interval has no positive denominator."""
+        y = np.r_[1.0, np.zeros(9), np.tile([1.0, 0.0], 5)]
+        data = TrialDataset(outcome=y, arm=np.repeat([1, 2], 10),
+                            covariates=np.empty((20, 0)), covariate_names=())
+        h = Hypothesis(measure=measure)
+        spec = ModelSpec(family="bernoulli-logit")
+        res = analyze_trial(data, spec, h, estimator=estimator)
+        design = build_design(data, spec)
+        fitted = fit(design, data.outcome)
+        mu = estimate_mu(fitted, design)
+        v = estimate_variance(fitted, design, estimator)
+        assert list(res.tests) == list(TESTS)
+        undefined = {}
+        for t in TESTS:
+            try:
+                expected = run_test(mu, v, h, t)
+            except IntervalUndefinedError as err:
+                expected, undefined[t] = err.result, str(err)
+            assert res.tests[t] == expected
+        assert res.undefined_intervals == undefined
+        if measure == "ratio":
+            assert res.tests["score"].ci is None
+            assert undefined == {"score": "ratio interval undefined: "
+                                 "(1 - c/n) mu_1^2 must exceed c Sigma_11"}
+        else:
+            assert undefined == {}
 
     def test_undefined_interval_recorded_not_raised(self):
         """A 3-subject trial keeps the score statistic but records why
@@ -562,7 +604,7 @@ class TestUnadjustedAnalysis:
         h = Hypothesis(measure="difference", sidedness="greater")
         short = unadjusted_analysis(fixture_data, h, method="score")
         full = analyze_trial(fixture_data, ModelSpec(family="bernoulli-logit"),
-                             h, methods=("score",)).tests["score"]
+                             h).tests["score"]
         assert short.statistic == pytest.approx(full.statistic, abs=1e-14)
         assert short.ci == pytest.approx(full.ci, abs=1e-14)
 
@@ -577,8 +619,8 @@ class TestUnadjustedAnalysis:
         """Arm-only designs give identical arm means and influence rows
         under every canonical family."""
         h = Hypothesis(measure="difference")
-        a, b = (analyze_trial(fixture_data, ModelSpec(family=f), h,
-                              methods=("wald",)).tests["wald"]
+        a, b = (analyze_trial(fixture_data, ModelSpec(family=f),
+                              h).tests["wald"]
                 for f in ("bernoulli-logit", "gaussian-identity"))
         assert a.estimate == pytest.approx(b.estimate, abs=1e-12)
         assert a.se == pytest.approx(b.se, abs=1e-12)

@@ -29,7 +29,6 @@ from gscore import (
     estimate_variance,
     fit,
     generate_trial,
-    method_spec_from_config,
     methods_from_config,
     run_oc,
     run_test,
@@ -123,6 +122,26 @@ class TestScenarioValidation:
             scenario1(allocation=(0.7, 0.7))
         with pytest.raises(ValueError):
             scenario1(allocation=(1.0, 0.0))
+
+    @pytest.mark.parametrize("allocation", [
+        (0.9, 0.9), (0.3, 0.3), (0.0, 1.0), (-0.5, 1.5), (0.5, 0.5, 0.0),
+        (0.5,)])
+    def test_allocation_refused_naming_the_field(self, allocation):
+        """Two shares in (0, 1) summing to 1 (up to np.isclose), as a
+        method's or an analysis's fixed pi; the error names the field."""
+        with pytest.raises(ValueError, match=re.escape(
+                "scenario allocation must be two shares in (0, 1) summing "
+                f"to 1, got {allocation!r}")):
+            scenario1(allocation=allocation)
+
+    @pytest.mark.parametrize("allocation", [
+        (0.3, 0.7), (1 / 3, 2 / 3), (0.5 + 1e-9, 0.5), ("0.25", 0.75)])
+    def test_allocation_accepted(self, allocation):
+        """np.isclose's tolerance on the sum, and numbers as
+        errors.number reads them, as before."""
+        s = scenario1(allocation=allocation)
+        assert s.allocation == tuple(map(float, allocation))
+        assert all(type(x) is float for x in s.allocation)
 
     def test_complete_randomization_must_fill_both_arms(self):
         """floor(5 * 0.1) = 0 subjects in arm 1: rejected when the scenario
@@ -1113,7 +1132,7 @@ class TestConfigParsers:
         with pytest.raises(ValueError, match="'beta_A'"):
             scenario_from_config({"n": 10})
         with pytest.raises(ValueError, match="'test'"):
-            method_spec_from_config({"name": "m"})
+            methods_from_config([{"name": "m"}])[0]
         with pytest.raises(ValueError, match="'kind'"):
             covariate_spec_from_config({"p": 0.3})
 
@@ -1198,6 +1217,35 @@ class TestConfigParsers:
         with pytest.raises(TypeError, match=re.escape(message)):
             Scenario(**{**d, "stratify": StratificationRule(**d["stratify"])})
 
+    @pytest.mark.parametrize("key, bad", [
+        ("beta_A", 0.5), ("beta_W", 0.5), ("allocation", 0.5),
+        ("covariates", "standard-normal"), ("beta_W", "x"),
+        ("covariates", None)])
+    def test_list_fields_refuse_a_scalar_or_a_string(self, key, bad):
+        """A scalar or a bare string where a list belongs is a TypeError
+        naming the field, from Python and from a config: not "'float'
+        object is not iterable", nor a string split into characters
+        ("unknown covariate kind 's'")."""
+        d = {"n": 40, "beta_A": [0, 0], "covariates": ["standard-normal"],
+             "beta_W": [0.5], key: bad}
+        message = f"scenario {key} must be a list, got {bad!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            scenario_from_config(d)
+        with pytest.raises(TypeError, match=re.escape(message)):
+            Scenario(**d)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"targets": 0.3}, "targets must be a list, got 0.3"),
+        ({"beta_W": 0.4}, "beta_W must be a list, got 0.4"),
+        ({"covariates": "standard-normal"},
+         "covariates must be a list, got 'standard-normal'")])
+    def test_calibrate_list_arguments_refuse_a_scalar_or_a_string(
+            self, kw, message):
+        args = {"targets": (0.3, 0.45), "beta_W": (0.4,),
+                "covariates": ("standard-normal",), **kw}
+        with pytest.raises(TypeError, match=re.escape(message)):
+            calibrate_intercepts(**args)
+
     def test_numpy_integer_fields_are_the_same_scenario(self):
         """NumPy integers in the integer fields of a config give the
         scenario that Python integers give."""
@@ -1228,7 +1276,7 @@ class TestConfigParsers:
             "estimator": "II",
             "pi": [0.5, 0.5],
         }
-        m = method_spec_from_config(d)
+        m = methods_from_config([d])[0]
         assert m.model == ModelSpec(family="bernoulli-logit",
                                     covariates=("W1", "W2"))
         assert m.estimator == "II"
@@ -1237,31 +1285,50 @@ class TestConfigParsers:
 
     def test_method_unknown_key_rejected(self):
         with pytest.raises(ValueError):
-            method_spec_from_config({"name": "m", "test": "wald",
-                                     "alpha": 0.05})
+            methods_from_config([{"name": "m", "test": "wald",
+                                  "alpha": 0.05}])[0]
         with pytest.raises(ValueError):
-            method_spec_from_config({"name": "m", "test": "wald",
-                                     "model": {"family": "bernoulli-logit",
-                                               "link": "logit"}})
+            methods_from_config([{"name": "m", "test": "wald",
+                                  "model": {"family": "bernoulli-logit",
+                                            "link": "logit"}}])[0]
 
     @pytest.mark.parametrize("field, value", [
         ("test", "bogus"), ("measure", "odds"), ("estimator", "IV"),
         ("correction", "HC3"), ("sidedness", "both"), ("model", "adjusted")])
     def test_method_unknown_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            method_spec_from_config({"name": "m", "test": "wald",
-                                     field: value})
+            methods_from_config([{"name": "m", "test": "wald",
+                                  field: value}])[0]
         with pytest.raises(ValueError, match=field):
             MethodSpec(**{"name": "m", "test": "wald", field: value})
 
-    @pytest.mark.parametrize("pi", [[0.0, 1.0], [0.5, 1.5], [0.5],
-                                    [0.3, 0.3, 0.4], ["a", "b"]])
-    def test_method_pi_outside_unit_interval_rejected(self, pi):
+    @pytest.mark.parametrize("pi, error", [
+        ([0.0, 1.0], ValueError), ([0.5, 1.5], ValueError),
+        ([0.5], ValueError), ([0.3, 0.3, 0.4], ValueError),
+        (["a", "b"], TypeError)], ids=["pi0", "pi1", "pi2", "pi3", "pi4"])
+    def test_method_pi_outside_unit_interval_rejected(self, pi, error):
         """A bad allocation pair fails when the method is built, not in
-        every replication of the run."""
-        with pytest.raises(ValueError):
-            method_spec_from_config({"name": "m", "test": "score",
-                                     "estimator": "II", "pi": pi})
+        every replication of the run; a non-number is errors.number's
+        TypeError."""
+        with pytest.raises(error, match="method 'm': pi must be"):
+            methods_from_config([{"name": "m", "test": "score",
+                                  "estimator": "II", "pi": pi}])[0]
+
+    @pytest.mark.parametrize("pi", [(0.9, 0.9), (0.3, 0.3)])
+    def test_method_pi_must_sum_to_one(self, pi):
+        """Allocation probabilities of two arms sum to 1: a pair that does
+        not is refused, naming the method, from Python and from a
+        config."""
+        message = ("method 'gc-score-II': pi must be two shares in (0, 1) "
+                   f"summing to 1, got {pi!r}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MethodSpec(name="gc-score-II", test="score", estimator="II",
+                       pi=pi)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            methods_from_config([{"name": "gc-score-II", "test": "score",
+                                  "estimator": "II", "pi": pi}])
+        assert MethodSpec(name="m", test="score", estimator="III",
+                          pi=(0.25, 0.75)).pi == (0.25, 0.75)
 
     @pytest.mark.parametrize("measure, null, message", [
         ("difference", float("nan"), "null_value must be finite, got nan"),
@@ -1298,8 +1365,8 @@ class TestConfigParsers:
             MethodSpec(name="u", test="wald", measure=measure,
                        null_value=null)
         with pytest.raises(TypeError, match=re.escape(message)):
-            method_spec_from_config({"name": "u", "test": "wald",
-                                     "measure": measure, "null_value": null})
+            methods_from_config([{"name": "u", "test": "wald",
+                                  "measure": measure, "null_value": null}])[0]
 
     def test_methods_document_forms(self):
         lst = [{"name": "a", "test": "wald"}, {"name": "b", "test": "score"}]
@@ -1307,6 +1374,9 @@ class TestConfigParsers:
         assert len(methods_from_config({"methods": lst})) == 2
         with pytest.raises(ValueError):
             methods_from_config({"methods": lst, "seed": 1})
+        with pytest.raises(TypeError, match=re.escape(
+                "methods must be a list, got 'gc-score-I'")):
+            methods_from_config({"methods": "gc-score-I"})
 
 
 class TestBatchedEngine:
