@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GScoreError, ValueError, KeyError, TypeError, OSError) as err:
+    except (GScoreError, ValueError, TypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FIT if isinstance(err, FitError) else EXIT_CONFIG
 

@@ -164,7 +164,7 @@ def fit(design: DesignMatrix, y: np.ndarray) -> FittedGLM:
 
     This is fit_batch on a stack of one, so it equals the fit's row in
     any stack bit for bit, or raises that row's typed error (outcomes,
-    non-convergence, rank deficiency, separation).
+    an empty arm, non-convergence, rank deficiency, separation).
     """
     if design.X.ndim != 2:
         raise DataError(f"fit takes one (n, p) design, got shape "
@@ -207,8 +207,10 @@ def fit_batch(design: DesignMatrix, y: np.ndarray):
     one IRLS loop; every rule applies per row, so a fit depends only on
     its own row.
 
-    Returns the stacked FittedGLM and {row: typed error} for the rows
-    that failed; those rows hold zero coefficients, means and residuals,
+    A row whose outcomes its family refuses, or whose design has no
+    subject in an arm, is a DataError before the loop.  Returns the
+    stacked FittedGLM and {row: typed error} for the rows that failed;
+    those rows hold zero coefficients, means and residuals,
     counterfactual means 1/2 and an identity bread, and are not converged.
     """
     fam = _FAMILIES[design.spec.family]
@@ -226,6 +228,14 @@ def fit_batch(design: DesignMatrix, y: np.ndarray):
     errors = {int(b): DataError(
         f"{fam.name} requires {fam.outcomes[0]} outcomes" if finite[b]
         else "y contains non-finite values") for b in (~valid).nonzero()[0]}
+    # each arm needs a subject: a 1 in its indicator column
+    rows = XB[:, :2] == 1.0
+    count = rows.sum(axis=-1)
+    for b in (valid & (count == 0).any(axis=-1)).nonzero()[0]:
+        a = int(count[b].argmin())
+        errors[int(b)] = DataError(f"arm {a + 1} has no subjects: no 1 in "
+                                   f"its indicator column {labels[a]!r}")
+        valid[b] = False
 
     out_beta, out_mu = np.zeros((B, p)), np.zeros((B, n))
     iterations, score_norm = np.zeros(B, dtype=int), np.full(B, np.nan)
@@ -234,11 +244,8 @@ def fit_batch(design: DesignMatrix, y: np.ndarray):
     XT = XB if idx.size == B else XB[idx]
     ya, beta = y[idx], np.zeros((idx.size, p))
     # arm indicators start at link(arm mean): arm-only models start solved
-    rows = XT[:, :2] == 1.0
-    count = rows.sum(axis=-1)
-    has = count > 0
-    beta[:, :2][has] = fam.initial_intercept(
-        (ya[:, None] * rows).sum(axis=-1)[has] / count[has])
+    beta[:, :2] = fam.initial_intercept(
+        (ya[:, None] * rows[idx]).sum(axis=-1) / count[idx])
     eta = _matvec(XT.mT, beta)
     ll = fam.loglik(ya, eta)
     failed, by_qr = np.zeros((2, idx.size), dtype=bool)

@@ -1,12 +1,13 @@
 """Monte Carlo engine for operating characteristics of the estimators.
 
 Trials are generated from a logistic outcome model with iid covariates
-(standard normal or Bernoulli), under complete randomization or
-stratified permuted blocks.  True marginal means come from Gauss-Hermite
-quadrature (normal covariates collapse to a single normal direction)
-crossed with exact enumeration of Bernoulli covariates, so type I error,
-power, and coverage are tallied against exact truth, not a simulated
-proxy.
+(standard normal or Bernoulli).  Arms come from one permuted-block step:
+complete randomization is one block of n, and stratified randomization
+fills permuted blocks per stratum.  True marginal means come from
+Gauss-Hermite quadrature (normal covariates collapse to a single normal
+direction) crossed with exact enumeration of Bernoulli covariates, so
+type I error, power, and coverage are tallied against exact truth, not
+a simulated proxy.
 
 Reproducibility: replication r uses the substream spawned as
 SeedSequence(seed, spawn_key=(r,)) feeding a counter-based Philox
@@ -172,21 +173,16 @@ class Scenario:
             raise ValueError("beta_A must have one intercept per arm")
         if self.scheme not in ("complete", "stratified-block"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "complete" \
-                and not 0 < np.floor(self.n * self.allocation[0]) < self.n:
-            raise ValueError("complete randomization leaves an arm empty")
-        if self.scheme == "stratified-block":
-            if self.stratify is None:
-                raise ValueError("stratified-block scheme needs a stratify rule")
-            if self.block_size < 2:
-                raise ValueError("block size must be >= 2")
-            # two strata that each fit in one arm's slots of a block can
-            # both fill only that arm
-            b1 = _block_arm1_count(self.block_size, self.allocation)
-            most = 2 * max(b1, self.block_size - b1)
-            if self.n <= most:
-                raise ValueError(f"stratified blocks of {self.block_size} "
-                                 f"can leave an arm empty at n <= {most}")
+        if self.scheme == "stratified-block" and self.stratify is None:
+            raise ValueError("stratified-block scheme needs a stratify rule")
+        # a block needs both arms' slots; two strata that each fit in one
+        # arm's slots of a block can both fill only that arm
+        size, b1 = _block(self)
+        most = 2 * max(b1, size - b1) if self.scheme != "complete" else 0
+        if not 0 < b1 < size or self.n <= most:
+            raise ValueError(f"{self.scheme} randomization of n = {self.n} "
+                             f"in blocks of {size} with {b1} arm-1 slots "
+                             "can leave an arm empty")
         if self.stratify is not None \
                 and self.stratify.covariate > len(self.covariates):
             raise ValueError("stratify rule names a covariate beyond the list")
@@ -288,16 +284,21 @@ class OCResult:
 # ------------------------------------------------------------------ #
 
 
-def _block_arm1_count(block_size: int, allocation) -> int:
-    """Arm-1 slots in one permuted block: block_size * share_1, which must
-    be integral (within 1e-9) and leave both arms a slot."""
-    b1_exact = block_size * float(allocation[0])
-    b1 = int(round(b1_exact))
-    if abs(b1_exact - b1) > 1e-9 or not 0 < b1 < block_size:
+def _block(s: Scenario) -> tuple[int, int]:
+    """(size, arm-1 slots) of the permuted block that s's scheme fills:
+    under complete randomization one block of n with floor(n * share_1)
+    arm-1 slots, the rounding remainder going to arm 2; under stratified
+    blocks block_size with block_size * share_1, which must be integral
+    (within 1e-9)."""
+    if s.scheme == "complete":
+        return s.n, int(np.floor(s.n * s.allocation[0]))
+    b1_exact = s.block_size * s.allocation[0]
+    b1 = round(b1_exact)
+    if abs(b1_exact - b1) > 1e-9:
         raise ValueError(
-            f"block size {block_size} is incompatible with allocation "
-            f"{tuple(allocation)}: blocks need an integral arm-1 count")
-    return b1
+            f"block size {s.block_size} is incompatible with allocation "
+            f"{s.allocation}: blocks need an integral arm-1 count")
+    return s.block_size, b1
 
 
 def _assign_blocks(stratum: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -344,27 +345,23 @@ def _draw(s: Scenario, rngs, B: int) -> _Trials:
     for the outcome, each written in place.  A generator is used up
     before the next is taken, so one re-keyed per trial may be passed.
 
-    Complete randomization shuffles floor(n * share_1) arm-1 labels and
-    arm-2 labels for the rest (any rounding remainder included).
-    Stratified blocks permute, in one rng.permuted call, the blocks that
-    strata S = 0 and then S = 1 fill, each stratum from a new block; this
-    draws as one rng.permutation per block would, in block order.  A
-    block holds block_size * share_1 arm-1 slots, and a stratum's short
+    Randomization is one step: one rng.permuted call permutes the blocks
+    a trial uses, each of _block(s)'s size and arm-1 slots; this draws as
+    one rng.permutation per block would, in block order.  Complete
+    randomization uses one block of n, whose row is the trial's arms.
+    Stratified randomization uses blocks per stratum: strata S = 0 and
+    then S = 1 each fill blocks from a new one, and a stratum's short
     last block is the truncation of one more permuted block.  Scenario
     validation ensures that no randomization empties an arm."""
     n, q, names = s.n, len(s.covariates), _covariate_names(s)
     rows = np.empty((B, len(names), n))
     u = np.empty((B, n))
     runs = [(spec, len(list(g))) for spec, g in itertools.groupby(s.covariates)]
-    if s.scheme == "complete":
-        n1 = int(np.floor(n * s.allocation[0]))
-        arm = np.tile(np.repeat(_ARMS, (n1, n - n1)), (B, 1))
-    else:
-        size = s.block_size
-        b1 = _block_arm1_count(size, s.allocation)
-        # two strata of sizes m, n - m fill at most n // size + 2 blocks
-        slots = np.tile(np.repeat(_ARMS, (b1, size - b1)),
-                        (B, n // size + 2, 1))
+    size, b1 = _block(s)
+    stratified = s.scheme != "complete"
+    # two strata of sizes m, n - m fill at most n // size + 2 blocks
+    slots = np.tile(np.repeat(_ARMS, (b1, size - b1)),
+                    (B, n // size + 2 if stratified else 1, 1))
     for b, rng in zip(range(B), rngs):
         j = 0
         for spec, k in runs:  # one (k, n) draw: the stream of k draws of n
@@ -378,15 +375,12 @@ def _draw(s: Scenario, rngs, B: int) -> _Trials:
             m = np.count_nonzero(np.greater(
                 rows[b, s.stratify.covariate - 1], s.stratify.threshold,
                 out=rows[b, q]))
-        if s.scheme == "complete":
-            rng.shuffle(arm[b])
-        else:  # the ceil((n - m) / size) + ceil(m / size) blocks in use
-            blocks = -(-(n - m) // size) - (-m // size)
-            used = slots[b, :blocks]
-            rng.permuted(used, axis=1, out=used)
+        # in use: the strata's ceil((n - m) / size) + ceil(m / size) blocks
+        blocks = -(-(n - m) // size) - (-m // size) if stratified else 1
+        used = slots[b, :blocks]
+        rng.permuted(used, axis=1, out=used)
         rng.random(out=u[b])
-    if s.scheme != "complete":
-        arm = _assign_blocks(rows[:, q], slots)
+    arm = _assign_blocks(rows[:, q], slots) if stratified else slots[:, 0]
 
     eta = np.asarray(s.beta_A)[arm - 1] + (rows[:, :q].mT @ np.asarray(
         s.beta_W) if q else 0.0)
@@ -737,7 +731,8 @@ def _run_shares(s: Scenario, plan, seed: int, shares) -> tuple:
 
 def run_oc(s: Scenario, methods, reps: int, *, seed: int,
            level: float = 0.95, workers: int = 1) -> OCResult:
-    """Operating characteristics of every method over ``reps`` trials.
+    """Operating characteristics of every method (one at least) over
+    ``reps`` trials.
 
     ``level`` drives both the two-sided interval level and the one-sided
     rejection threshold (1 - level)/2, the standard pairing (0.95 gives
@@ -764,6 +759,8 @@ def run_oc(s: Scenario, methods, reps: int, *, seed: int,
         raise ValueError(f"workers must be at least 1, got {workers}")
     level = Hypothesis(level=level).level
     methods = tuple(methods)
+    if not methods:
+        raise ValueError("run_oc needs at least one method, got none")
     if len({m.name for m in methods}) != len(methods):
         raise ValueError("method names must be unique")
     plan = _plan(s, methods, level)
@@ -853,6 +850,8 @@ def methods_from_config(d) -> tuple[MethodSpec, ...]:
     "unadjusted" or a model mapping."""
     if isinstance(d, dict):
         reject_unknown_keys(d, ("methods",), "methods document")
+        if "methods" not in d:
+            raise ValueError("methods document is missing the 'methods' key")
         d = d["methods"]
     return tuple(from_config(MethodSpec, m, "method", model=lambda md: (
         from_config(ModelSpec, md, "model") if isinstance(md, dict) else md))

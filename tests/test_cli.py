@@ -686,6 +686,22 @@ class TestSimulate:
                 f"summing to 1, got {pi!r}") in capsys.readouterr().err
         assert not (tmp_path / "oc.csv").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"methods": []}, "run_oc needs at least one method, got none"),
+        ({}, "methods document is missing the 'methods' key")],
+        ids=["empty-list", "no-methods-key"])
+    def test_methods_file_with_no_methods_exits_2(self, tmp_path, capsys,
+                                                  doc, message):
+        """A methods file that names no method is refused with the
+        problem named; it writes no table."""
+        scen = write_yaml(tmp_path / "scen.yaml", scenario_doc())
+        meth = write_yaml(tmp_path / "meth.yaml", doc)
+        assert main(["simulate", "--scenario", scen, "--methods", meth,
+                     "--reps", "5", "--seed", "1",
+                     "--out", str(tmp_path / "oc.csv")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "oc.csv").exists()
+
     @pytest.mark.parametrize("key, bad", [
         ("covariates", "standard-normal"), ("beta_A", -0.9355)])
     def test_scalar_or_string_list_field_exits_2_naming_it(

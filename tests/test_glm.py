@@ -1,5 +1,6 @@
 """IRLS fitting: oracle equivalence, score residuals, typed failures."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -240,6 +241,21 @@ class TestFailures:
         with pytest.raises(DataError):
             fit(fixture_design, np.zeros(7))
 
+    @pytest.mark.parametrize("family, y", [
+        ("gaussian-identity", np.arange(6.0)),
+        ("bernoulli-logit", np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]))])
+    @pytest.mark.parametrize("arm", [1, 2])
+    def test_empty_arm_refused(self, family, y, arm):
+        """A hand-built design whose arm indicator column is all zero has
+        no subject in that arm: a DataError naming the arm, not a fit
+        that converges in 0 iterations with a mean for the empty arm."""
+        X = np.zeros((6, 2))
+        X[:, 2 - arm] = 1.0
+        with pytest.raises(DataError, match=re.escape(
+                f"arm {arm} has no subjects: no 1 in its indicator column "
+                f"'arm{arm}'")):
+            fit(DesignMatrix(X=X, spec=ModelSpec(family)), y)
+
     def test_stacked_design_refused(self):
         """fit takes one design: a stack is a DataError, neither a silent
         fit of its first row nor a KeyError when a later row fails."""
@@ -378,6 +394,26 @@ class TestFitBatch:
                 np.testing.assert_array_equal(got, want)
             assert fb.iterations[b] == f.iterations, b
             assert fb.score_norm[b] == f.score_norm, b
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_empty_arm_row_fails_alone(self, family):
+        """A row whose arm-2 column is all zero, inserted into a stack, is
+        a DataError in errors; every other row's fit and error are those
+        of the stack without it, bit for bit."""
+        d, y = _mixed_stack(family)
+        bad = np.array(d.X[0])
+        bad[:, 1] = 0.0
+        stack = replace(d, X=np.concatenate([d.X[:1], bad[None], d.X[1:]]))
+        f, errors = fit_batch(stack, np.concatenate([y[:1], y[:1], y[1:]]))
+        g, want = fit_batch(d, y)
+        assert type(errors.pop(1)) is DataError
+        keep = [0, *range(2, len(y) + 1)]
+        assert {b: (type(e), str(e)) for b, e in errors.items()} == \
+            {keep[b]: (type(e), str(e)) for b, e in want.items()}
+        for name in ("beta", "bread", "fitted", "residuals", "converged",
+                     "iterations", "score_norm", "counterfactual_means"):
+            np.testing.assert_array_equal(getattr(f, name)[keep],
+                                          getattr(g, name), err_msg=name)
 
     def test_stacks_cover_halved_steps(self, monkeypatch):
         """The row identity above covers step halving: these rows take

@@ -502,7 +502,7 @@ class TestGenerateTrial:
                                       "re-keyed"])
     def test_draw_matches_the_per_covariate_loop(self, s, path):
         """Runs of equal covariate specs draw in one call, a trial's
-        arms in one shuffle or one rng.permuted call, and draws land in
+        arms in one rng.permuted call, and draws land in
         place; the trials and every generator's state after its trial
         equal those of one draw per covariate and one per stratum, also
         when one generator re-keyed per replication draws the batch."""
@@ -957,6 +957,17 @@ class TestRunOC:
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
             run_oc(scenario1(n=60), methods, seed=1, **counts)
 
+    def test_no_methods_rejected_before_the_plan_truth_or_pool(
+            self, monkeypatch):
+        """A run with no method would tally nothing: it is refused before
+        the plan, the truth, any trial or any helper process."""
+        self._refuse_past_the_argument_checks(monkeypatch)
+        for methods in ((), []):
+            with pytest.raises(ValueError, match=re.escape(
+                    "run_oc needs at least one method, got none")):
+                run_oc(scenario1(n=60), methods, reps=600, seed=1,
+                       workers=2)
+
     @pytest.mark.parametrize("level", [True, np.False_])
     def test_boolean_level_rejected(self, level):
         methods = (MethodSpec(name="m", test="wald"),)
@@ -1377,6 +1388,13 @@ class TestConfigParsers:
         with pytest.raises(TypeError, match=re.escape(
                 "methods must be a list, got 'gc-score-I'")):
             methods_from_config({"methods": "gc-score-I"})
+
+    def test_methods_document_without_the_methods_key(self):
+        """A mapping without "methods" is refused in from_config's words,
+        not by a bare KeyError."""
+        with pytest.raises(ValueError, match=re.escape(
+                "methods document is missing the 'methods' key")):
+            methods_from_config({})
 
 
 class TestBatchedEngine:
